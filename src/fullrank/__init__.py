@@ -5,10 +5,11 @@ hyperplane covers of integer grids.
 """
 
 from .attack import AttackConfig, attack_params, combination_vector, find_collision
-from .cli import BoundsReport, bounds_report
 from .construct import (
+    BoundsReport,
     ConstructionParams,
     ScaleSearchResult,
+    bounds_report,
     construct,
     construct_scaled,
     construct_vandermonde,

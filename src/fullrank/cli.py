@@ -1,4 +1,4 @@
-"""Command-line surface and the width-bounds report.
+"""Command-line surface.
 
 Exit codes: 0 success/accept; 1 property violation (verification
 failures, a found degeneracy certificate, decode ambiguity, rejected
@@ -6,14 +6,12 @@ cover); 2 invalid input, budget refusal or usage error.
 """
 
 import argparse
+import importlib
 import json
-import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import attack as attack_mod
-from . import construct as construct_mod
 from . import cover as cover_mod
 from . import recover as recover_mod
 from . import serialize as ser
@@ -23,69 +21,10 @@ from .errors import (
     ConstructionInfeasibleError,
     PrimeNotFoundError,
 )
-from .intmath import iroot
 
-LARGE_M = "large_m"  # m >= ln k
-SMALL_M = "small_m"  # 2 <= m < ln k
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Known window for the maximal width d at given (m, k): no matrix
-    with the all-minors-invertible property can be wider than upper_bound,
-    and the explicit constructions reach lower_bound."""
-
-    m: int
-    k: int
-    regime: str
-    upper_bound: int
-    lower_bound: int
-    gap_factor: Fraction
-    small_k_caveat: bool  # upper bound is asymptotic; k this small proves nothing
-
-
-def bounds_report(m: int, k: int) -> BoundsReport:
-    """Evaluate both width bounds with exact floor semantics.
-
-    In the small_m regime the upper bound 400 k^(m/(m-1)) m^(3/2) is an
-    even root of an integer, so its floor is taken with integer root
-    extraction; the large_m value 100 k sqrt(ln k) m is irrational in a
-    way floats handle safely at these magnitudes.
-    """
-    if m < 2 or k < 2:
-        raise ValueError("need m >= 2 and k >= 2")
-    ln_k = math.log(k)
-    if m >= ln_k:
-        regime = LARGE_M
-        upper = math.floor(100 * k * m * math.sqrt(ln_k))
-    else:
-        regime = SMALL_M
-        # (400 k^(m/(m-1)) m^(3/2)) ** (2(m-1)) is the integer below
-        power = 400 ** (2 * (m - 1)) * k ** (2 * m) * m ** (3 * (m - 1))
-        upper = iroot(power, 2 * (m - 1))
-    lower = construct_mod.max_width(m, k)
-    return BoundsReport(
-        m=m,
-        k=k,
-        regime=regime,
-        upper_bound=upper,
-        lower_bound=lower,
-        gap_factor=Fraction(upper, lower),
-        small_k_caveat=math.floor(ln_k) < 2,
-    )
-
-
-def bounds_to_dict(rep: BoundsReport) -> dict:
-    return {
-        "m": rep.m,
-        "k": rep.k,
-        "regime": rep.regime,
-        "upper_bound": rep.upper_bound,
-        "lower_bound": rep.lower_bound,
-        "gap_factor": ser.rational_to_str(rep.gap_factor),
-        "small_k_caveat": rep.small_k_caveat,
-    }
-
+# The package rebinds its attribute ``construct`` to the function of that
+# name, so the module is looked up by its full name.
+construct_mod = importlib.import_module(f"{__package__}.construct")
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
@@ -127,18 +66,15 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     matrix, _ = _load_matrix(args.infile)
-    arithmetic = {"auto": None, "exact": verify_mod.EXACT,
-                  "mod": verify_mod.MOD_D}[args.arithmetic]
     if args.trials is not None:
         report = verify_mod.verify_sampled(
-            matrix, trials=args.trials, seed=args.seed, arithmetic=arithmetic)
+            matrix, trials=args.trials, seed=args.seed)
     else:
-        report = verify_mod.verify_exhaustive(
-            matrix, budget=args.budget, arithmetic=arithmetic, jobs=args.jobs)
+        report = verify_mod.verify_exhaustive(matrix, budget=args.budget)
     doc = ser.report_to_dict(report)
     lines = [
         f"checked {report.total_checked} minors "
-        f"({report.mode}, {report.arithmetic}): {len(report.failures)} failures"
+        f"({report.mode}): {len(report.failures)} failures"
     ]
     for f in report.failures[:20]:
         lines.append(f"  degenerate columns: {list(f)}")
@@ -261,8 +197,8 @@ def cmd_cover_min(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    rep = bounds_report(args.m, args.k)
-    doc = bounds_to_dict(rep)
+    rep = construct_mod.bounds_report(args.m, args.k)
+    doc = ser.bounds_to_dict(rep)
     lines = [
         f"m={rep.m} k={rep.k} regime={rep.regime}",
         f"upper bound on width d: {rep.upper_bound}",
@@ -318,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled mode (default 0)")
     p.add_argument("--budget", type=int, default=verify_mod.DEFAULT_BUDGET)
-    p.add_argument("--arithmetic", choices=["auto", "exact", "mod"],
-                   default="auto")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the exhaustive sweep")
     _add_json(p)
     p.set_defaults(func=cmd_verify)
 

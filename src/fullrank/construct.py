@@ -20,7 +20,7 @@ integer), never through floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, log, sqrt
 
 from .errors import ConstructionInfeasibleError, PrimeNotFoundError
 from .intmath import iroot, is_prime
@@ -28,6 +28,9 @@ from .linalg import IntMatrix, centered_residue, select_columns
 
 VANDERMONDE = "vandermonde"
 SCALED = "scaled"
+
+LARGE_M = "large_m"  # m >= ln k
+SMALL_M = "small_m"  # 2 <= m < ln k
 
 
 @dataclass(frozen=True)
@@ -216,6 +219,52 @@ def max_width(m: int, k: int) -> int:
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
     return max(k + 1, iroot(k ** m, m - 1) // 2)
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Known window for the maximal width d at given (m, k): no matrix
+    with the all-minors-invertible property can be wider than upper_bound,
+    and the explicit constructions reach lower_bound."""
+
+    m: int
+    k: int
+    regime: str
+    upper_bound: int
+    lower_bound: int
+    gap_factor: Fraction
+    small_k_caveat: bool  # upper bound is asymptotic; k this small proves nothing
+
+
+def bounds_report(m: int, k: int) -> BoundsReport:
+    """Evaluate both width bounds with exact floor semantics.
+
+    In the small_m regime the upper bound 400 k^(m/(m-1)) m^(3/2) is an
+    even root of an integer, so its floor is taken with integer root
+    extraction; the large_m value 100 k sqrt(ln k) m is irrational in a
+    way floats handle safely at these magnitudes.
+    """
+    if m < 2 or k < 2:
+        raise ValueError("need m >= 2 and k >= 2")
+    ln_k = log(k)
+    if m >= ln_k:
+        regime = LARGE_M
+        upper = floor(100 * k * m * sqrt(ln_k))
+    else:
+        regime = SMALL_M
+        # (400 k^(m/(m-1)) m^(3/2)) ** (2(m-1)) is the integer below
+        power = 400 ** (2 * (m - 1)) * k ** (2 * m) * m ** (3 * (m - 1))
+        upper = iroot(power, 2 * (m - 1))
+    lower = max_width(m, k)
+    return BoundsReport(
+        m=m,
+        k=k,
+        regime=regime,
+        upper_bound=upper,
+        lower_bound=lower,
+        gap_factor=Fraction(upper, lower),
+        small_k_caveat=floor(ln_k) < 2,
+    )
 
 
 def construct(m: int, k: int, d_requested: int) -> IntMatrix:

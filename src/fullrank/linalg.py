@@ -83,8 +83,12 @@ def centered_residue(x: int, p: int) -> int:
     return r
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; all divisions are exact by construction."""
+def det_exact(square: IntMatrix) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination;
+    every division is exact by construction."""
+    if square.rows != square.cols:
+        raise ValueError("determinant requires a square matrix")
+    rows = square.to_rows()
     n = len(rows)
     sign = 1
     prev = 1
@@ -109,10 +113,15 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _det_mod_rows(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination over the field of p elements; result in [0, p)."""
-    n = len(rows)
-    rows = [[x % p for x in r] for r in rows]
+def det_mod_p(square: IntMatrix, p: int) -> int:
+    """Determinant reduced mod p, computed entirely in the prime field by
+    Gaussian elimination; result in [0, p)."""
+    if square.rows != square.cols:
+        raise ValueError("determinant requires a square matrix")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    n = square.rows
+    rows = [[x % p for x in r] for r in square.to_rows()]
     det = 1
     for c in range(n):
         pivot = None
@@ -133,22 +142,6 @@ def _det_mod_rows(rows: list[list[int]], p: int) -> int:
             if f:
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
     return det % p
-
-
-def det_exact(square: IntMatrix) -> int:
-    """Exact integer determinant (fraction-free elimination)."""
-    if square.rows != square.cols:
-        raise ValueError("determinant requires a square matrix")
-    return _det_bareiss(square.to_rows())
-
-
-def det_mod_p(square: IntMatrix, p: int) -> int:
-    """Determinant reduced mod p, computed entirely in the prime field."""
-    if square.rows != square.cols:
-        raise ValueError("determinant requires a square matrix")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _det_mod_rows(square.to_rows(), p)
 
 
 def select_columns(A: IntMatrix, cols) -> IntMatrix:

@@ -9,7 +9,7 @@ Matrix schema: {"m": int, "d": int, "k": int|null, "modulus": int|null,
 import json
 from fractions import Fraction
 
-from .construct import ConstructionParams
+from .construct import BoundsReport, ConstructionParams
 from .cover import CoverInstance
 from .linalg import IntMatrix
 from .recover import Measurement, SparseSignal
@@ -38,19 +38,37 @@ def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> di
     }
 
 
+def _json_int(name: str, value, nullable: bool = False):
+    """value itself when it is a JSON integer (or null, if allowed); bools,
+    floats and strings are refused instead of coerced."""
+    if type(value) is int or (nullable and value is None):
+        return value
+    raise ValueError(
+        f"matrix JSON field {name!r} must be an integer, got {json.dumps(value)}")
+
+
+def _json_ints(name: str, values, nullable: bool = False):
+    if nullable and values is None:
+        return None
+    if not isinstance(values, list):
+        raise ValueError(f"matrix JSON field {name!r} must be a list of integers")
+    return [_json_int(name, v) for v in values]
+
+
 def matrix_from_dict(obj: dict) -> tuple[IntMatrix, list[int] | None]:
+    if not isinstance(obj, dict):
+        raise ValueError("matrix JSON must be an object")
     try:
         matrix = IntMatrix(
-            rows=int(obj["m"]),
-            cols=int(obj["d"]),
-            entries=tuple(int(e) for e in obj["entries"]),
-            modulus=obj.get("modulus"),
-            entry_bound=obj.get("k"),
+            rows=_json_int("m", obj["m"]),
+            cols=_json_int("d", obj["d"]),
+            entries=tuple(_json_ints("entries", obj["entries"])),
+            modulus=_json_int("modulus", obj.get("modulus"), nullable=True),
+            entry_bound=_json_int("k", obj.get("k"), nullable=True),
         )
     except KeyError as exc:
         raise ValueError(f"matrix JSON missing field {exc}") from exc
-    scalings = obj.get("scalings")
-    return matrix, (None if scalings is None else [int(x) for x in scalings])
+    return matrix, _json_ints("scalings", obj.get("scalings"), nullable=True)
 
 
 def matrix_to_csv(A: IntMatrix) -> str:
@@ -111,10 +129,21 @@ def report_to_dict(rep: VerificationReport) -> dict:
         "total_checked": rep.total_checked,
         "failures": [list(f) for f in rep.failures],
         "mode": rep.mode,
-        "arithmetic": rep.arithmetic,
         "seed": rep.seed,
         "trials": rep.trials,
         "ok": rep.ok,
+    }
+
+
+def bounds_to_dict(rep: BoundsReport) -> dict:
+    return {
+        "m": rep.m,
+        "k": rep.k,
+        "regime": rep.regime,
+        "upper_bound": rep.upper_bound,
+        "lower_bound": rep.lower_bound,
+        "gap_factor": rational_to_str(rep.gap_factor),
+        "small_k_caveat": rep.small_k_caveat,
     }
 
 

@@ -1,26 +1,27 @@
 """Verification that all (or sampled) maximal minors are nonzero, plus
 validation of degeneracy certificates.
 
-For matrices carrying a modulus annotation the fast path works mod d
-(nonzero mod d implies nonzero); any minor that vanishes mod d is
-re-checked with the exact determinant before it is listed, so failure
-lists always contain genuinely degenerate column sets regardless of the
-arithmetic used.
+Every singularity decision is made by one exact kernel. It builds a
+column set one column at a time and carries every maximal minor of the
+columns taken so far; appending a column extends them by a Laplace
+expansion along the new column. After m-1 columns the carried minors are
+the signed cofactors of an integer normal to the hyperplane spanned by
+those columns, so a completing column gives a vanishing minor exactly
+when its dot product with that normal is 0: a hyperplane through the
+origin holds at most m-1 columns of a matrix with the property. Work per
+extension grows like 2^m, which suits the small row counts used here.
 """
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
+from operator import mul
 
 from .errors import BudgetExceededError
-from .linalg import IntMatrix, _det_bareiss, _det_mod_rows
+from .linalg import IntMatrix
 
 DEFAULT_BUDGET = 10_000_000
-
-MOD_D = "mod_d"
-EXACT = "exact"
 
 
 @dataclass
@@ -30,7 +31,6 @@ class VerificationReport:
     total_checked: int
     failures: list[tuple[int, ...]] = field(default_factory=list)
     mode: str = "exhaustive"
-    arithmetic: str = EXACT
     seed: int | None = None
     trials: int | None = None
 
@@ -55,78 +55,77 @@ class CertificateCheck:
     reason: str
 
 
-def _minor_rows(col_cache, combo, m):
-    return [[col_cache[j][i] for j in combo] for i in range(m)]
+def _laplace_plans(m: int) -> list:
+    """plans[t] expands the minors of t columns into those of t+1 columns.
+
+    The minors of t columns are listed by their row t-subset, in
+    combinations order. plans[t] holds, for each row (t+1)-subset, the
+    Laplace terms along the new last column: (sign, row, index of the
+    t-subset left when that row is removed).
+    """
+    plans = []
+    for t in range(m):
+        index = {sub: i for i, sub in enumerate(combinations(range(m), t))}
+        plans.append([
+            [((-1) ** (p + t), r, index[sub[:p] + sub[p + 1:]])
+             for p, r in enumerate(sub)]
+            for sub in combinations(range(m), t + 1)
+        ])
+    return plans
 
 
-def _is_degenerate(col_cache, combo, m, modulus, arithmetic) -> bool:
-    rows = _minor_rows(col_cache, combo, m)
-    if arithmetic == MOD_D:
-        if _det_mod_rows(rows, modulus) != 0:
-            return False
-        # zero mod d is necessary but not sufficient for exact degeneracy
-        return _det_bareiss(_minor_rows(col_cache, combo, m)) == 0
-    return _det_bareiss(rows) == 0
+def _extend(minors: list[int], col, plan) -> list[int]:
+    return [sum(sign * col[r] * minors[k] for sign, r, k in terms)
+            for terms in plan]
 
 
-def _pick_arithmetic(A: IntMatrix, arithmetic: str | None) -> str:
-    if arithmetic is None:
-        return MOD_D if A.modulus is not None else EXACT
-    if arithmetic not in (MOD_D, EXACT):
-        raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    if arithmetic == MOD_D and A.modulus is None:
-        raise ValueError("mod_d arithmetic needs a matrix with a modulus")
-    return arithmetic
+def _minor(cols, combo, plans) -> int:
+    """Exact determinant of the square submatrix on the columns in combo."""
+    minors = [1]
+    for plan, j in zip(plans, combo):
+        minors = _extend(minors, cols[j], plan)
+    return minors[0]
 
 
-def _scan_chunk(args):
-    A, start, stop, arithmetic = args
-    col_cache = [A.column(j) for j in range(A.cols)]
-    bad = []
-    for combo in islice(combinations(range(A.cols), A.rows), start, stop):
-        if _is_degenerate(col_cache, combo, A.rows, A.modulus, arithmetic):
-            bad.append(combo)
-    return bad
+def _columns(A: IntMatrix) -> list[tuple[int, ...]]:
+    if A.cols < A.rows:
+        raise ValueError(f"matrix has fewer columns ({A.cols}) than rows ({A.rows})")
+    return [A.column(j) for j in range(A.cols)]
 
 
-def verify_exhaustive(A: IntMatrix, budget: int = DEFAULT_BUDGET,
-                      arithmetic: str | None = None,
-                      jobs: int = 1) -> VerificationReport:
-    """Check every m-subset of columns, in lexicographic order.
+def verify_exhaustive(A: IntMatrix,
+                      budget: int = DEFAULT_BUDGET) -> VerificationReport:
+    """Check every m-subset of columns; failures come in lexicographic order.
 
-    Refuses when C(d, m) exceeds the budget. With jobs > 1 the subset
-    stream is partitioned across worker processes; failures merge by
-    union, so the report does not depend on the partitioning.
+    Refuses when C(d, m) exceeds the budget. Column prefixes are walked
+    depth first, so each (m-1)-prefix's normal is computed once and shared
+    by all of its completions.
     """
     m, d = A.rows, A.cols
-    if d < m:
-        raise ValueError(f"matrix has fewer columns ({d}) than rows ({m})")
+    cols = _columns(A)
     total = math.comb(d, m)
     if total > budget:
         raise BudgetExceededError(total, budget, what="exhaustive minor sweep")
-    arithmetic = _pick_arithmetic(A, arithmetic)
+    plans = _laplace_plans(m)
+    failures = []
 
-    if jobs > 1 and total >= 4 * jobs:
-        step = -(-total // jobs)
-        chunks = [(A, lo, min(lo + step, total), arithmetic)
-                  for lo in range(0, total, step)]
-        failures = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_chunk, chunks):
-                failures.extend(part)
-        failures.sort()
-    else:
-        failures = _scan_chunk((A, 0, total, arithmetic))
-    return VerificationReport(
-        total_checked=total,
-        failures=failures,
-        mode="exhaustive",
-        arithmetic=arithmetic,
-    )
+    def walk(prefix, minors):
+        t = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if t == m - 1:
+            normal = [sign * minors[k] for sign, _, k in plans[t][0]]
+            failures.extend(prefix + (j,) for j in range(start, d)
+                            if not sum(map(mul, normal, cols[j])))
+            return
+        for j in range(start, d - m + t + 1):
+            walk(prefix + (j,), _extend(minors, cols[j], plans[t]))
+
+    walk((), [1])
+    return VerificationReport(total_checked=total, failures=failures,
+                              mode="exhaustive")
 
 
-def verify_sampled(A: IntMatrix, trials: int, seed: int,
-                   arithmetic: str | None = None) -> VerificationReport:
+def verify_sampled(A: IntMatrix, trials: int, seed: int) -> VerificationReport:
     """Check `trials` column m-subsets drawn from a seeded generator.
 
     Subsets may repeat; equal seeds give identical reports.
@@ -134,21 +133,18 @@ def verify_sampled(A: IntMatrix, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     m, d = A.rows, A.cols
-    if d < m:
-        raise ValueError(f"matrix has fewer columns ({d}) than rows ({m})")
-    arithmetic = _pick_arithmetic(A, arithmetic)
-    col_cache = [A.column(j) for j in range(d)]
+    cols = _columns(A)
+    plans = _laplace_plans(m)
     rng = random.Random(seed)
     failures = set()
     for _ in range(trials):
         combo = tuple(sorted(rng.sample(range(d), m)))
-        if _is_degenerate(col_cache, combo, m, A.modulus, arithmetic):
+        if _minor(cols, combo, plans) == 0:
             failures.add(combo)
     return VerificationReport(
         total_checked=trials,
         failures=sorted(failures),
         mode="sampled",
-        arithmetic=arithmetic,
         seed=seed,
         trials=trials,
     )
@@ -159,8 +155,7 @@ def verify_certificate(A: IntMatrix, cert: DegeneracyCertificate) -> Certificate
 
     Checks, in order: well-formedness, a nonzero coefficient vector, the
     combination of the first t rows vanishing on every listed column, and
-    (exact-determinant oracle) singularity of the submatrix on the first m
-    listed columns.
+    exact singularity of the submatrix on the first m listed columns.
     """
     m, d = A.rows, A.cols
     if not 1 <= cert.t <= m:
@@ -182,8 +177,7 @@ def verify_certificate(A: IntMatrix, cert: DegeneracyCertificate) -> Certificate
         if s != 0:
             return CertificateCheck(
                 False, f"combination does not vanish at column {j} (value {s})")
-    sub = [[A.entry(i, j) for j in cols[:m]] for i in range(m)]
-    if _det_bareiss(sub) != 0:
+    if _minor([A.column(j) for j in cols[:m]], range(m), _laplace_plans(m)) != 0:
         return CertificateCheck(
             False, "submatrix on the first m listed columns is nonsingular")
     return CertificateCheck(True, "ok")

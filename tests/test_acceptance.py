@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 
 from fullrank.attack import AttackConfig, find_collision
-from fullrank.cli import bounds_report, run
-from fullrank.construct import construct, construct_scaled, construct_vandermonde
+from fullrank.cli import run
+from fullrank.construct import bounds_report, construct, construct_scaled, construct_vandermonde
 from fullrank.cover import columns_on_hyperplane, cover_lower_bound, min_cover_bruteforce
 from fullrank.intmath import primitive_vector
 from fullrank.linalg import IntMatrix

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from fullrank.attack import attack_params
-from fullrank.cli import bounds_report, run
-from fullrank.construct import construct_scaled, construct_vandermonde
+from fullrank.cli import run
+from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
 from fullrank.serialize import (
     matrix_from_dict,
     matrix_to_csv,
@@ -171,10 +171,34 @@ class TestVerifyCommand:
     def test_missing_file_exit_2(self):
         assert run(["verify", "--in", "/nonexistent/mat.json"]) == 2
 
-    def test_jobs_flag(self, mat_path, capsys):
-        code, doc = run_json(capsys, ["verify", "--in", mat_path,
-                                      "--jobs", "2", "--json"])
-        assert code == 0 and doc["failures"] == []
+    @pytest.mark.parametrize("change", [
+        {"entries": [1.5, 2, 3, 1, 2, 4]},
+        {"entries": [True, 2, 3, 1, 2, 4]},
+        {"entries": ["1", 2, 3, 1, 2, 4]},
+        {"entries": 7},
+        {"modulus": "7"},
+        {"modulus": 7.0},
+        {"k": 5.0},
+        {"k": True},
+        {"m": 2.0},
+        {"d": "3"},
+        {"scalings": [1, 2.5, 3]},
+    ])
+    def test_non_integer_fields_exit_2(self, tmp_path, capsys, change):
+        doc = {"m": 2, "d": 3, "k": None, "modulus": None,
+               "entries": [1, 2, 3, 1, 2, 4], "scalings": None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **change}))
+        assert run(["verify", "--in", str(path), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_object_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2, 3]")
+        assert run(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestAttackCommand:

@@ -1,0 +1,41 @@
+"""Checks on the shape of the package: module boundaries and runnable demos."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fullrank"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def private_imports(path: Path) -> list[str]:
+    """Names starting with '_' that the module imports from a sibling."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not node.module.startswith("fullrank"):
+            continue
+        found += [f"{node.module or '.'}.{a.name}" for a in node.names
+                  if a.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    assert private_imports(path) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

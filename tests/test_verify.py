@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from fullrank.construct import construct_vandermonde
@@ -17,19 +20,26 @@ def vand23():
     return construct_vandermonde(2, 3)[0]
 
 
+def random_rows(rng, m, d):
+    return [[rng.randint(-2, 2) for _ in range(d)] for _ in range(m)]
+
+
+# m = 1 and, with entries this small, zero columns and rank-deficient
+# prefixes (zero hyperplane normals) all occur
+SMALL_SHAPES = [(m, d) for m in range(1, 5) for d in range(m, m + 5)]
+
+
 class TestVerifyExhaustive:
     def test_valid_construction(self, vand23):
         report = verify_exhaustive(vand23)
         assert report.total_checked == 10
         assert report.failures == []
-        assert report.arithmetic == "mod_d"
         assert report.ok
 
     def test_duplicate_columns_found(self):
         A = IntMatrix.from_rows([[1, 1, 1], [1, 1, 2]])
         report = verify_exhaustive(A)
         assert report.failures == [(0, 1)]
-        assert report.arithmetic == "exact"
         assert not report.ok
 
     def test_identity(self):
@@ -47,57 +57,55 @@ class TestVerifyExhaustive:
             verify_exhaustive(IntMatrix.from_rows([[1], [1]]))
 
     def test_matches_oracle_on_random_matrices(self):
-        import random
         rng = random.Random(21)
         for _ in range(50):
-            rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(2)]
-            A = IntMatrix.from_rows(rows)
-            report = verify_exhaustive(A)
+            rows = random_rows(rng, 2, 6)
+            report = verify_exhaustive(IntMatrix.from_rows(rows))
             assert report.failures == all_minors_nonzero(rows)
 
+    @pytest.mark.parametrize("m,d", SMALL_SHAPES)
+    def test_matches_oracle_small_shapes(self, m, d):
+        rng = random.Random(f"{m}x{d}")
+        for _ in range(12):
+            rows = random_rows(rng, m, d)
+            report = verify_exhaustive(IntMatrix.from_rows(rows))
+            assert report.total_checked == math.comb(d, m)
+            assert report.failures == all_minors_nonzero(rows)
+
+    def test_rank_deficient_prefix_fails_every_completion(self):
+        rows = [[1, 2, 0, 1, 3], [2, 4, 1, 0, 1], [0, 0, 1, 1, 2]]
+        report = verify_exhaustive(IntMatrix.from_rows(rows))
+        assert report.failures[:3] == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+        assert report.failures == all_minors_nonzero(rows)
+
     def test_mod_and_exact_agree_on_annotated(self):
-        # duplicate a column: a genuine exact degeneracy
+        # duplicate a column: a genuine exact degeneracy, which vanishes
+        # mod d as well
         A, params = construct_vandermonde(2, 3)
         rows = A.to_rows()
         for r in rows:
             r.append(r[0])
         dup = IntMatrix.from_rows(rows, modulus=params.d, entry_bound=params.k)
-        got_mod = verify_exhaustive(dup, arithmetic="mod_d")
-        got_exact = verify_exhaustive(dup, arithmetic="exact")
-        assert got_mod.failures == got_exact.failures != []
+        got = verify_exhaustive(dup).failures
+        assert got == all_minors_nonzero(rows) != []
+        assert got == all_minors_nonzero(rows, modulus=params.d)
 
     def test_mod_zero_but_exact_nonzero_not_reported(self):
-        # det = 5 vanishes mod 5 but the minor is nonsingular; the mod-d
-        # pass must not list it
+        # det = 5 vanishes mod 5 but the minor is nonsingular, so it is
+        # not listed
         A = IntMatrix.from_rows([[2, 1], [-1, 2]], modulus=5)
-        assert verify_exhaustive(A, arithmetic="mod_d").failures == []
-        assert verify_exhaustive(A, arithmetic="exact").failures == []
+        assert all_minors_nonzero(A.to_rows(), modulus=5) == [(0, 1)]
+        assert verify_exhaustive(A).failures == []
 
     def test_exhaustive_agreement_small_annotated(self):
         for m, k in [(2, 3), (2, 6), (3, 4), (3, 6)]:
             A, params = construct_vandermonde(m, k)
             if params.d > 13:
                 continue
-            got_mod = verify_exhaustive(A, arithmetic="mod_d")
-            got_exact = verify_exhaustive(A, arithmetic="exact")
-            assert got_mod.failures == got_exact.failures
-
-    def test_parallel_partition_matches_sequential(self, vand23):
-        seq = verify_exhaustive(vand23, jobs=1)
-        par = verify_exhaustive(vand23, jobs=2)
-        assert (seq.total_checked, seq.failures) == (par.total_checked, par.failures)
-
-    def test_parallel_with_failures(self):
-        rows = [[1, 1, 1, 1, 2, 3], [1, 1, 2, 2, 3, 5]]
-        A = IntMatrix.from_rows(rows)
-        seq = verify_exhaustive(A, jobs=1)
-        par = verify_exhaustive(A, jobs=3)
-        assert seq.failures == par.failures == all_minors_nonzero(rows)
-
-    def test_mod_arithmetic_needs_modulus(self):
-        with pytest.raises(ValueError):
-            verify_exhaustive(IntMatrix.from_rows([[1, 0], [0, 1]]),
-                              arithmetic="mod_d")
+            rows = A.to_rows()
+            got = verify_exhaustive(A).failures
+            assert got == all_minors_nonzero(rows)
+            assert got == all_minors_nonzero(rows, modulus=params.d)
 
 
 class TestVerifySampled:
@@ -128,6 +136,17 @@ class TestVerifySampled:
         draws = {tuple(verify_sampled(A, trials=5, seed=s).failures)
                  for s in range(5)}
         assert len(draws) > 1
+
+
+    @pytest.mark.parametrize("m,d", SMALL_SHAPES)
+    def test_failures_are_drawn_subsets_the_oracle_fails(self, m, d):
+        rng = random.Random(f"sampled {m}x{d}")
+        for seed in range(6):
+            rows = random_rows(rng, m, d)
+            report = verify_sampled(IntMatrix.from_rows(rows), trials=8, seed=seed)
+            draw = random.Random(seed)
+            drawn = {tuple(sorted(draw.sample(range(d), m))) for _ in range(8)}
+            assert report.failures == sorted(drawn & set(all_minors_nonzero(rows)))
 
 
 class TestVerifyCertificate:
