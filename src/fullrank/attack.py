@@ -6,12 +6,11 @@ the difference of such a pair is a nonzero combination with that many
 zeros, certifying a degenerate m x m submatrix.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError
-from .intmath import iroot
+from .intmath import floor_ln, iroot
 from .linalg import IntMatrix
 from .verify import DegeneracyCertificate
 
@@ -38,7 +37,8 @@ class AttackConfig:
 def attack_params(m: int, k: int) -> AttackConfig:
     """Default search parameters for an m-row matrix with entries bounded by k.
 
-    Regime split at m >= ln k: there use t = floor(ln k) rows and
+    Regime split at m >= ln k, decided exactly as m > floor(ln k) (ln k is
+    irrational for k >= 2): there use t = floor(ln k) rows and
     coefficients up to 9; otherwise t = m and coefficients up to
     floor(25 * k^(1/(m-1))), computed exactly. For tiny k the floor can
     drop below one row; t is clamped to 1 and the config flagged, since
@@ -46,8 +46,9 @@ def attack_params(m: int, k: int) -> AttackConfig:
     """
     if m < 2 or k < 2:
         raise ValueError("need m >= 2 and k >= 2")
-    if m >= math.log(k):
-        t = math.floor(math.log(k))
+    ln_floor = floor_ln(k)
+    if m > ln_floor:
+        t = ln_floor
         lam = 9
         clamped = t < 1
         t = max(t, 1)

@@ -6,6 +6,7 @@ cover); 2 invalid input, budget refusal or usage error.
 """
 
 import argparse
+import functools
 import importlib
 import json
 import sys
@@ -221,7 +222,11 @@ def _add_json(p):
                    help="emit a single machine-parseable JSON document")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    returns a fresh namespace each call, and the handlers look up the
+    module functions they call at call time."""
     parser = argparse.ArgumentParser(
         prog="fullrank",
         description="Bounded integer matrices with every maximal minor "

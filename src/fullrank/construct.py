@@ -9,10 +9,12 @@ Two explicit families, both built mod an odd prime d and both exact:
 
 * column-rescaled ("scaled"): the same power pattern for a much larger
   prime d ~ k^(m/(m-1))/2, with each column multiplied by a unit l_j
-  chosen by exhaustive simultaneous-approximation search so that all
-  centered residues in the column shrink below the entry bound.
-  Rescaling columns by units and reducing mod d preserves the nonzero-
-  minor property.
+  chosen by a simultaneous-approximation search so that all centered
+  residues in the column shrink below the entry bound. The search returns
+  what a scan of every l in 1..d-1 would, but visits far fewer: the
+  quality is symmetric under l -> d-l, and row 0 (j^0 = 1) bounds it
+  below by l itself. Rescaling columns by units and reducing mod d
+  preserves the nonzero-minor property.
 
 All threshold comparisons are done on integers (d * ||l j^i / d|| is an
 integer), never through floating point.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import ceil, floor, log, sqrt
 
 from .errors import ConstructionInfeasibleError, PrimeNotFoundError
-from .intmath import iroot, is_prime
+from .intmath import floor_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
 VANDERMONDE = "vandermonde"
@@ -119,12 +121,15 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
 def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
     """Best column multiplier for column j of the scaled construction.
 
-    Exhausts l = 1..d-1 and minimizes
+    Minimizes, over l = 1..d-1,
         q(l) = max_{i=1..m} || l * j^(i-1) / d ||,
-    where ||.|| is distance to the nearest integer. Every q(l) is a
-    multiple of 1/d, so the search compares the integers d*q(l); the
-    smallest l attaining the minimum wins. The d^(-1/m) threshold check is
-    the integer comparison (d*q)^m <= d^(m-1).
+    where ||.|| is distance to the nearest integer; the smallest l
+    attaining the minimum wins. Every q(l) is a multiple of 1/d, so the
+    search compares the integers d*q(l). Two facts prune the scan without
+    changing its answer: q(d-l) = q(l), so l > d/2 never beats its mirror
+    d-l < l; and row 0 is j^0 = 1, so d*q(l) >= l for l <= d/2, and the
+    scan stops once l reaches the best value found. The d^(-1/m)
+    threshold check is the integer comparison (d*q)^m <= d^(m-1).
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -134,15 +139,19 @@ def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
         raise ValueError(f"column index {j} outside [1, {d}]")
     powers = [pow(j, i, d) for i in range(m)]
     best_l = None
-    best_q = None  # d * q(l), an integer in [0, (d-1)/2]
-    for l in range(1, d):
+    best_q = d  # d * q(l), an integer in [0, d/2]; d is above every value
+    for l in range(1, d // 2 + 1):
+        if l >= best_q:
+            break
         worst = 0
         for r in powers:
             lr = (l * r) % d
             dist = lr if lr * 2 <= d else d - lr
             if dist > worst:
                 worst = dist
-        if best_q is None or worst < best_q:
+                if worst >= best_q:
+                    break
+        if worst < best_q:
             best_l, best_q = l, worst
     return ScaleSearchResult(
         multiplier=best_l,
@@ -246,10 +255,10 @@ def bounds_report(m: int, k: int) -> BoundsReport:
     """
     if m < 2 or k < 2:
         raise ValueError("need m >= 2 and k >= 2")
-    ln_k = log(k)
-    if m >= ln_k:
+    ln_floor = floor_ln(k)
+    if m > ln_floor:  # m >= ln k, exactly: ln k is irrational for k >= 2
         regime = LARGE_M
-        upper = floor(100 * k * m * sqrt(ln_k))
+        upper = floor(100 * k * m * sqrt(log(k)))
     else:
         regime = SMALL_M
         # (400 k^(m/(m-1)) m^(3/2)) ** (2(m-1)) is the integer below
@@ -263,7 +272,7 @@ def bounds_report(m: int, k: int) -> BoundsReport:
         upper_bound=upper,
         lower_bound=lower,
         gap_factor=Fraction(upper, lower),
-        small_k_caveat=floor(ln_k) < 2,
+        small_k_caveat=ln_floor < 2,
     )
 
 

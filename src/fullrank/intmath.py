@@ -1,4 +1,5 @@
-"""Exact integer helpers: primality, integer roots, primitive vectors."""
+"""Exact integer helpers: primality, integer roots, floor of ln, primitive
+vectors."""
 
 import math
 
@@ -44,6 +45,41 @@ def iroot(n: int, r: int) -> int:
     while (x + 1) ** r <= n:
         x += 1
     return x
+
+
+def _exp_at_most(t: int, k: int) -> bool:
+    """Whether e^t <= k, for integers t >= 1 and k >= 1, decided exactly.
+
+    e lies strictly between s = sum_{i<=n} 1/i! and s + 1/(n! n); both ends
+    are raised to the t-th power and compared with k on integers, and n is
+    doubled until the bracket falls on one side of k. e^t is irrational,
+    so it never equals k and the loop ends.
+    """
+    n = 8
+    while True:
+        f = math.factorial(n)
+        s = sum(f // math.factorial(i) for i in range(n + 1))  # n! * sum
+        if (s * n + 1) ** t <= k * (f * n) ** t:
+            return True
+        if s ** t >= k * f ** t:
+            return False
+        n *= 2
+
+
+def floor_ln(k: int) -> int:
+    """Largest integer t with e^t <= k, that is floor(ln k), for k >= 1.
+
+    The float logarithm only proposes t; each step is decided exactly, so
+    the answer is right even where ln k lies within rounding of an integer.
+    """
+    if k < 1:
+        raise ValueError("floor_ln requires k >= 1")
+    t = max(0, math.floor(math.log(k)))
+    while t > 0 and not _exp_at_most(t, k):
+        t -= 1
+    while _exp_at_most(t + 1, k):
+        t += 1
+    return t
 
 
 def primitive_vector(v) -> tuple[int, ...]:

@@ -22,8 +22,18 @@ def rational_to_str(x) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    # Fraction("3/10"), Fraction("-2"), Fraction("0.3") are all exact
-    return Fraction(str(s).strip())
+    """Exact rational from a "p/q", integer or decimal string ("3/10",
+    "-2", "0.3") or a JSON integer; anything else, or a zero denominator,
+    is a ValueError."""
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise ValueError(
+            f"rational must be a string or an integer, got {json.dumps(s)}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> dict:
@@ -38,37 +48,44 @@ def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> di
     }
 
 
-def _json_int(name: str, value, nullable: bool = False):
+def _json_int(doc: str, name: str, value, nullable: bool = False):
     """value itself when it is a JSON integer (or null, if allowed); bools,
     floats and strings are refused instead of coerced."""
     if type(value) is int or (nullable and value is None):
         return value
     raise ValueError(
-        f"matrix JSON field {name!r} must be an integer, got {json.dumps(value)}")
+        f"{doc} JSON field {name!r} must be an integer, got {json.dumps(value)}")
 
 
-def _json_ints(name: str, values, nullable: bool = False):
+def _json_ints(doc: str, name: str, values, nullable: bool = False):
     if nullable and values is None:
         return None
     if not isinstance(values, list):
-        raise ValueError(f"matrix JSON field {name!r} must be a list of integers")
-    return [_json_int(name, v) for v in values]
+        raise ValueError(f"{doc} JSON field {name!r} must be a list of integers")
+    return [_json_int(doc, name, v) for v in values]
+
+
+def _json_object(doc: str, obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{doc} JSON must be an object")
+    return obj
 
 
 def matrix_from_dict(obj: dict) -> tuple[IntMatrix, list[int] | None]:
-    if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object")
+    obj = _json_object("matrix", obj)
     try:
         matrix = IntMatrix(
-            rows=_json_int("m", obj["m"]),
-            cols=_json_int("d", obj["d"]),
-            entries=tuple(_json_ints("entries", obj["entries"])),
-            modulus=_json_int("modulus", obj.get("modulus"), nullable=True),
-            entry_bound=_json_int("k", obj.get("k"), nullable=True),
+            rows=_json_int("matrix", "m", obj["m"]),
+            cols=_json_int("matrix", "d", obj["d"]),
+            entries=tuple(_json_ints("matrix", "entries", obj["entries"])),
+            modulus=_json_int("matrix", "modulus", obj.get("modulus"),
+                              nullable=True),
+            entry_bound=_json_int("matrix", "k", obj.get("k"), nullable=True),
         )
     except KeyError as exc:
         raise ValueError(f"matrix JSON missing field {exc}") from exc
-    return matrix, _json_ints("scalings", obj.get("scalings"), nullable=True)
+    return matrix, _json_ints("matrix", "scalings", obj.get("scalings"),
+                              nullable=True)
 
 
 def matrix_to_csv(A: IntMatrix) -> str:
@@ -80,11 +97,12 @@ def signal_to_dict(x: SparseSignal) -> dict:
 
 
 def signal_from_dict(obj: dict) -> SparseSignal:
+    obj = _json_object("signal", obj)
     try:
         return SparseSignal(
-            dimension=int(obj["d"]),
-            support=tuple(int(i) for i in obj["support"]),
-            values=tuple(int(v) for v in obj["values"]),
+            dimension=_json_int("signal", "d", obj["d"]),
+            support=tuple(_json_ints("signal", "support", obj["support"])),
+            values=tuple(_json_ints("signal", "values", obj["values"])),
         )
     except KeyError as exc:
         raise ValueError(f"signal JSON missing field {exc}") from exc
@@ -98,11 +116,18 @@ def measurement_to_dict(meas: Measurement) -> dict:
     }
 
 
+def _json_rationals(doc: str, name: str, values) -> tuple[Fraction, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{doc} JSON field {name!r} must be a list of rationals")
+    return tuple(rational_from_str(x) for x in values)
+
+
 def measurement_from_dict(obj: dict) -> Measurement:
+    obj = _json_object("measurement", obj)
     try:
         return Measurement(
-            b=tuple(rational_from_str(x) for x in obj["b"]),
-            noise=tuple(rational_from_str(x) for x in obj.get("noise", [])),
+            b=_json_rationals("measurement", "b", obj["b"]),
+            noise=_json_rationals("measurement", "noise", obj.get("noise", [])),
             noise_bound=rational_from_str(obj.get("noise_bound", "1/2")),
         )
     except KeyError as exc:
@@ -114,11 +139,12 @@ def certificate_to_dict(cert: DegeneracyCertificate) -> dict:
 
 
 def certificate_from_dict(obj: dict) -> DegeneracyCertificate:
+    obj = _json_object("certificate", obj)
     try:
         return DegeneracyCertificate(
-            t=int(obj["t"]),
-            coeffs=tuple(int(c) for c in obj["coeffs"]),
-            columns=tuple(int(c) for c in obj["columns"]),
+            t=_json_int("certificate", "t", obj["t"]),
+            coeffs=tuple(_json_ints("certificate", "coeffs", obj["coeffs"])),
+            columns=tuple(_json_ints("certificate", "columns", obj["columns"])),
         )
     except KeyError as exc:
         raise ValueError(f"certificate JSON missing field {exc}") from exc
@@ -151,7 +177,8 @@ def normals_from_obj(obj, m: int | None = None) -> list[tuple[int, ...]]:
     """Parse a JSON list of integer normal vectors."""
     if not isinstance(obj, list):
         raise ValueError("normals JSON must be a list of integer vectors")
-    normals = [tuple(int(x) for x in n) for n in obj]
+    normals = [tuple(_json_ints("normals", f"normal {i}", n))
+               for i, n in enumerate(obj)]
     if m is not None and any(len(n) != m for n in normals):
         raise ValueError(f"every normal must have length {m}")
     return normals

@@ -2,9 +2,11 @@
 
 Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
-distance-to-integer, and raw power arithmetic (no modular exponentiation).
+distance-to-integer, raw power arithmetic (no modular exponentiation) and
+decimal exponentials.
 """
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -62,12 +64,23 @@ def all_minors_nonzero(rows, modulus=None) -> list[tuple[int, ...]]:
     return bad
 
 
-def best_multiplier(j: int, d: int, m: int):
-    """Exhaustive Fraction-arithmetic version of the column multiplier
-    search; threshold q <= d^(-1/m) tested as q^m * d <= 1."""
+def best_multiplier_exhaustive(j: int, d: int, m: int):
+    """Fraction-arithmetic column multiplier search over every l in 1..d-1,
+    smallest l winning ties; threshold q <= d^(-1/m) tested as
+    q^m * d <= 1."""
     best_l, best_q = None, None
     for l in range(1, d):
         q = max(dist_to_int(Fraction(l * j ** i, d)) for i in range(m))
         if best_q is None or q < best_q:
             best_l, best_q = l, q
     return best_l, best_q, best_q ** m * d <= 1
+
+
+def floor_exp(m: int) -> int:
+    """floor(e^m) from a correctly rounded 80-digit decimal exponential;
+    exact while e^m has well under 80 digits and is not within 10^-40 of
+    an integer."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        return int(decimal.Decimal(m).exp().to_integral_value(
+            rounding=decimal.ROUND_FLOOR))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fullrank.attack import attack_params
-from fullrank.cli import run
+from fullrank.cli import build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
 from fullrank.serialize import (
     matrix_from_dict,
@@ -16,6 +16,7 @@ from fullrank.serialize import (
     rational_from_str,
     rational_to_str,
 )
+from oracles import floor_exp
 
 
 def run_json(capsys, argv):
@@ -64,6 +65,17 @@ class TestBoundsReport:
                 else:
                     assert cfg.t == m
 
+    @pytest.mark.parametrize("m", [2, 10, 33, 40])
+    def test_regime_split_exact_near_powers_of_e(self, m):
+        # ln k just below m is the large regime with t = m - 1 rows; just
+        # above m it is the small one. From m = 33 on, math.log rounds
+        # ln(floor(e^m)) up to exactly m.
+        below = floor_exp(m)
+        rep, cfg = bounds_report(m, below), attack_params(m, below)
+        assert rep.regime == "large_m" and (cfg.t, cfg.lam) == (m - 1, 9)
+        rep, cfg = bounds_report(m, below + 1), attack_params(m, below + 1)
+        assert rep.regime == "small_m" and cfg.t == m
+
     def test_small_k_caveat(self):
         assert bounds_report(2, 5).small_k_caveat
         assert not bounds_report(2, 100).small_k_caveat
@@ -83,6 +95,11 @@ class TestRationalStrings:
     def test_decimal_accepted(self):
         assert rational_from_str("0.3") == Fraction(3, 10)
         assert rational_from_str("-2") == Fraction(-2)
+
+    @pytest.mark.parametrize("bad", ["1/0", "0/0", "abc", 1.5, None, True, [1]])
+    def test_rejects_non_rationals(self, bad):
+        with pytest.raises(ValueError):
+            rational_from_str(bad)
 
 
 class TestMatrixJson:
@@ -313,6 +330,83 @@ class TestBoundsCommand:
         assert doc["upper_bound"] == 11313708
         assert doc["lower_bound"] == 5000
         assert doc["regime"] == "small_m"
+
+
+SIGNAL = {"d": 5, "support": [2], "values": [2]}
+ENCODE = ["recover", "encode", "--in", "mat.json", "--signal", "sig.json"]
+DECODE = ["recover", "decode", "--in", "mat.json", "--measurement",
+          "meas.json", "--s", "1", "--amp-bound", "1"]
+COVER = ["cover", "verify", "--in", "normals.json", "--k", "1"]
+
+
+class TestStrictInputs:
+    """Malformed signal, measurement, normals and rational inputs exit 2
+    with a one-line error instead of being coerced or raising."""
+
+    @pytest.mark.parametrize("files,argv", [
+        ({"normals.json": [[1.5, 2]]}, COVER),
+        ({"normals.json": [1, 2]}, COVER),
+        ({"normals.json": [[1, True]]}, COVER),
+        ({"normals.json": [["1", 0]]}, COVER),
+        ({"sig.json": {**SIGNAL, "values": [1.5]}}, ENCODE),
+        ({"sig.json": {**SIGNAL, "support": ["2"]}}, ENCODE),
+        ({"sig.json": {**SIGNAL, "d": 5.0}}, ENCODE),
+        ({"sig.json": [SIGNAL]}, ENCODE),
+        ({}, ENCODE + ["--noise=1/0,0"]),
+        ({}, ENCODE + ["--noise-bound", "1/0"]),
+        ({"meas.json": {"b": ["1/0", "0"]}}, DECODE),
+        ({"meas.json": {"b": [1.5, 0]}}, DECODE),
+        ({"meas.json": {"b": "12"}}, DECODE),
+        ({"meas.json": {"b": ["1", "0"], "noise": ["0", "1/0"]}}, DECODE),
+        ({"meas.json": {"b": ["1", "0"], "noise_bound": "1/0"}}, DECODE),
+        ({"meas.json": ["1", "0"]}, DECODE),
+    ])
+    def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys,
+                                    files, argv):
+        monkeypatch.chdir(tmp_path)
+        docs = {"mat.json": matrix_to_dict(construct_vandermonde(2, 3)[0]),
+                "sig.json": SIGNAL, "meas.json": {"b": ["1", "0"]},
+                **files}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert run(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may see another's
+    arguments."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_sampled_then_exhaustive(self, mat_path, capsys):
+        code, doc = run_json(capsys, ["verify", "--in", mat_path,
+                                      "--trials", "5", "--json"])
+        assert code == 0 and doc["mode"] == "sampled"
+        code, doc = run_json(capsys, ["verify", "--in", mat_path, "--json"])
+        assert code == 0 and doc["mode"] == "exhaustive"
+        assert doc["trials"] is None and doc["total_checked"] == 10
+
+    def test_requested_width_not_carried_over(self, capsys):
+        code, doc = run_json(capsys, ["construct", "--m", "2", "--k", "5",
+                                      "--d", "12", "--json"])
+        assert code == 0 and doc["d"] == 12
+        code, doc = run_json(capsys, ["construct", "--m", "2", "--k", "5",
+                                      "--variant", "scaled", "--json"])
+        assert code == 0 and doc["d"] == 13 and doc["scalings"] is not None
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run(["construct", "--m", "two", "--k", "5"]) == 2
+        assert run(["bounds", "--m", "2", "--k", "100"]) == 0
+
+    def test_help_twice(self, capsys):
+        assert run(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestUsageErrors:

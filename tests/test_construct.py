@@ -14,7 +14,11 @@ from fullrank.construct import (
 )
 from fullrank.errors import PrimeNotFoundError
 from fullrank.linalg import select_columns
-from oracles import all_minors_nonzero, best_multiplier, power_residue_rows
+from oracles import (
+    all_minors_nonzero,
+    best_multiplier_exhaustive,
+    power_residue_rows,
+)
 
 
 class TestFindPrimeIn:
@@ -81,11 +85,13 @@ class TestDirichletScale:
         assert rep.within_threshold
 
     def test_matches_fraction_oracle(self):
-        for d in (7, 13, 19):
-            for m in (2, 3):
+        # every column, j = d included; d = 2 and 3 are the edge primes of
+        # the pruned scan's range 1..d//2
+        for d in (2, 3, 7, 13, 19, 53, 101):
+            for m in (2, 3, 4):
                 for j in range(1, d + 1):
                     rep = dirichlet_scale(j, d, m)
-                    l, q, met = best_multiplier(j, d, m)
+                    l, q, met = best_multiplier_exhaustive(j, d, m)
                     assert (rep.multiplier, rep.quality) == (l, q)
                     assert rep.within_threshold == met
 
