@@ -34,7 +34,6 @@ from .linalg import (
     IntMatrix,
     centered_residue,
     det_exact,
-    det_mod_p,
     select_columns,
 )
 from .recover import (
@@ -85,7 +84,6 @@ __all__ = [
     "cover_lower_bound",
     "decode",
     "det_exact",
-    "det_mod_p",
     "dirichlet_scale",
     "encode",
     "find_collision",

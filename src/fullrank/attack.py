@@ -1,9 +1,9 @@
 """Degeneracy search over small-coefficient row combinations.
 
-Enumerates all coefficient vectors in {0..L}^t on the first t rows and
-looks for two whose combinations agree on at least min_agree coordinates;
-the difference of such a pair is a nonzero combination with that many
-zeros, certifying a degenerate m x m submatrix.
+A nonzero c in {-L..L}^t whose combination of the first t rows vanishes
+on at least min_agree columns certifies a degenerate m x m submatrix; it
+is the difference of two vectors in {0..L}^t whose combinations agree on
+those columns. find_collision scans each such difference once.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from .intmath import floor_ln, iroot
 from .linalg import IntMatrix
 from .verify import DegeneracyCertificate
 
-DEFAULT_PAIR_BUDGET = 10_000_000
+DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,14 @@ class AttackConfig:
     t: int
     lam: int
     min_agree: int
-    pair_budget: int = DEFAULT_PAIR_BUDGET
+    budget: int = DEFAULT_BUDGET
     k_below_regime: bool = False  # t was clamped up to 1; guarantee is void
 
     def __post_init__(self):
         if self.t < 1 or self.lam < 1 or self.min_agree < 1:
             raise ValueError("t, lam and min_agree must all be >= 1")
-        if self.pair_budget < 1:
-            raise ValueError("pair budget must be >= 1")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
 
 def attack_params(m: int, k: int) -> AttackConfig:
@@ -66,43 +66,45 @@ def combination_vector(A: IntMatrix, coeffs) -> tuple[int, ...]:
     if len(coeffs) > A.rows:
         raise ValueError(
             f"{len(coeffs)} coefficients but only {A.rows} rows")
-    return tuple(
-        sum(coeffs[i] * A.entry(i, j) for i in range(len(coeffs)))
-        for j in range(A.cols)
-    )
+    out = [0] * A.cols
+    for i, c in enumerate(coeffs):
+        if c:
+            out = [x + c * y for x, y in zip(out, A.row(i))]
+    return tuple(out)
 
 
-def find_collision(A: IntMatrix, cfg: AttackConfig,
-                   origin: int = 0) -> DegeneracyCertificate | None:
-    """First pair of coefficient vectors whose combinations agree on
-    >= cfg.min_agree coordinates, as a degeneracy certificate.
+def find_collision(A: IntMatrix, cfg: AttackConfig) -> DegeneracyCertificate | None:
+    """First pair of coefficient vectors in {0..lam}^t whose combinations
+    agree on >= cfg.min_agree coordinates, as a degeneracy certificate.
 
-    Vectors range over {origin..origin+lam}^t and pairs are scanned in
-    lexicographic order on (smaller, larger), so the result is
-    well-defined and reproducible; the certificate's coefficients are
-    (larger - smaller), which depends only on the difference (shifting
-    origin never changes the outcome). Returns None only after exhausting
-    every pair.
+    Pairs are ordered lexicographically on (smaller, larger), and whether
+    a pair agrees depends only on its difference c = larger - smaller. So
+    each nonzero c is visited once, as (small, large) = (max(0, -c),
+    max(0, c)): small runs over {0..lam}^t, large over the vectors zero
+    wherever small is not, and pairs with large <= small are skipped.
+    That pair is the first one with difference c, so the certificate
+    (coefficients c, first agreeing columns) is the one the full pair scan
+    returns. The budget counts differences, ((2 lam + 1)^t - 1) / 2.
+    Returns None only after exhausting every difference.
     """
     if cfg.t > A.rows:
         raise ValueError(f"t={cfg.t} exceeds row count {A.rows}")
-    n_vectors = (cfg.lam + 1) ** cfg.t
-    ordered_pairs = n_vectors * n_vectors
-    if ordered_pairs > cfg.pair_budget:
-        raise BudgetExceededError(ordered_pairs, cfg.pair_budget,
-                                  what="coefficient pair scan")
-    span = range(origin, origin + cfg.lam + 1)
-    vectors = list(product(span, repeat=cfg.t))
-    combos = [combination_vector(A, v) for v in vectors]
-    d = A.cols
-    for ia in range(n_vectors):
-        va = combos[ia]
-        for ib in range(ia + 1, n_vectors):
-            vb = combos[ib]
-            agree = [j for j in range(d) if va[j] == vb[j]]
+    if cfg.min_agree > A.cols:
+        raise ValueError(
+            f"min_agree={cfg.min_agree} exceeds column count {A.cols}")
+    differences = ((2 * cfg.lam + 1) ** cfg.t - 1) // 2
+    if differences > cfg.budget:
+        raise BudgetExceededError(differences, cfg.budget,
+                                  what="coefficient difference scan")
+    span = range(cfg.lam + 1)
+    for small in product(span, repeat=cfg.t):
+        for large in product(*[span if a == 0 else (0,) for a in small]):
+            if large <= small:
+                continue
+            coeffs = tuple(b - a for a, b in zip(small, large))
+            agree = [j for j, x in enumerate(combination_vector(A, coeffs))
+                     if x == 0]
             if len(agree) >= cfg.min_agree:
-                small, large = vectors[ia], vectors[ib]
-                coeffs = tuple(b - a for a, b in zip(small, large))
                 return DegeneracyCertificate(
                     t=cfg.t,
                     coeffs=coeffs,

@@ -96,7 +96,7 @@ def cmd_attack(args) -> int:
         t, lam = args.t, args.lam
     min_agree = args.min_agree if args.min_agree is not None else matrix.rows
     cfg = attack_mod.AttackConfig(
-        t=t, lam=lam, min_agree=min_agree, pair_budget=args.pair_budget)
+        t=t, lam=lam, min_agree=min_agree, budget=args.budget)
     cert = attack_mod.find_collision(matrix, cfg)
     if cert is None:
         _emit(args, {"certificate": None},
@@ -270,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max coefficient")
     p.add_argument("--min-agree", type=int, default=None,
                    help="required agreements (default: row count)")
-    p.add_argument("--pair-budget", type=int,
-                   default=attack_mod.DEFAULT_PAIR_BUDGET)
+    p.add_argument("--budget", type=int, default=attack_mod.DEFAULT_BUDGET)
     p.add_argument("--out", default=None, help="certificate JSON path")
     _add_json(p)
     p.set_defaults(func=cmd_attack)

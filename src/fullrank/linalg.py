@@ -1,8 +1,8 @@
 """Exact integer linear algebra.
 
-Centered residues, exact (fraction-free) and modular determinants, and
-column selection. All determinant work is done with unbounded-precision
-integers or in the prime field; nothing here touches floating point.
+Centered residues, exact (fraction-free) determinants and column
+selection. All determinant work is done with unbounded-precision
+integers; nothing here touches floating point.
 """
 
 from dataclasses import dataclass
@@ -111,37 +111,6 @@ def det_exact(square: IntMatrix) -> int:
             ri[k] = 0
         prev = pivot
     return sign * rows[n - 1][n - 1]
-
-
-def det_mod_p(square: IntMatrix, p: int) -> int:
-    """Determinant reduced mod p, computed entirely in the prime field by
-    Gaussian elimination; result in [0, p)."""
-    if square.rows != square.cols:
-        raise ValueError("determinant requires a square matrix")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    n = square.rows
-    rows = [[x % p for x in r] for r in square.to_rows()]
-    det = 1
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = (-det) % p
-        pv = rows[c][c]
-        det = (det * pv) % p
-        inv = pow(pv, -1, p)
-        for r in range(c + 1, n):
-            f = (rows[r][c] * inv) % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
-    return det % p
 
 
 def select_columns(A: IntMatrix, cols) -> IntMatrix:

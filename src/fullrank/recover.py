@@ -69,6 +69,9 @@ class Measurement:
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
         object.__setattr__(self, "noise", tuple(Fraction(x) for x in self.noise))
+        if self.noise and len(self.noise) != len(self.b):
+            raise ValueError(
+                f"noise length {len(self.noise)} != measurement length {len(self.b)}")
         bound = Fraction(self.noise_bound)
         if bound <= 0:
             raise ValueError("noise bound must be positive")
@@ -122,13 +125,18 @@ def encode(A: IntMatrix, x: SparseSignal, e,
 
 def decode(A: IntMatrix, b, s: int, amp_bound: int,
            budget: int = DEFAULT_BUDGET) -> DecodeResult:
-    """Exhaustive sup-norm decoder over s-sparse integer vectors.
+    """Exhaustive sup-norm decoder over integer vectors with at most s
+    nonzeros, each in [-amp_bound, amp_bound].
 
-    Enumerates every support of size s and every value assignment with
-    |y_i| <= amp_bound (zeros included, so lower sparsities are covered)
-    and returns all distinct minimizers of ||b - Ay||_inf under exact
-    comparison. Ties are reported, never broken silently: inside the
-    guarantee regime they cannot occur, so an ambiguity is diagnostic.
+    Walks the s-subsets S of the columns in lexicographic order and, on
+    each, the value assignments in lexicographic order. A zero value is
+    allowed only at the positions i < p, where S begins with the run
+    0, 1, ..., p-1; so every candidate is visited exactly once, at the
+    first S that contains its support. There are
+    sum_{r<=s} C(d, r) (2 amp_bound)^r of them. Returns all minimizers of
+    ||b - Ay||_inf under exact comparison, in order of visit. Ties are
+    reported, never broken silently: inside the guarantee regime they
+    cannot occur, so an ambiguity is diagnostic.
     """
     target = b.b if isinstance(b, Measurement) else tuple(Fraction(t) for t in b)
     m, d = A.rows, A.cols
@@ -138,7 +146,8 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
         raise ValueError(f"sparsity s={s} outside [0, {d}]")
     if amp_bound < 1:
         raise ValueError("amplitude bound must be >= 1")
-    n_candidates = math.comb(d, s) * (2 * amp_bound + 1) ** s
+    n_candidates = sum(math.comb(d, r) * (2 * amp_bound) ** r
+                       for r in range(s + 1))
     if n_candidates > budget:
         raise BudgetExceededError(n_candidates, budget, what="decoder enumeration")
 
@@ -148,12 +157,14 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     cols = [A.column(j) for j in range(d)]
 
     best: int | None = None
-    best_dense: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    vals_range = range(-amp_bound, amp_bound + 1)
+    best_dense: list[list[int]] = []
+    values = range(-amp_bound, amp_bound + 1)
+    nonzero = [v for v in values if v]
     for support in combinations(range(d), s):
+        # support is increasing, so support[i] == i exactly on its leading run
+        p = sum(i == j for i, j in enumerate(support))
         sup_cols = [cols[j] for j in support]
-        for vals in product(vals_range, repeat=s):
+        for vals in product(*[values if i < p else nonzero for i in range(s)]):
             resid = 0
             for i in range(m):
                 ay = 0
@@ -165,21 +176,12 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
                     if best is not None and resid > best:
                         break
             if best is None or resid < best:
-                best = resid
+                best, best_dense = resid, []
+            if resid == best:
                 dense = [0] * d
                 for j, v in zip(support, vals):
                     dense[j] = v
-                key = tuple(dense)
-                best_dense = [key]
-                seen = {key}
-            elif resid == best:
-                dense = [0] * d
-                for j, v in zip(support, vals):
-                    dense[j] = v
-                key = tuple(dense)
-                if key not in seen:
-                    seen.add(key)
-                    best_dense.append(key)
+                best_dense.append(dense)
     return DecodeResult(
         minimizers=tuple(SparseSignal.from_dense(v) for v in best_dense),
         residual=Fraction(best, denom),

@@ -10,7 +10,6 @@ import json
 from fractions import Fraction
 
 from .construct import BoundsReport, ConstructionParams
-from .cover import CoverInstance
 from .linalg import IntMatrix
 from .recover import Measurement, SparseSignal
 from .verify import DegeneracyCertificate, VerificationReport
@@ -182,10 +181,6 @@ def normals_from_obj(obj, m: int | None = None) -> list[tuple[int, ...]]:
     if m is not None and any(len(n) != m for n in normals):
         raise ValueError(f"every normal must have length {m}")
     return normals
-
-
-def cover_to_dict(inst: CoverInstance) -> dict:
-    return {"m": inst.m, "k": inst.k, "normals": [list(n) for n in inst.normals]}
 
 
 def save_json(path: str, obj: dict) -> None:

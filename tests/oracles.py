@@ -2,8 +2,8 @@
 
 Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
-distance-to-integer, raw power arithmetic (no modular exponentiation) and
-decimal exponentials.
+distance-to-integer, raw power arithmetic (no modular exponentiation),
+decimal exponentials and a decoder that revisits candidates.
 """
 
 import decimal
@@ -84,3 +84,28 @@ def floor_exp(m: int) -> int:
         ctx.prec = 80
         return int(decimal.Decimal(m).exp().to_integral_value(
             rounding=decimal.ROUND_FLOOR))
+
+
+def decode_first_seen(rows, b, s: int, amp: int):
+    """Sup-norm minimizers over every s-subset of columns and every value
+    tuple in [-amp, amp]^s, zeros included, so a vector is met once per
+    subset containing its support; repeats are dropped, first sighting
+    kept. Returns the dense minimizers in order of first sighting, the
+    minimum residual (a Fraction) and the number of distinct vectors met."""
+    m, d = len(rows), len(rows[0])
+    b = [Fraction(x) for x in b]
+    best, found, met = None, [], set()
+    for support in itertools.combinations(range(d), s):
+        for vals in itertools.product(range(-amp, amp + 1), repeat=s):
+            y = [0] * d
+            for j, v in zip(support, vals):
+                y[j] = v
+            y = tuple(y)
+            met.add(y)
+            resid = max(abs(b[i] - sum(rows[i][j] * y[j] for j in range(d)))
+                        for i in range(m))
+            if best is None or resid < best:
+                best, found = resid, []
+            if resid == best and y not in found:
+                found.append(y)
+    return found, best, len(met)

@@ -16,7 +16,8 @@ from fullrank.verify import verify_certificate
 
 
 def collision_oracle(rows, t, lam, min_agree):
-    """Scan every ordered pair (a, b) with a < b lexicographically."""
+    """Scan every pair (a, b) of vectors in {0..lam}^t with a < b
+    lexicographically, in that order, comparing their combinations."""
     d = len(rows[0])
     vecs = list(itertools.product(range(lam + 1), repeat=t))
     combs = [
@@ -101,14 +102,27 @@ class TestFindCollision:
 
     def test_budget_refusal(self):
         A = IntMatrix.from_rows([[0, 0, 1], [1, 2, 3]])
+        with pytest.raises(BudgetExceededError) as exc:
+            find_collision(A, AttackConfig(t=2, lam=9, min_agree=2, budget=10))
+        assert exc.value.required == (19 ** 2 - 1) // 2  # differences, c ~ -c
+
+    def test_budget_counts_differences(self):
+        # 12 = (5^2 - 1) / 2 differences fit exactly; one fewer is refused
+        A = IntMatrix.from_rows([[1, 2, 3], [1, 4, 9]])
+        assert find_collision(A, AttackConfig(t=2, lam=2, min_agree=2,
+                                              budget=12)) is None
         with pytest.raises(BudgetExceededError):
-            find_collision(A, AttackConfig(t=2, lam=9, min_agree=2,
-                                           pair_budget=10))
+            find_collision(A, AttackConfig(t=2, lam=2, min_agree=2, budget=11))
 
     def test_t_beyond_rows(self):
         A = IntMatrix.from_rows([[0, 0, 1], [1, 2, 3]])
         with pytest.raises(ValueError):
             find_collision(A, AttackConfig(t=3, lam=1, min_agree=2))
+
+    def test_min_agree_beyond_columns(self):
+        A = IntMatrix.from_rows([[0, 0, 1], [1, 2, 3]])
+        with pytest.raises(ValueError):
+            find_collision(A, AttackConfig(t=1, lam=1, min_agree=4))
 
     def test_certificates_verify(self):
         rng = random.Random(11)
@@ -148,15 +162,31 @@ class TestFindCollision:
             if cert is not None:
                 assert (cert.coeffs, cert.columns) == expected
 
-    def test_origin_shift_leaves_certificate_unchanged(self):
-        # the outcome depends only on coefficient differences
-        A = IntMatrix.from_rows([[1, 1, 2, 1], [2, 2, 1, 3]])
-        cfg = AttackConfig(t=2, lam=2, min_agree=2)
-        base = find_collision(A, cfg)
-        assert base is not None
-        for origin in (1, 5, -3):
-            shifted = find_collision(A, cfg, origin=origin)
-            assert shifted == base
+    def test_matches_oracle_random_configs(self):
+        # shapes, row counts, coefficient ranges and agreement thresholds
+        # all vary; the first hit must be the pair scan's first hit
+        rng = random.Random(19)
+        hits = 0
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            d = rng.randint(m, m + 12)
+            t, lam, min_agree = rng.randint(1, m), rng.randint(1, 4), rng.randint(1, m)
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+            cert = find_collision(IntMatrix.from_rows(rows),
+                                  AttackConfig(t=t, lam=lam, min_agree=min_agree))
+            expected = collision_oracle(rows, t, lam, min_agree)
+            assert (None if cert is None else (cert.coeffs, cert.columns)) == expected
+            hits += expected is not None
+        assert 0 < hits < 300  # both outcomes exercised
+
+    def test_first_hit_in_pair_order(self):
+        # (1, -1, 0) and (1, 1, -2) both hit; the pair (0,0,2) < (1,1,0)
+        # precedes (0,1,0) < (1,0,0), so the second is returned
+        rows = [[-1, -1, 3, 0], [-1, 1, 3, -2], [-1, 2, -1, -1]]
+        cert = find_collision(IntMatrix.from_rows(rows),
+                              AttackConfig(t=3, lam=4, min_agree=2))
+        assert (cert.coeffs, cert.columns) == ((1, 1, -2), (0, 3))
+        assert collision_oracle(rows, 3, 4, 2) == ((1, 1, -2), (0, 3))
 
     def test_near_collision_explorer(self):
         # min_agree below m turns the search into a near-collision scan

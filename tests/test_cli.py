@@ -340,8 +340,9 @@ COVER = ["cover", "verify", "--in", "normals.json", "--k", "1"]
 
 
 class TestStrictInputs:
-    """Malformed signal, measurement, normals and rational inputs exit 2
-    with a one-line error instead of being coerced or raising."""
+    """Malformed signal, measurement, normals and rational inputs, and
+    attack options no matrix could satisfy, exit 2 with a one-line error
+    instead of being coerced, raising or answering."""
 
     @pytest.mark.parametrize("files,argv", [
         ({"normals.json": [[1.5, 2]]}, COVER),
@@ -360,6 +361,9 @@ class TestStrictInputs:
         ({"meas.json": {"b": ["1", "0"], "noise": ["0", "1/0"]}}, DECODE),
         ({"meas.json": {"b": ["1", "0"], "noise_bound": "1/0"}}, DECODE),
         ({"meas.json": ["1", "0"]}, DECODE),
+        ({"meas.json": {"b": ["1", "0"], "noise": ["0"]}}, DECODE),
+        ({}, ["attack", "--in", "mat.json", "--t", "1", "--lambda", "1",
+              "--min-agree", "99"]),
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys,
                                     files, argv):

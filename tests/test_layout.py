@@ -1,4 +1,5 @@
-"""Checks on the shape of the package: module boundaries and runnable demos."""
+"""Checks on the shape of the package: module boundaries, the exported
+names and runnable demos."""
 
 import ast
 import os
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fullrank
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fullrank"
@@ -29,6 +32,17 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_between_modules(path):
     assert private_imports(path) == []
+
+
+def test_exports_resolve_and_are_listed():
+    # a deleted function must not leave a stale name in __all__, and a
+    # name imported for export must not be missing from it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for a in node.names if not a.name.startswith("_")}
+    assert [n for n in fullrank.__all__ if not hasattr(fullrank, n)] == []
+    assert sorted(imported - set(fullrank.__all__)) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -7,7 +7,6 @@ from fullrank.linalg import (
     IntMatrix,
     centered_residue,
     det_exact,
-    det_mod_p,
     select_columns,
 )
 from oracles import perm_det
@@ -81,36 +80,6 @@ class TestDetExact:
         big = 10 ** 30
         M = IntMatrix.from_rows([[big, 1], [1, big]])
         assert det_exact(M) == big * big - 1
-
-
-class TestDetModP:
-    def test_identity(self):
-        eye = IntMatrix.from_rows([[1 if i == j else 0 for j in range(3)]
-                                   for i in range(3)])
-        assert det_mod_p(eye, 5) == 1
-
-    def test_2x2(self):
-        assert det_mod_p(IntMatrix.from_rows([[1, 1], [1, 2]]), 5) == 1
-
-    def test_equal_rows(self):
-        assert det_mod_p(IntMatrix.from_rows([[1, 1], [1, 1]]), 7) == 0
-
-    def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            det_mod_p(IntMatrix.from_rows([[1, 0], [0, 1]]), 6)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            det_mod_p(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), 5)
-
-    def test_agrees_with_exact_mod_p(self):
-        rng = random.Random(10)
-        for _ in range(300):
-            n = rng.randint(1, 4)
-            p = rng.choice(ODD_PRIMES)
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            M = IntMatrix.from_rows(rows)
-            assert det_mod_p(M, p) == det_exact(M) % p
 
 
 class TestSelectColumns:

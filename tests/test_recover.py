@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from fullrank.recover import (
     guarantee_holds,
     scale_matrix,
 )
+from oracles import decode_first_seen
 
 F = Fraction
 
@@ -80,7 +82,26 @@ class TestDecode:
         assert not result.ambiguous
         assert result.signal == SparseSignal(5, (2,), (2,))
         assert result.residual == F(3, 10)
-        assert result.candidates == 35
+        assert result.candidates == 31  # zero, then 5 columns x 6 nonzero values
+
+    def test_matches_first_seen_scan(self):
+        # the zero-including scan with first-seen dedup: same minimizers in
+        # the same order, same residual, and one candidate per vector met
+        rng = random.Random(23)
+        ambiguous = 0
+        for _ in range(300):
+            m, d = rng.randint(1, 4), rng.randint(1, 7)
+            s, amp = rng.randint(0, min(3, d)), rng.randint(1, 2)
+            rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(m)]
+            b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
+            result = decode(IntMatrix.from_rows(rows), b, s=s, amp_bound=amp)
+            dense, residual, met = decode_first_seen(rows, b, s, amp)
+            assert [tuple(x.to_dense()) for x in result.minimizers] == dense
+            assert result.residual == residual
+            assert result.candidates == met == sum(
+                math.comb(d, r) * (2 * amp) ** r for r in range(s + 1))
+            ambiguous += result.ambiguous
+        assert 0 < ambiguous < 300  # ties and unique minimizers both seen
 
     def test_zero_measurement_gives_zero_signal(self, vand23):
         result = decode(vand23, (0, 0), s=1, amp_bound=3)
@@ -97,7 +118,7 @@ class TestDecode:
     def test_budget_refusal_reports_count(self, vand23):
         with pytest.raises(BudgetExceededError) as exc:
             decode(vand23, (0, 0), s=2, amp_bound=3, budget=10)
-        assert exc.value.required == 10 * 7 ** 2
+        assert exc.value.required == 1 + 5 * 6 + 10 * 6 ** 2
 
     def test_sparsity_guarantee_flag(self, vand23):
         assert decode(vand23, (0, 0), s=1, amp_bound=1).sparsity_in_guarantee
