@@ -4,7 +4,7 @@ buys: brute-force-exact sparse integer recovery, degeneracy search, and
 hyperplane covers of integer grids.
 """
 
-from .attack import AttackConfig, attack_params, combination_vector, find_collision
+from .attack import AttackConfig, attack_params, find_collision
 from .construct import (
     BoundsReport,
     ConstructionParams,
@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import (
     IntMatrix,
     centered_residue,
+    combination_vector,
     det_exact,
     select_columns,
 )

@@ -9,12 +9,10 @@ those columns. find_collision scans each such difference once.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .intmath import floor_ln, iroot
-from .linalg import IntMatrix
+from .linalg import IntMatrix, combination_vector
 from .verify import DegeneracyCertificate
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -60,17 +58,20 @@ def attack_params(m: int, k: int) -> AttackConfig:
     return AttackConfig(t=t, lam=lam, min_agree=m, k_below_regime=clamped)
 
 
-def combination_vector(A: IntMatrix, coeffs) -> tuple[int, ...]:
-    """Coefficient-weighted sum of the first len(coeffs) rows, exact."""
-    coeffs = tuple(int(c) for c in coeffs)
-    if len(coeffs) > A.rows:
-        raise ValueError(
-            f"{len(coeffs)} coefficients but only {A.rows} rows")
-    out = [0] * A.cols
-    for i, c in enumerate(coeffs):
-        if c:
-            out = [x + c * y for x, y in zip(out, A.row(i))]
-    return tuple(out)
+def attack_config(A: IntMatrix, t: int | None = None, lam: int | None = None,
+                  min_agree: int | None = None,
+                  budget: int = DEFAULT_BUDGET) -> AttackConfig:
+    """Search parameters for A, each given field kept as is. A missing t or
+    lam comes from attack_params(rows, k), k being A's entry bound, else its
+    largest |entry|, and at least 2 (so a 1-row matrix needs both given);
+    min_agree defaults to the row count."""
+    if t is None or lam is None:
+        k = A.entry_bound or A.max_abs_entry()
+        defaults = attack_params(A.rows, max(k, 2))
+        t = defaults.t if t is None else t
+        lam = defaults.lam if lam is None else lam
+    min_agree = A.rows if min_agree is None else min_agree
+    return AttackConfig(t=t, lam=lam, min_agree=min_agree, budget=budget)
 
 
 def find_collision(A: IntMatrix, cfg: AttackConfig) -> DegeneracyCertificate | None:

@@ -22,10 +22,10 @@ integer), never through floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, log, sqrt
+from math import ceil, floor
 
 from .errors import ConstructionInfeasibleError, PrimeNotFoundError
-from .intmath import floor_ln, iroot, is_prime
+from .intmath import floor_ln, floor_sqrt_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
 VANDERMONDE = "vandermonde"
@@ -250,15 +250,15 @@ def bounds_report(m: int, k: int) -> BoundsReport:
 
     In the small_m regime the upper bound 400 k^(m/(m-1)) m^(3/2) is an
     even root of an integer, so its floor is taken with integer root
-    extraction; the large_m value 100 k sqrt(ln k) m is irrational in a
-    way floats handle safely at these magnitudes.
+    extraction; the large_m value 100 k m sqrt(ln k) is floored by
+    squaring against rational brackets of ln k (intmath.floor_sqrt_ln).
     """
     if m < 2 or k < 2:
         raise ValueError("need m >= 2 and k >= 2")
     ln_floor = floor_ln(k)
     if m > ln_floor:  # m >= ln k, exactly: ln k is irrational for k >= 2
         regime = LARGE_M
-        upper = floor(100 * k * m * sqrt(log(k)))
+        upper = floor_sqrt_ln(k, 100 * k * m)
     else:
         regime = SMALL_M
         # (400 k^(m/(m-1)) m^(3/2)) ** (2(m-1)) is the integer below

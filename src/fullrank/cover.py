@@ -11,11 +11,9 @@ for tiny grids.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .intmath import iroot, primitive_vector
-from .linalg import IntMatrix
-
-DEFAULT_BUDGET = 10_000_000
+from .linalg import IntMatrix, combination_vector
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,7 @@ def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:
         raise ValueError(f"normal length {len(n)} != row count {A.rows}")
     if not any(n):
         raise ValueError("normal must be nonzero")
-    hits = tuple(
-        j for j in range(A.cols)
-        if sum(n[i] * A.entry(i, j) for i in range(A.rows)) == 0
-    )
+    hits = tuple(j for j, x in enumerate(combination_vector(A, n)) if x == 0)
     return len(hits), hits
 
 
@@ -117,17 +112,19 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
     ||n||_inf <= k. At this scale every hyperplane that can appear in an
     optimal cover is determined by grid points it must contain, so the
     restriction loses nothing. Search is depth-first on the least-covered
-    point with branch-and-bound pruning; only tiny grids are in budget
-    (m = 2 with k <= 4, or m = 3 with k <= 1).
+    point with branch-and-bound pruning. Past k = 0 (the origin, covered by
+    any one hyperplane) only m = 2 with k <= 4 and m = 3 with k <= 1 are
+    searched; that limit is fixed, so a refusal names it, not a budget.
     """
     if m < 2 or k < 0:
         raise ValueError("need m >= 2 and k >= 0")
+    if k == 0:
+        return 1, ((1,) + (0,) * (m - 1),)
     if not ((m == 2 and k <= 4) or (m == 3 and k <= 1)):
         raise BudgetExceededError(
-            (2 * k + 1) ** m, (2 * 4 + 1) ** 2, what="exact cover search")
-    if k == 0:
-        # the grid is the origin; one hyperplane (any) covers it
-        return 1, ((1,) + (0,) * (m - 1),)
+            (2 * k + 1) ** m, (2 * 4 + 1) ** 2, message=(
+                f"exact cover search supports only k = 0, m = 2 with "
+                f"k <= 4 and m = 3 with k <= 1 (got m={m}, k={k})"))
 
     points = _half_grid(m, k)
     candidates = sorted({primitive_vector(p) for p in points})

@@ -1,5 +1,5 @@
-"""Exact integer helpers: primality, integer roots, floor of ln, primitive
-vectors."""
+"""Exact integer helpers: primality, integer roots, floor of ln, floor of
+c sqrt(ln k), primitive vectors."""
 
 import math
 
@@ -34,7 +34,13 @@ def iroot(n: int, r: int) -> int:
         return n
     if r == 2:
         return math.isqrt(n)
-    x = 1 << ((n.bit_length() + r - 1) // r)  # seed >= true root
+    # Seed just above the root from a float log2: a power-of-two seed costs
+    # about r Newton steps. The check keeps it above whatever the float error.
+    lg = math.log2(n) / r
+    shift = max(int(lg) - 60, 0)
+    x = (int(2 ** (lg - shift) * (1 + 2 ** -30)) + 1) << shift
+    while x ** r <= n:
+        x *= 2
     while True:
         y = ((r - 1) * x + n // x ** (r - 1)) // r
         if y >= x:
@@ -47,39 +53,59 @@ def iroot(n: int, r: int) -> int:
     return x
 
 
-def _exp_at_most(t: int, k: int) -> bool:
-    """Whether e^t <= k, for integers t >= 1 and k >= 1, decided exactly.
+def _ln_bracket(k: int, bits: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= 2^bits ln k <= hi, for k >= 1.
 
-    e lies strictly between s = sum_{i<=n} 1/i! and s + 1/(n! n); both ends
-    are raised to the t-th power and compared with k on integers, and n is
-    doubled until the bracket falls on one side of k. e^t is irrational,
-    so it never equals k and the loop ends.
+    ln k = 2n atanh(1/3) + 2 atanh(z) with 2^n <= k < 2^(n+1) and
+    z = (k - 2^n) / (k + 2^n) <= 1/3. Each series sum z^(2i+1) / (2i+1) is
+    taken in fixed point with the power p carried rounded down: p stays
+    short of 2^bits z^(2i+1) by less than 1 / (1 - z^2) <= 9/8, so a term
+    loses less than 3, and once p is 0 the tail left is below (9/8)^2 < 2.
     """
-    n = 8
+    n = k.bit_length() - 1
+    lo = hi = 0
+    for weight, a, b in ((2 * n, 1, 3), (2, k - (1 << n), k + (1 << n))):
+        p = (a << bits) // b
+        total = terms = 0
+        while p:
+            total += p // (2 * terms + 1)
+            terms += 1
+            p = p * a * a // (b * b)
+        lo += weight * total
+        hi += weight * (total + 3 * terms + 2)
+    return lo, hi
+
+
+def _floor_of_ln(k: int, bits: int, floor_of) -> int:
+    """floor_of(2^bits ln k, bits) for a nondecreasing floor_of, found by
+    doubling bits until both ends of the bracket of 2^bits ln k give the
+    same value."""
     while True:
-        f = math.factorial(n)
-        s = sum(f // math.factorial(i) for i in range(n + 1))  # n! * sum
-        if (s * n + 1) ** t <= k * (f * n) ** t:
-            return True
-        if s ** t >= k * f ** t:
-            return False
-        n *= 2
+        lo, hi = _ln_bracket(k, bits)
+        value = floor_of(lo, bits)
+        if value == floor_of(hi, bits):
+            return value
+        bits *= 2
 
 
 def floor_ln(k: int) -> int:
-    """Largest integer t with e^t <= k, that is floor(ln k), for k >= 1.
-
-    The float logarithm only proposes t; each step is decided exactly, so
-    the answer is right even where ln k lies within rounding of an integer.
-    """
+    """floor(ln k), the largest integer t with e^t <= k, for k >= 1. ln k is
+    irrational for k >= 2, so it is never an integer and the bracket
+    decides."""
     if k < 1:
         raise ValueError("floor_ln requires k >= 1")
-    t = max(0, math.floor(math.log(k)))
-    while t > 0 and not _exp_at_most(t, k):
-        t -= 1
-    while _exp_at_most(t + 1, k):
-        t += 1
-    return t
+    return _floor_of_ln(k, 64, lambda x, bits: x >> bits)
+
+
+def floor_sqrt_ln(k: int, c: int) -> int:
+    """floor(c sqrt(ln k)) for k >= 2 and c >= 1: the largest integer U with
+    U^2 <= c^2 ln k. c^2 ln k is irrational, so never a square, and the
+    bracket decides."""
+    if k < 2 or c < 1:
+        raise ValueError("floor_sqrt_ln requires k >= 2 and c >= 1")
+    c2 = c * c
+    return _floor_of_ln(k, c2.bit_length() + 32,
+                        lambda x, bits: math.isqrt(c2 * x >> bits))
 
 
 def primitive_vector(v) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Exact integer linear algebra.
 
-Centered residues, exact (fraction-free) determinants and column
-selection. All determinant work is done with unbounded-precision
-integers; nothing here touches floating point.
+Centered residues, exact (fraction-free) determinants, row combinations
+and column selection. All determinant work is done with
+unbounded-precision integers; nothing here touches floating point.
 """
 
 from dataclasses import dataclass
@@ -111,6 +111,19 @@ def det_exact(square: IntMatrix) -> int:
             ri[k] = 0
         prev = pivot
     return sign * rows[n - 1][n - 1]
+
+
+def combination_vector(A: IntMatrix, coeffs) -> tuple[int, ...]:
+    """Coefficient-weighted sum of the first len(coeffs) rows, exact."""
+    coeffs = tuple(int(c) for c in coeffs)
+    if len(coeffs) > A.rows:
+        raise ValueError(
+            f"{len(coeffs)} coefficients but only {A.rows} rows")
+    out = [0] * A.cols
+    for i, c in enumerate(coeffs):
+        if c:
+            out = [x + c * y for x, y in zip(out, A.row(i))]
+    return tuple(out)
 
 
 def select_columns(A: IntMatrix, cols) -> IntMatrix:

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .linalg import IntMatrix
-
-DEFAULT_BUDGET = 10_000_000
 
 HALF = Fraction(1, 2)
 
@@ -105,13 +103,16 @@ class DecodeResult:
         return self.minimizers[0] if len(self.minimizers) == 1 else None
 
 
-def encode(A: IntMatrix, x: SparseSignal, e,
+def encode(A: IntMatrix, x: SparseSignal, e=None,
            noise_bound=HALF) -> Measurement:
-    """Exact measurement b = Ax + e; use Measurement.in_guarantee to see
-    whether the noise stayed strictly inside the bound."""
+    """Exact measurement b = Ax + e, with zero noise when e is None; use
+    Measurement.in_guarantee to see whether the noise stayed strictly
+    inside the bound."""
     if x.dimension != A.cols:
         raise ValueError(
             f"signal dimension {x.dimension} != matrix columns {A.cols}")
+    if e is None:
+        e = (0,) * A.rows
     e = tuple(Fraction(t) for t in e)
     if len(e) != A.rows:
         raise ValueError(f"noise length {len(e)} != matrix rows {A.rows}")

@@ -1,5 +1,5 @@
-"""JSON (de)serialization for matrices, signals, measurements,
-certificates and reports.
+"""JSON (de)serialization for matrices, signals, measurements and cover
+normals, and the JSON documents of certificates, reports and results.
 
 Matrix schema: {"m": int, "d": int, "k": int|null, "modulus": int|null,
 "entries": [row-major ints], "scalings": [ints]|null}. Rationals are
@@ -10,8 +10,9 @@ import json
 from fractions import Fraction
 
 from .construct import BoundsReport, ConstructionParams
+from .cover import CoverCheck, CoverInstance
 from .linalg import IntMatrix
-from .recover import Measurement, SparseSignal
+from .recover import DecodeResult, Measurement, SparseSignal
 from .verify import DegeneracyCertificate, VerificationReport
 
 
@@ -137,18 +138,6 @@ def certificate_to_dict(cert: DegeneracyCertificate) -> dict:
     return {"t": cert.t, "coeffs": list(cert.coeffs), "columns": list(cert.columns)}
 
 
-def certificate_from_dict(obj: dict) -> DegeneracyCertificate:
-    obj = _json_object("certificate", obj)
-    try:
-        return DegeneracyCertificate(
-            t=_json_int("certificate", "t", obj["t"]),
-            coeffs=tuple(_json_ints("certificate", "coeffs", obj["coeffs"])),
-            columns=tuple(_json_ints("certificate", "columns", obj["columns"])),
-        )
-    except KeyError as exc:
-        raise ValueError(f"certificate JSON missing field {exc}") from exc
-
-
 def report_to_dict(rep: VerificationReport) -> dict:
     return {
         "total_checked": rep.total_checked,
@@ -157,6 +146,23 @@ def report_to_dict(rep: VerificationReport) -> dict:
         "seed": rep.seed,
         "trials": rep.trials,
         "ok": rep.ok,
+    }
+
+
+def decode_to_dict(result: DecodeResult) -> dict:
+    return {
+        "minimizers": [signal_to_dict(x) for x in result.minimizers],
+        "residual": rational_to_str(result.residual),
+        "ambiguous": result.ambiguous,
+        "sparsity_in_guarantee": result.sparsity_in_guarantee,
+    }
+
+
+def cover_check_to_dict(check: CoverCheck) -> dict:
+    return {
+        "accepted": check.accepted,
+        "uncovered": None if check.uncovered is None else list(check.uncovered),
+        "points_checked": check.points_checked,
     }
 
 
@@ -181,6 +187,17 @@ def normals_from_obj(obj, m: int | None = None) -> list[tuple[int, ...]]:
     if m is not None and any(len(n) != m for n in normals):
         raise ValueError(f"every normal must have length {m}")
     return normals
+
+
+def cover_from_obj(obj, k: int, m: int | None = None) -> CoverInstance:
+    """The cover of the grid of radius k by the normals in obj; the
+    dimension m defaults to the length of the first normal."""
+    normals = normals_from_obj(obj, m=m)
+    if m is None:
+        if not normals:
+            raise ValueError("empty normals list needs an explicit --m")
+        m = len(normals[0])
+    return CoverInstance(m=m, k=k, normals=tuple(normals))
 
 
 def save_json(path: str, obj: dict) -> None:

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
 
-from .errors import BudgetExceededError
-from .linalg import IntMatrix
-
-DEFAULT_BUDGET = 10_000_000
+from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .linalg import IntMatrix, combination_vector
 
 
 @dataclass
@@ -172,11 +170,11 @@ def verify_certificate(A: IntMatrix, cert: DegeneracyCertificate) -> Certificate
         return CertificateCheck(False, "column index out of range")
     if any(a >= b for a, b in zip(cols, cols[1:])):
         return CertificateCheck(False, "columns must be strictly increasing")
+    combination = combination_vector(A, cert.coeffs)
     for j in cols:
-        s = sum(cert.coeffs[i] * A.entry(i, j) for i in range(cert.t))
-        if s != 0:
-            return CertificateCheck(
-                False, f"combination does not vanish at column {j} (value {s})")
+        if combination[j]:
+            return CertificateCheck(False, f"combination does not vanish at "
+                                           f"column {j} (value {combination[j]})")
     if _minor([A.column(j) for j in cols[:m]], range(m), _laplace_plans(m)) != 0:
         return CertificateCheck(
             False, "submatrix on the first m listed columns is nonsingular")

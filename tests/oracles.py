@@ -3,10 +3,12 @@
 Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
-decimal exponentials and a decoder that revisits candidates.
+decimal exponentials and logarithms, and a decoder that revisits
+candidates.
 """
 
 import decimal
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -83,6 +85,24 @@ def floor_exp(m: int) -> int:
     with decimal.localcontext() as ctx:
         ctx.prec = 80
         return int(decimal.Decimal(m).exp().to_integral_value(
+            rounding=decimal.ROUND_FLOOR))
+
+
+@functools.cache
+def _sqrt_ln(k: int, prec: int) -> decimal.Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        return decimal.Decimal(k).ln().sqrt()
+
+
+def floor_sqrt_ln(k: int, c: int) -> int:
+    """floor(c sqrt(ln k)) from decimal ln and sqrt carried 30 digits past
+    the integer part of c sqrt(ln k); exact unless that value lies within
+    about 10^-25 of an integer."""
+    prec = len(str(c)) + len(str(k)) + 30
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        return int((c * _sqrt_ln(k, prec)).to_integral_value(
             rounding=decimal.ROUND_FLOOR))
 
 

@@ -5,12 +5,13 @@ import pytest
 
 from fullrank.attack import (
     AttackConfig,
+    attack_config,
     attack_params,
     combination_vector,
     find_collision,
 )
 from fullrank.construct import construct_vandermonde
-from fullrank.errors import BudgetExceededError
+from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError
 from fullrank.linalg import IntMatrix
 from fullrank.verify import verify_certificate
 
@@ -65,6 +66,37 @@ class TestAttackParams:
             attack_params(1, 5)
         with pytest.raises(ValueError):
             attack_params(2, 1)
+
+
+class TestAttackConfig:
+    """Defaults for a matrix, each given field kept as is."""
+
+    def test_defaults_from_entry_bound(self):
+        A = IntMatrix.from_rows([[1, 0, 1], [0, 1, 2]], entry_bound=100)
+        cfg = attack_config(A)
+        ref = attack_params(2, 100)  # not attack_params(2, 2)
+        assert (cfg.t, cfg.lam, cfg.min_agree) == (ref.t, ref.lam, 2) == (2, 2500, 2)
+        assert cfg.budget == DEFAULT_BUDGET
+
+    def test_defaults_from_largest_entry_at_least_two(self):
+        wide = IntMatrix.from_rows([[1, 0, 40], [0, 1, -3]])
+        assert attack_config(wide).lam == attack_params(2, 40).lam
+        flat = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        assert attack_config(flat).lam == attack_params(2, 2).lam
+
+    def test_each_field_overrides_alone(self):
+        A, _ = construct_vandermonde(2, 3)
+        ref = attack_params(2, 3)
+        assert (attack_config(A, t=1).t, attack_config(A, t=1).lam) == (1, ref.lam)
+        assert (attack_config(A, lam=7).t, attack_config(A, lam=7).lam) == (ref.t, 7)
+        cfg = attack_config(A, t=2, lam=2, min_agree=3, budget=99)
+        assert (cfg.t, cfg.lam, cfg.min_agree, cfg.budget) == (2, 2, 3, 99)
+
+    def test_one_row_needs_both_fields(self):
+        A = IntMatrix.from_rows([[1, 2, 3]])
+        assert attack_config(A, t=1, lam=2).min_agree == 1
+        with pytest.raises(ValueError):
+            attack_config(A, t=1)
 
 
 class TestCombinationVector:

@@ -1,22 +1,33 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullrank.attack import attack_params
 from fullrank.cli import build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
+from fullrank.cover import CoverCheck
+from fullrank.linalg import IntMatrix
+from fullrank.recover import decode
 from fullrank.serialize import (
+    cover_check_to_dict,
+    cover_from_obj,
+    decode_to_dict,
     matrix_from_dict,
     matrix_to_csv,
     matrix_to_dict,
     rational_from_str,
     rational_to_str,
 )
-from oracles import floor_exp
+from oracles import floor_exp, floor_sqrt_ln
 
 
 def run_json(capsys, argv):
@@ -125,6 +136,32 @@ class TestMatrixJson:
         assert matrix_to_csv(A) == "1,1,1,1,1\n1,2,-2,-1,0\n"
 
 
+class TestResultDocuments:
+    def test_decode_document(self):
+        A = IntMatrix.from_rows([[2, 2]])
+        doc = decode_to_dict(decode(A, [Fraction(2)], s=1, amp_bound=1))
+        assert doc == {
+            "minimizers": [{"d": 2, "support": [0], "values": [1]},
+                           {"d": 2, "support": [1], "values": [1]}],
+            "residual": "0/1", "ambiguous": True,
+            "sparsity_in_guarantee": False}
+
+    def test_cover_check_documents(self):
+        assert cover_check_to_dict(CoverCheck(True, None, 9)) == {
+            "accepted": True, "uncovered": None, "points_checked": 9}
+        assert cover_check_to_dict(CoverCheck(False, (-1, 0), 1)) == {
+            "accepted": False, "uncovered": [-1, 0], "points_checked": 1}
+
+    def test_cover_dimension_from_first_normal(self):
+        inst = cover_from_obj([[2, 0], [1, -1]], k=3)
+        assert (inst.m, inst.k, inst.normals) == (2, 3, ((1, 0), (1, -1)))
+        assert cover_from_obj([], k=1, m=3).normals == ()
+
+    def test_empty_cover_needs_dimension(self):
+        with pytest.raises(ValueError, match="explicit --m"):
+            cover_from_obj([], k=1)
+
+
 class TestConstructCommand:
     def test_writes_expected_matrix(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -155,6 +192,22 @@ class TestConstructCommand:
     def test_invalid_parameters_exit_2(self, capsys):
         assert run(["construct", "--m", "2", "--k", "1"]) == 2
         assert run(["construct", "--m", "3", "--k", "2", "--d", "10"]) == 2
+
+    @pytest.mark.parametrize("variant", ["scaled", "vandermonde"])
+    def test_width_excludes_variant(self, capsys, variant):
+        # --d picks the family itself; naming one as well is a usage error
+        assert run(["construct", "--m", "2", "--k", "5", "--d", "4",
+                    "--variant", variant]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument --d" in err
+
+    def test_out_written_before_csv(self, tmp_path, capsys):
+        # both options name one file: the CSV, written second, is what stays
+        path = tmp_path / "m.txt"
+        assert run(["construct", "--m", "2", "--k", "3", "--out", str(path),
+                    "--csv-out", str(path)]) == 0
+        assert path.read_text() == "1,1,1,1,1\n1,2,-2,-1,0\n"
+        assert capsys.readouterr().out.endswith(f" -> {path}\n")
 
 
 class TestVerifyCommand:
@@ -277,6 +330,28 @@ class TestRecoverCommands:
         assert code == 1
         assert doc["ambiguous"] and len(doc["minimizers"]) == 2
 
+    def test_ambiguous_decode_writes_no_file(self, tmp_path, capsys):
+        mat = tmp_path / "dup.json"
+        mat.write_text(json.dumps(matrix_to_dict(IntMatrix.from_rows([[2, 2]]))))
+        meas = tmp_path / "meas.json"
+        meas.write_text(json.dumps({"b": ["2"]}))
+        out = tmp_path / "x.json"
+        assert run(["recover", "decode", "--in", str(mat), "--measurement",
+                    str(meas), "--s", "1", "--amp-bound", "1",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == (
+            "ambiguous: 2 minimizers at residual 0/1\n")
+
+    def test_encode_without_noise_is_exact(self, mat_path, tmp_path, capsys):
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"d": 5, "support": [2], "values": [2]}))
+        code, doc = run_json(capsys, ["recover", "encode", "--in", mat_path,
+                                      "--signal", str(sig), "--json"])
+        assert code == 0
+        assert doc == {"b": ["2/1", "-4/1"], "noise": ["0/1", "0/1"],
+                       "noise_bound": "1/2"}
+
     def test_out_of_guarantee_noise_flagged(self, mat_path, tmp_path, capsys):
         sig = tmp_path / "sig.json"
         sig.write_text(json.dumps({"d": 5, "support": [0], "values": [1]}))
@@ -321,6 +396,27 @@ class TestCoverCommands:
     def test_min_budget_exit_2(self):
         assert run(["cover", "min", "--m", "3", "--k", "2"]) == 2
 
+    def test_min_refusal_names_supported_range(self, capsys):
+        assert run(["cover", "min", "--m", "4", "--k", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "m = 2 with k <= 4 and m = 3 with k <= 1" in err
+        assert "budget" not in err
+
+    def test_min_origin_grid(self, capsys):
+        code, doc = run_json(capsys, ["cover", "min", "--m", "4", "--k", "0",
+                                      "--json"])
+        assert code == 0
+        assert doc == {"m": 4, "k": 0, "minimum": 1, "witness": [[1, 0, 0, 0]]}
+
+    def test_verify_empty_cover_needs_dimension(self, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        path.write_text("[]")
+        assert run(["cover", "verify", "--in", str(path), "--k", "1"]) == 2
+        assert "explicit --m" in capsys.readouterr().err
+        assert run(["cover", "verify", "--in", str(path), "--k", "1",
+                    "--m", "2"]) == 1
+
 
 class TestBoundsCommand:
     def test_spot_values_json(self, capsys):
@@ -330,6 +426,14 @@ class TestBoundsCommand:
         assert doc["upper_bound"] == 11313708
         assert doc["lower_bound"] == 5000
         assert doc["regime"] == "small_m"
+
+    def test_huge_k_exit_0(self, capsys):
+        # the float formula raised OverflowError here
+        k = 10 ** 400
+        code, doc = run_json(capsys, ["bounds", "--m", "1000", "--k", str(k),
+                                      "--json"])
+        assert code == 0 and doc["regime"] == "large_m"
+        assert doc["upper_bound"] == floor_sqrt_ln(k, 100 * k * 1000)
 
 
 SIGNAL = {"d": 5, "support": [2], "values": [2]}
@@ -430,3 +534,139 @@ class TestUsageErrors:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["upper_bound"] == 11313708
+
+
+# --- fuzzing the exit-2 contract ------------------------------------------
+
+# values that are not JSON integers; None only where a field is not nullable
+NOT_INT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.integers(-99, 99).map(str),
+    st.just("1/0"),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.just("x"), st.integers(), max_size=1),
+)
+NOT_RATIONAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.integers(-99, 99).map(lambda n: f"{n}/0"),
+    st.sampled_from(["", "abc", "1//2", "1/2/3", "0x10", "--1"]),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+NOT_OBJECT = st.one_of(st.lists(st.integers(-3, 3), max_size=3),
+                       st.integers(), st.text(max_size=3), st.none(),
+                       st.booleans(), st.floats(allow_nan=False))
+
+MATRIX = {"m": 2, "d": 3, "k": None, "modulus": None,
+          "entries": [1, 2, 3, 1, 2, 4], "scalings": None}
+SIGNAL3 = {"d": 3, "support": [1], "values": [2]}
+MEASUREMENT = {"b": ["1", "0"], "noise": ["0", "0"], "noise_bound": "1/2"}
+
+
+def with_field(doc, strategies):
+    """doc with one of the given fields replaced by a drawn value."""
+    return st.sampled_from(sorted(strategies)).flatmap(
+        lambda f: strategies[f].map(lambda v: {**doc, f: v}))
+
+
+def with_bad_item(values, bad):
+    """values (a list) with one position replaced by a drawn bad value."""
+    return st.tuples(st.integers(0, len(values) - 1), bad).map(
+        lambda p: values[:p[0]] + [p[1]] + values[p[0] + 1:])
+
+
+def without_field(doc, fields):
+    return st.sampled_from(fields).map(
+        lambda f: {k: v for k, v in doc.items() if k != f})
+
+
+def not_len(n, item):
+    return st.lists(item, max_size=n + 2).filter(lambda v: len(v) != n)
+
+
+MALFORMED = {
+    "matrix": st.one_of(
+        NOT_OBJECT,
+        without_field(MATRIX, ["m", "d", "entries"]),
+        with_field(MATRIX, {
+            "m": st.one_of(NOT_INT, st.none()),
+            "d": st.one_of(NOT_INT, st.none()),
+            "k": NOT_INT,
+            "modulus": NOT_INT,
+            "entries": st.one_of(
+                NOT_INT.filter(lambda v: not isinstance(v, list)),
+                with_bad_item(MATRIX["entries"], NOT_INT),
+                not_len(6, st.integers(-5, 5))),
+            "scalings": st.one_of(
+                NOT_INT.filter(lambda v: not isinstance(v, list)),
+                with_bad_item([1, 2, 3], NOT_INT)),
+        })),
+    "signal": st.one_of(
+        NOT_OBJECT,
+        without_field(SIGNAL3, ["d", "support", "values"]),
+        with_field(SIGNAL3, {
+            "d": st.one_of(NOT_INT, st.none()),
+            "support": st.one_of(with_bad_item([1], NOT_INT),
+                                 st.just([1, 2]), st.just([3])),
+            "values": st.one_of(with_bad_item([2], NOT_INT),
+                                st.just([]), st.just([0])),
+        })),
+    "measurement": st.one_of(
+        NOT_OBJECT,
+        without_field(MEASUREMENT, ["b"]),
+        with_field(MEASUREMENT, {
+            "b": st.one_of(with_bad_item(MEASUREMENT["b"], NOT_RATIONAL),
+                           not_len(2, st.sampled_from(["1", "-1/3", "0"])),
+                           st.text(max_size=3), st.none()),
+            "noise": st.one_of(
+                with_bad_item(MEASUREMENT["noise"], NOT_RATIONAL),
+                st.just(["0"]), st.just(["0", "0", "0"])),
+            "noise_bound": st.one_of(NOT_RATIONAL,
+                                     st.sampled_from(["0", "-1/2"])),
+        })),
+    "normals": st.one_of(
+        NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+        st.just([]),
+        st.just([[1, 0], [0, 1, 1]]),
+        st.just([[0, 0]]),
+        with_bad_item([[1, 0], [0, 1]], NOT_INT.filter(
+            lambda v: not isinstance(v, list))),
+        with_bad_item([[1, 0], [0, 1]], with_bad_item([1, -1], NOT_INT)),
+    ),
+}
+ARGV = {
+    "matrix": ["verify", "--in", "{matrix}"],
+    "signal": ["recover", "encode", "--in", "{matrix}", "--signal", "{doc}"],
+    "measurement": ["recover", "decode", "--in", "{matrix}", "--measurement",
+                    "{doc}", "--s", "1", "--amp-bound", "1"],
+    "normals": ["cover", "verify", "--in", "{doc}", "--k", "1"],
+}
+
+
+class TestMalformedDocumentsFuzz:
+    """Any malformed matrix, signal, measurement or normals document makes
+    the subcommand that reads it exit 2, with one line on stderr and
+    nothing on stdout."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_exit_2_one_line(self, kind):
+        @settings(max_examples=60, deadline=None)
+        @given(MALFORMED[kind], st.booleans())
+        def check(doc, as_json):
+            with tempfile.TemporaryDirectory() as tmp:
+                matrix = Path(tmp) / "matrix.json"
+                path = Path(tmp) / "doc.json"
+                matrix.write_text(json.dumps(doc if kind == "matrix" else MATRIX))
+                path.write_text(json.dumps(doc))
+                argv = [a.format(matrix=matrix, doc=path) for a in ARGV[kind]]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = run(argv + ["--json"] * as_json)
+            assert (code, out.getvalue()) == (2, ""), (doc, err.getvalue())
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+        check()

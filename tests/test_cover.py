@@ -171,6 +171,19 @@ class TestMinCover:
         with pytest.raises(BudgetExceededError):
             min_cover_bruteforce(3, 2)
 
+    def test_refusal_names_supported_range(self):
+        with pytest.raises(BudgetExceededError) as exc:
+            min_cover_bruteforce(4, 1)
+        msg = str(exc.value)
+        assert "m = 2 with k <= 4" in msg and "m = 3 with k <= 1" in msg
+        assert "budget" not in msg
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7])
+    def test_origin_grid_any_dimension(self, m):
+        size, witness = min_cover_bruteforce(m, 0)
+        assert size == 1
+        assert verify_cover(CoverInstance(m, 0, witness)).accepted
+
     def test_dominates_lower_bound_where_defined(self):
         for k in (2, 3, 4):
             assert min_cover_bruteforce(2, k)[0] >= cover_lower_bound(2, k)

@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 
-from fullrank.intmath import floor_ln
+from fullrank.construct import bounds_report
+from fullrank.intmath import floor_ln, floor_sqrt_ln, iroot
 from oracles import floor_exp
+from oracles import floor_sqrt_ln as oracle_floor_sqrt_ln
 
 
 class TestFloorLn:
@@ -23,3 +26,75 @@ class TestFloorLn:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             floor_ln(0)
+
+
+class TestFloorSqrtLn:
+    """floor(c sqrt(ln k)) decided on integers, against a decimal oracle."""
+
+    @pytest.mark.parametrize("e", range(2, 31))
+    def test_large_m_bound_at_powers_of_ten(self, e):
+        k = 10 ** e
+        m = floor_ln(k) + 1  # the smallest m in the large-m regime
+        rep = bounds_report(m, k)
+        assert rep.regime == "large_m"
+        assert rep.upper_bound == oracle_floor_sqrt_ln(k, 100 * k * m)
+
+    def test_large_m_pairs_of_criterion_8_grid(self):
+        pairs = 0
+        for k in range(2, 10_001):
+            for m in range(floor_ln(k) + 1, 11):
+                assert (floor_sqrt_ln(k, 100 * k * m)
+                        == oracle_floor_sqrt_ln(k, 100 * k * m)), (m, k)
+                pairs += 1
+        assert pairs > 20_000
+
+    @pytest.mark.parametrize("m,k", [(26, 10 ** 11), (50, 10 ** 20),
+                                     (1000, 10 ** 400)],
+                             ids=["26-1e11", "50-1e20", "1000-1e400"])
+    def test_where_floats_failed(self, m, k):
+        # the float formula was 1 too high at (26, 10^11), 352,151 too high
+        # at (50, 10^20), and raised OverflowError at (1000, 10^400)
+        assert bounds_report(m, k).upper_bound == oracle_floor_sqrt_ln(
+            k, 100 * k * m)
+
+    def test_small_scales(self):
+        for k in range(2, 300):
+            for c in (1, 2, 7, 1000):
+                assert floor_sqrt_ln(k, c) == oracle_floor_sqrt_ln(k, c), (k, c)
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            floor_sqrt_ln(1, 5)
+        with pytest.raises(ValueError):
+            floor_sqrt_ln(10, 0)
+
+
+class TestIroot:
+    def test_random_against_powers(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            r = rng.randint(1, 40)
+            n = rng.randint(0, 10 ** rng.randint(0, 120))
+            x = iroot(n, r)
+            assert x ** r <= n < (x + 1) ** r, (n, r)
+
+    def test_perfect_powers_and_neighbours(self):
+        for r in range(1, 25):
+            for base in (0, 1, 2, 3, 10, 97, 2 ** 61 - 1, 10 ** 20):
+                assert iroot(base ** r, r) == base
+                for n in (base ** r - 1, base ** r + 1):
+                    if n >= 0:
+                        x = iroot(n, r)
+                        assert x ** r <= n < (x + 1) ** r, (n, r)
+
+    def test_high_index(self):
+        # the width bound's root of k^m with m - 1 = 999 and k = 10^50
+        k = 10 ** 50
+        x = iroot(k ** 1000, 999)
+        assert x ** 999 <= k ** 1000 < (x + 1) ** 999
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            iroot(-1, 2)
+        with pytest.raises(ValueError):
+            iroot(5, 0)

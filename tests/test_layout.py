@@ -45,6 +45,19 @@ def test_exports_resolve_and_are_listed():
     assert sorted(imported - set(fullrank.__all__)) == []
 
 
+def test_default_budget_assigned_once():
+    # one work budget: every module that has a default budget imports it
+    assigned = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if getattr(target, "id", None) == "DEFAULT_BUDGET"]
+    assert assigned == ["errors.py"]
+    from fullrank import attack, cover, errors, recover, verify
+    for module in (attack, cover, recover, verify):
+        assert module.DEFAULT_BUDGET is errors.DEFAULT_BUDGET
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from fullrank.linalg import (
     IntMatrix,
     centered_residue,
+    combination_vector,
     det_exact,
     select_columns,
 )
@@ -129,3 +130,21 @@ class TestIntMatrixInvariants:
     def test_modulus_must_be_odd_prime(self):
         with pytest.raises(ValueError):
             IntMatrix(1, 2, (1, 0), modulus=9)
+
+
+class TestCombinationVector:
+    @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    def test_matches_entrywise_sum(self, rows, coeffs):
+        A = IntMatrix.from_rows(rows)
+        coeffs = coeffs[:A.rows]
+        assert combination_vector(A, coeffs) == tuple(
+            sum(c * A.entry(i, j) for i, c in enumerate(coeffs))
+            for j in range(A.cols))
+
+    def test_one_function_behind_every_name(self):
+        import fullrank
+        from fullrank import attack
+        assert attack.combination_vector is combination_vector
+        assert fullrank.combination_vector is combination_vector

@@ -63,6 +63,14 @@ class TestEncode:
         meas = encode(vand23, x, (F(1, 2), F(0)))
         assert not meas.in_guarantee  # strictly-below threshold
 
+    def test_noise_defaults_to_zero(self, vand23):
+        x = SparseSignal(5, (2,), (2,))
+        meas = encode(vand23, x)
+        assert meas == encode(vand23, x, [0, 0])
+        assert meas.noise == (F(0), F(0))
+        with pytest.raises(ValueError):
+            encode(vand23, x, [])  # an empty list is not "no noise"
+
     def test_dimension_mismatch(self, vand23):
         with pytest.raises(ValueError):
             encode(vand23, SparseSignal(4, (0,), (1,)), [0, 0])
