@@ -49,7 +49,7 @@ print("all minors invertible:", verify_exhaustive(S).ok, "\n")
 wide = construct(m=2, k=5, d_requested=12)
 print("construct(m=2, k=5, d=12) ->", wide.rows, "x", wide.cols)
 first = select_columns(wide, [0, 1])
-print("sample 2x2 minor, exact determinant:", det_exact(first))
+print("sample 2x2 minor, exact determinant:", det_exact(first.to_rows()))
 
 try:
     construct(m=3, k=2, d_requested=10)

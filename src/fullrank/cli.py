@@ -66,7 +66,7 @@ def cmd_verify(args) -> Outcome:
     matrix = _load_matrix(args.infile)
     if args.trials is not None:
         report = verify_mod.verify_sampled(
-            matrix, trials=args.trials, seed=args.seed)
+            matrix, trials=args.trials, seed=args.seed, budget=args.budget)
     else:
         report = verify_mod.verify_exhaustive(matrix, budget=args.budget)
     lines = [f"checked {report.total_checked} minors "

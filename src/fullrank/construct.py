@@ -22,9 +22,13 @@ integer), never through floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 
-from .errors import ConstructionInfeasibleError, PrimeNotFoundError
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    ConstructionInfeasibleError,
+    PrimeNotFoundError,
+)
 from .intmath import floor_ln, floor_sqrt_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
@@ -80,21 +84,31 @@ class ConstructionParams:
                 raise ValueError("multipliers must lie in [1, d-1]")
 
 
-def find_prime_in(lo, hi, require_odd: bool = False) -> int:
-    """Smallest prime p with lo <= p <= hi (odd if required). Deterministic.
+def find_prime_in(lo: int, hi: int) -> int:
+    """Smallest prime p with lo <= p <= hi. Deterministic.
 
-    Bounds may be ints, Fractions or floats; they are compared exactly.
+    Both bounds must be ints (not bools): every caller states its window
+    exactly, so no float or fraction comes near the endpoints.
     """
+    if any(isinstance(b, bool) or not isinstance(b, int) for b in (lo, hi)):
+        raise ValueError(f"prime window bounds must be ints (got {lo!r}, {hi!r})")
     if lo > hi:
         raise ValueError("empty interval")
-    n = ceil(Fraction(lo)) if not isinstance(lo, int) else lo
-    top = floor(Fraction(hi)) if not isinstance(hi, int) else hi
-    for p in range(max(2, n), top + 1):
-        if (not require_odd or p % 2 == 1) and is_prime(p):
+    for p in range(max(2, lo), hi + 1):
+        if is_prime(p):
             return p
-    raise PrimeNotFoundError(
-        f"no {'odd ' if require_odd else ''}prime in [{lo}, {hi}]"
-    )
+    raise PrimeNotFoundError(f"no prime in [{lo}, {hi}]")
+
+
+def _refuse_oversize(m: int, width: int) -> None:
+    """Refuse a family whose narrowest member has more than DEFAULT_BUDGET
+    entries, before the prime search and before any column is built."""
+    entries = m * width
+    if entries > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            entries, DEFAULT_BUDGET,
+            message=f"this family needs at least {m} x {width} = {entries} "
+                    f"entries, above the fixed limit of {DEFAULT_BUDGET}")
 
 
 def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
@@ -108,7 +122,8 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
         raise ValueError("need at least 2 rows")
     if k < m:
         raise ValueError(f"this variant needs k >= m (got m={m}, k={k})")
-    d = find_prime_in(k + 1, 2 * k + 1, require_odd=True)
+    _refuse_oversize(m, k + 1)
+    d = find_prime_in(k + 1, 2 * k + 1)  # k >= m >= 2: every prime here is odd
     entries = tuple(
         centered_residue(pow(j, i, d), d)
         for i in range(m)
@@ -163,21 +178,14 @@ def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
 def _scaled_prime(m: int, k: int) -> int:
     """Smallest prime d with k^(m/(m-1))/2 <= d < k^(m/(m-1)).
 
-    Both bounds are irrational in general; the membership tests used here
-    are the equivalent integer comparisons (2d)^(m-1) >= k^m and
-    d^(m-1) < k^m.
+    Both bounds are irrational in general; the window is their integer
+    form: hi is the largest d with d^(m-1) < k^m, and lo the smallest d
+    with (2d)^(m-1) >= k^m.
     """
-    km = k ** m
-    root = iroot(km, m - 1)  # floor of k^(m/(m-1))
-    lo2 = root if root ** (m - 1) == km else root + 1  # smallest integer 2d may equal
-    d = (lo2 + 1) // 2  # first d with (2d)^(m-1) >= k^m
-    while d ** (m - 1) < km:
-        if is_prime(d):
-            return d
-        d += 1
-    raise PrimeNotFoundError(
-        f"no prime in [k^(m/(m-1))/2, k^(m/(m-1))) for m={m}, k={k}"
-    )
+    hi = iroot(k ** m - 1, m - 1)
+    lo = (hi + 2) // 2
+    _refuse_oversize(m, lo)
+    return find_prime_in(lo, hi)
 
 
 def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:

@@ -83,13 +83,14 @@ def centered_residue(x: int, p: int) -> int:
     return r
 
 
-def det_exact(square: IntMatrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination;
-    every division is exact by construction."""
-    if square.rows != square.cols:
-        raise ValueError("determinant requires a square matrix")
-    rows = square.to_rows()
+def det_exact(vectors) -> int:
+    """Exact determinant of a square list of integer rows (or columns, as
+    det M^T = det M) by fraction-free (Bareiss) elimination, every division
+    exact. The input is copied, never changed."""
+    rows = [list(v) for v in vectors]
     n = len(rows)
+    if not n or any(len(r) != n for r in rows):
+        raise ValueError("determinant requires a nonempty square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):

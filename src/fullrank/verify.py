@@ -1,15 +1,15 @@
 """Verification that all (or sampled) maximal minors are nonzero, plus
 validation of degeneracy certificates.
 
-Every singularity decision is made by one exact kernel. It builds a
-column set one column at a time and carries every maximal minor of the
-columns taken so far; appending a column extends them by a Laplace
-expansion along the new column. After m-1 columns the carried minors are
-the signed cofactors of an integer normal to the hyperplane spanned by
-those columns, so a completing column gives a vanishing minor exactly
-when its dot product with that normal is 0: a hyperplane through the
-origin holds at most m-1 columns of a matrix with the property. Work per
-extension grows like 2^m, which suits the small row counts used here.
+The exhaustive sweep builds column sets one column at a time and carries
+every maximal minor of the columns taken so far; appending a column
+extends them by a Laplace expansion along the new column. After m-1
+columns they are the signed cofactors of an integer normal to the
+hyperplane the columns span, so a completing column gives a vanishing
+minor exactly when its dot product with that normal is 0. Work per
+extension grows like 2^m and pays because every prefix is shared by its
+completions. A single minor (a sampled trial, a certificate's submatrix)
+shares nothing and is one linalg.det_exact on its columns.
 """
 
 import math
@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import mul
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .linalg import IntMatrix, combination_vector
+from .linalg import IntMatrix, combination_vector, det_exact
 
 
 @dataclass
@@ -77,14 +77,6 @@ def _extend(minors: list[int], col, plan) -> list[int]:
             for terms in plan]
 
 
-def _minor(cols, combo, plans) -> int:
-    """Exact determinant of the square submatrix on the columns in combo."""
-    minors = [1]
-    for plan, j in zip(plans, combo):
-        minors = _extend(minors, cols[j], plan)
-    return minors[0]
-
-
 def _columns(A: IntMatrix) -> list[tuple[int, ...]]:
     if A.cols < A.rows:
         raise ValueError(f"matrix has fewer columns ({A.cols}) than rows ({A.rows})")
@@ -123,21 +115,24 @@ def verify_exhaustive(A: IntMatrix,
                               mode="exhaustive")
 
 
-def verify_sampled(A: IntMatrix, trials: int, seed: int) -> VerificationReport:
+def verify_sampled(A: IntMatrix, trials: int, seed: int,
+                   budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Check `trials` column m-subsets drawn from a seeded generator.
 
-    Subsets may repeat; equal seeds give identical reports.
+    Subsets may repeat; equal seeds give identical reports. Refuses, before
+    drawing anything, when trials exceeds the budget.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > budget:
+        raise BudgetExceededError(trials, budget, what="sampled minor check")
     m, d = A.rows, A.cols
     cols = _columns(A)
-    plans = _laplace_plans(m)
     rng = random.Random(seed)
     failures = set()
     for _ in range(trials):
         combo = tuple(sorted(rng.sample(range(d), m)))
-        if _minor(cols, combo, plans) == 0:
+        if det_exact([cols[j] for j in combo]) == 0:
             failures.add(combo)
     return VerificationReport(
         total_checked=trials,
@@ -175,7 +170,7 @@ def verify_certificate(A: IntMatrix, cert: DegeneracyCertificate) -> Certificate
         if combination[j]:
             return CertificateCheck(False, f"combination does not vanish at "
                                            f"column {j} (value {combination[j]})")
-    if _minor([A.column(j) for j in cols[:m]], range(m), _laplace_plans(m)) != 0:
+    if det_exact([A.column(j) for j in cols[:m]]) != 0:
         return CertificateCheck(
             False, "submatrix on the first m listed columns is nonsingular")
     return CertificateCheck(True, "ok")

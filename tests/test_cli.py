@@ -193,6 +193,15 @@ class TestConstructCommand:
         assert run(["construct", "--m", "2", "--k", "1"]) == 2
         assert run(["construct", "--m", "3", "--k", "2", "--d", "10"]) == 2
 
+    @pytest.mark.parametrize("k,variant", [
+        ("100000", "scaled"), ("1000000000000", "scaled"),
+        ("1000000000000", "vandermonde")])
+    def test_oversize_family_exit_2(self, capsys, k, variant):
+        assert run(["construct", "--m", "2", "--k", k, "--variant", variant]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "entries, above the fixed limit of 10000000" in err
+
     @pytest.mark.parametrize("variant", ["scaled", "vandermonde"])
     def test_width_excludes_variant(self, capsys, variant):
         # --d picks the family itself; naming one as well is a usage error
@@ -481,6 +490,35 @@ class TestStrictInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBudgetRefusals:
+    """Every --budget refuses a count above it with exit 2 and one stderr
+    line before any work, and runs normally at exactly that count."""
+
+    @pytest.mark.parametrize("argv,count", [
+        (["verify", "--in", "mat.json"], 10),  # C(5, 2) minors
+        (["verify", "--in", "mat.json", "--trials", "10"], 10),
+        (["attack", "--in", "mat.json", "--t", "2", "--lambda", "1"],
+         4),  # ((2*1+1)^2 - 1)/2 coefficient differences
+        (DECODE, 11),  # 1 + C(5,1)*2 candidates
+        (COVER, 9),  # (2*1+1)^2 grid points
+    ], ids=["verify", "verify-trials", "attack", "decode", "cover-verify"])
+    def test_refuses_above_count(self, tmp_path, monkeypatch, capsys,
+                                 argv, count):
+        monkeypatch.chdir(tmp_path)
+        docs = {"mat.json": matrix_to_dict(construct_vandermonde(2, 3)[0]),
+                "meas.json": {"b": ["1", "0"]},
+                "normals.json": [[1, 0], [0, 1], [1, 1], [1, -1]]}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert run(argv + ["--budget", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"needs {count} steps" in err
+        assert run(argv + ["--budget", str(count)]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
 
 class TestParserReuse:

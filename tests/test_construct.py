@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from fullrank.construct import (
     ConstructionParams,
+    _scaled_prime,
     construct,
     construct_scaled,
     construct_vandermonde,
@@ -12,34 +14,89 @@ from fullrank.construct import (
     find_prime_in,
     max_width,
 )
-from fullrank.errors import PrimeNotFoundError
+from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError, PrimeNotFoundError
 from fullrank.linalg import select_columns
 from oracles import (
     all_minors_nonzero,
     best_multiplier_exhaustive,
     power_residue_rows,
+    trial_prime,
 )
+
+# the package rebinds its attribute ``construct`` to the function
+construct_mod = importlib.import_module("fullrank.construct")
 
 
 class TestFindPrimeIn:
     def test_small_odd_window(self):
-        assert find_prime_in(4, 7, require_odd=True) == 5
-
-    def test_skips_two_when_odd_required(self):
-        assert find_prime_in(2, 3, require_odd=True) == 3
+        assert find_prime_in(4, 7) == 5
         assert find_prime_in(2, 3) == 2
 
     def test_composite_window(self):
         with pytest.raises(PrimeNotFoundError):
             find_prime_in(24, 28)
 
-    def test_fractional_bounds(self):
-        assert find_prime_in(Fraction(25, 2), 25) == 13
-        assert find_prime_in(12.5, 24.9) == 13
+    def test_non_int_bounds_rejected(self):
+        for lo, hi in [(Fraction(25, 2), 25), (12.5, 24.9), (12, 25.0),
+                       (True, 3), (2, Fraction(3)), ("2", 3)]:
+            with pytest.raises(ValueError):
+                find_prime_in(lo, hi)
 
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             find_prime_in(7, 4)
+
+
+class TestScaledPrime:
+    def test_matches_window_scan(self):
+        # the smallest d with (2d)^(m-1) >= k^m, stepped while d^(m-1) < k^m
+        for m in range(2, 6):
+            for k in range(3, 40):
+                km = k ** m
+                d = 1
+                while (2 * d) ** (m - 1) < km:
+                    d += 1
+                while not trial_prime(d):
+                    d += 1
+                    if d ** (m - 1) >= km:
+                        d = None
+                        break
+                if d is None:
+                    with pytest.raises(PrimeNotFoundError):
+                        _scaled_prime(m, k)
+                else:
+                    assert _scaled_prime(m, k) == d
+
+
+class TestSizeLimit:
+    """A family whose narrowest member has more than DEFAULT_BUDGET entries
+    is refused before the prime search."""
+
+    def test_refused_at_huge_k(self):
+        for build in (lambda: construct_scaled(2, 100_000),
+                      lambda: construct_vandermonde(2, 10 ** 12),
+                      lambda: construct_scaled(2, 10 ** 12),
+                      lambda: construct(2, 10 ** 12, 5)):
+            with pytest.raises(BudgetExceededError) as exc:
+                build()
+            assert str(DEFAULT_BUDGET) in str(exc.value)
+
+    def test_vandermonde_limit_is_m_times_k_plus_1(self, monkeypatch):
+        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 10)
+        assert construct_vandermonde(2, 4)[1].d == 5
+        with pytest.raises(BudgetExceededError) as exc:
+            construct_vandermonde(2, 5)
+        assert exc.value.required == 12
+        assert "2 x 6 = 12 entries" in str(exc.value)
+
+    def test_scaled_limit_is_m_times_window_start(self, monkeypatch):
+        # m=2, k=8: the window is [32, 63]
+        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 64)
+        assert construct_scaled(2, 8)[1].d == 37
+        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 63)
+        with pytest.raises(BudgetExceededError) as exc:
+            construct_scaled(2, 8)
+        assert exc.value.required == 64
 
 
 class TestVandermonde:

@@ -54,7 +54,8 @@ def test_default_budget_assigned_once():
                 if getattr(target, "id", None) == "DEFAULT_BUDGET"]
     assert assigned == ["errors.py"]
     from fullrank import attack, cover, errors, recover, verify
-    for module in (attack, cover, recover, verify):
+    construct = sys.modules["fullrank.construct"]  # the package rebinds the name
+    for module in (attack, construct, cover, recover, verify):
         assert module.DEFAULT_BUDGET is errors.DEFAULT_BUDGET
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -34,30 +35,55 @@ class TestCenteredResidue:
         assert 2 * abs(r) <= p - 1
 
 
+def plu_product(rng, n, singular):
+    """A seeded P·L·U product with its determinant sign(P)·Π diag(U): L unit
+    lower-triangular, U upper-triangular, small entries; a singular case
+    puts a 0 on U's diagonal."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    L = [[1 if i == j else rng.randint(-3, 3) if j < i else 0
+          for j in range(n)] for i in range(n)]
+    U = [[rng.choice([-3, -2, -1, 1, 2, 3]) if i == j
+          else rng.randint(-3, 3) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    if singular:
+        i = rng.randrange(n)
+        U[i][i] = 0
+    LU = [[sum(L[i][t] * U[t][j] for t in range(n)) for j in range(n)]
+          for i in range(n)]
+    rows = [LU[perm[i]] for i in range(n)]
+    inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+    det = (-1) ** inversions * math.prod(U[i][i] for i in range(n))
+    return rows, det
+
+
 class TestDetExact:
     def test_identity(self):
-        eye = IntMatrix.from_rows([[1 if i == j else 0 for j in range(4)]
-                                   for i in range(4)])
+        eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
         assert det_exact(eye) == 1
 
     def test_2x2(self):
-        assert det_exact(IntMatrix.from_rows([[1, 2], [3, 4]])) == -2
+        assert det_exact([[1, 2], [3, 4]]) == -2
 
     def test_vandermonde_nodes_123(self):
         # product formula (2-1)(3-1)(3-2) = 2
-        V = IntMatrix.from_rows([[1, 1, 1], [1, 2, 3], [1, 4, 9]])
-        assert det_exact(V) == 2
+        assert det_exact([[1, 1, 1], [1, 2, 3], [1, 4, 9]]) == 2
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            det_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            det_exact([[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("bad", [[], [[]], [[1, 2], [3]], [[1], [2, 3]]])
+    def test_empty_or_ragged_rejected(self, bad):
+        with pytest.raises(ValueError):
+            det_exact(bad)
 
     def test_matches_permutation_expansion(self):
         rng = random.Random(7)
         for _ in range(200):
             n = rng.randint(1, 4)
             rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            assert det_exact(IntMatrix.from_rows(rows)) == perm_det(rows)
+            assert det_exact(rows) == perm_det(rows)
 
     def test_row_swap_negates(self):
         rng = random.Random(8)
@@ -66,8 +92,7 @@ class TestDetExact:
             rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             swapped = list(rows)
             swapped[0], swapped[1] = swapped[1], swapped[0]
-            assert det_exact(IntMatrix.from_rows(swapped)) == \
-                -det_exact(IntMatrix.from_rows(rows))
+            assert det_exact(swapped) == -det_exact(rows)
 
     def test_repeated_row_is_singular(self):
         rng = random.Random(9)
@@ -75,13 +100,23 @@ class TestDetExact:
             n = rng.randint(2, 4)
             rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             rows[-1] = list(rows[0])
-            assert det_exact(IntMatrix.from_rows(rows)) == 0
+            assert det_exact(rows) == 0
 
     def test_big_entries_no_overflow(self):
         big = 10 ** 30
-        M = IntMatrix.from_rows([[big, 1], [1, big]])
-        assert det_exact(M) == big * big - 1
+        assert det_exact([[big, 1], [1, big]]) == big * big - 1
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_plu_products(self, n):
+        # sizes past the permutation oracle's reach (12! terms)
+        rng = random.Random(f"plu {n}")
+        for case in range(20):
+            rows, det = plu_product(rng, n, singular=case % 4 == 3)
+            cols = [tuple(col) for col in zip(*rows)]
+            before = [list(r) for r in rows]
+            assert det_exact(rows) == det
+            assert det_exact(cols) == det
+            assert rows == before  # the input is copied, never changed
 
 class TestSelectColumns:
     def setup_method(self):

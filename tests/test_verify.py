@@ -123,6 +123,12 @@ class TestVerifySampled:
         with pytest.raises(ValueError):
             verify_sampled(vand23, trials=0, seed=0)
 
+    def test_budget_counts_trials(self, vand23):
+        assert verify_sampled(vand23, trials=10, seed=0, budget=10).ok
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_sampled(vand23, trials=11, seed=0, budget=10)
+        assert (exc.value.required, exc.value.budget) == (11, 10)
+
     def test_equal_seeds_equal_reports(self, vand23):
         a = verify_sampled(vand23, trials=50, seed=42)
         b = verify_sampled(vand23, trials=50, seed=42)
@@ -187,3 +193,36 @@ class TestVerifyCertificate:
         cert = DegeneracyCertificate(t=2, coeffs=(1, -1), columns=(0, 1))
         assert verify_certificate(A, cert).accepted
         assert len(verify_exhaustive(A).failures) >= 1
+
+
+class TestTallDuplicateColumn:
+    """12 x 14: the integer Vandermonde columns (x^0, ..., x^11) on nodes
+    1..13, with node 5 repeated last. A 12-subset is singular exactly when
+    it holds both copies; any other has 12 distinct nodes."""
+
+    M, NODES, DUP = 12, list(range(1, 14)) + [5], (4, 13)
+
+    @pytest.fixture
+    def tall(self):
+        return IntMatrix.from_rows(
+            [[x ** i for x in self.NODES] for i in range(self.M)])
+
+    def test_sampled_lists_subsets_holding_both_copies(self, tall):
+        report = verify_sampled(tall, trials=60, seed=3)
+        draw = random.Random(3)
+        drawn = {tuple(sorted(draw.sample(range(14), self.M))) for _ in range(60)}
+        both = sorted(c for c in drawn if set(self.DUP) <= set(c))
+        assert report.failures == both
+        assert 0 < len(both) < len(drawn)
+
+    def test_certificate_on_failures_accepted(self, tall):
+        # the degree-11 polynomial with a root at every node of the subset
+        # combines all 12 rows into a vector vanishing on its columns
+        for combo in verify_sampled(tall, trials=60, seed=3).failures[:5]:
+            coeffs = [1]
+            for x in {self.NODES[j] for j in combo}:
+                coeffs = [a - x * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            cert = DegeneracyCertificate(t=self.M, coeffs=tuple(coeffs),
+                                         columns=combo)
+            assert verify_certificate(tall, cert).accepted
+
