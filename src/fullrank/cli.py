@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-bound", default="1/2")
 
     p = command(rsub, "decode", cmd_recover_decode,
-                "exhaustive sup-norm decoder", [matrix_in], budget=True,
+                "sup-norm decoder: every minimizer, by a pruned search; --budget "
+                "counts the whole candidate space", [matrix_in], budget=True,
                 out="decoded signal JSON path")
     p.add_argument("--measurement", required=True, help="measurement JSON path")
     p.add_argument("--s", type=int, required=True, help="sparsity")

@@ -1,17 +1,19 @@
 """Integer sparse recovery against a bounded-entry measurement matrix.
 
 Measurements are exact rationals (b = Ax + e with Fraction arithmetic)
-and the decoder is an exhaustive minimizer of the sup-norm residual over
-all candidate sparse integer vectors. When every m columns of A are
-linearly independent, any nonzero (2s)-sparse integer difference z
-satisfies ||Az||_inf >= 1, so with 2s <= m and noise below 1/2 the true
-signal is the unique minimizer.
+and the decoder returns every minimizer of the sup-norm residual over
+all candidate sparse integer vectors: a branch-and-bound search skips
+only subtrees that cannot tie the best, and the minimizers keep the
+order of a lexicographic walk over the whole space. When every m
+columns of A are linearly independent, any nonzero (2s)-sparse integer
+difference z satisfies ||Az||_inf >= 1, so with 2s <= m and noise below
+1/2 the true signal is the unique minimizer.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from operator import sub
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .linalg import IntMatrix
@@ -126,23 +128,31 @@ def encode(A: IntMatrix, x: SparseSignal, e=None,
 
 def decode(A: IntMatrix, b, s: int, amp_bound: int,
            budget: int = DEFAULT_BUDGET) -> DecodeResult:
-    """Exhaustive sup-norm decoder over integer vectors with at most s
-    nonzeros, each in [-amp_bound, amp_bound].
+    """Sup-norm decoder over integer vectors with at most s nonzeros, each
+    in [-amp_bound, amp_bound]; returns every minimizer.
 
-    Walks the s-subsets S of the columns in lexicographic order and, on
-    each, the value assignments in lexicographic order. A zero value is
-    allowed only at the positions i < p, where S begins with the run
-    0, 1, ..., p-1; so every candidate is visited exactly once, at the
-    first S that contains its support. There are
-    sum_{r<=s} C(d, r) (2 amp_bound)^r of them. Returns all minimizers of
-    ||b - Ay||_inf under exact comparison, in order of visit. Ties are
-    reported, never broken silently: inside the guarantee regime they
-    cannot occur, so an ambiguity is diagnostic.
+    Searches depth first over (column, nonzero value) pairs with columns
+    increasing, carrying the integer residual row by row, from y = 0 as
+    the first incumbent. A column is skipped, with every later one, once
+    some row's |residual| exceeds the best so far by more than the most
+    the columns still allowed from there on can move that row; the test
+    is strict, so every tie survives. Ties are reported, never broken
+    silently: inside the guarantee regime they cannot occur, so an
+    ambiguity is diagnostic.
+
+    The minimizers come in the order of a lexicographic walk over the
+    s-subsets S of the columns and the value tuples on each, which meets
+    a vector at the first S containing its support. candidates, and the
+    budget, count the whole space, sum_{r<=s} C(d, r) (2 amp_bound)^r, so
+    a refusal never depends on b.
     """
     target = b.b if isinstance(b, Measurement) else tuple(Fraction(t) for t in b)
     m, d = A.rows, A.cols
     if len(target) != m:
         raise ValueError(f"measurement length {len(target)} != matrix rows {m}")
+    # amp_bound enters the pruning bound, so a float would reach a decision
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (s, amp_bound)):
+        raise ValueError("sparsity and amplitude bound must be ints")
     if not 0 <= s <= d:
         raise ValueError(f"sparsity s={s} outside [0, {d}]")
     if amp_bound < 1:
@@ -152,43 +162,62 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     if n_candidates > budget:
         raise BudgetExceededError(n_candidates, budget, what="decoder enumeration")
 
-    # clear denominators once so the inner loop is pure integer arithmetic
+    # clear denominators once so the search is pure integer arithmetic
     denom = math.lcm(*(t.denominator for t in target))
     tint = [int(t * denom) for t in target]
-    cols = [A.column(j) for j in range(d)]
+    cols = [[denom * e for e in A.column(j)] for j in range(d)]
+    steps = [[(v, [v * e for e in col]) for v in range(-amp_bound, amp_bound + 1) if v]
+             for col in cols]
+    # reach[left][j][i]: the most that left columns from j on move row i
+    suffix = [[0] * m]
+    for col in reversed(cols):
+        suffix.append([max(a, abs(e)) for a, e in zip(suffix[-1], col)])
+    suffix.reverse()
+    reach = [[[left * amp_bound * a for a in row] for row in suffix]
+             for left in range(s + 1)]
 
-    best: int | None = None
-    best_dense: list[list[int]] = []
-    values = range(-amp_bound, amp_bound + 1)
-    nonzero = [v for v in values if v]
-    for support in combinations(range(d), s):
-        # support is increasing, so support[i] == i exactly on its leading run
-        p = sum(i == j for i, j in enumerate(support))
-        sup_cols = [cols[j] for j in support]
-        for vals in product(*[values if i < p else nonzero for i in range(s)]):
-            resid = 0
-            for i in range(m):
-                ay = 0
-                for c, v in zip(sup_cols, vals):
-                    ay += c[i] * v
-                delta = abs(tint[i] - denom * ay)
-                if delta > resid:
-                    resid = delta
-                    if best is not None and resid > best:
-                        break
-            if best is None or resid < best:
-                best, best_dense = resid, []
-            if resid == best:
-                dense = [0] * d
-                for j, v in zip(support, vals):
-                    dense[j] = v
-                best_dense.append(dense)
+    best = max(map(abs, tint))
+    found = [()]  # y = 0 is the first incumbent
+
+    def search(resid, start, left, chosen):
+        nonlocal best, found
+        mags, bounds = list(map(abs, resid)), reach[left]
+        for j in range(start, d):
+            if max(map(sub, mags, bounds[j])) > best:
+                break  # the bound only grows with j
+            for v, step in steps[j]:
+                child = list(map(sub, resid, step))
+                r = max(map(abs, child))
+                if r > best and left == 1:
+                    continue  # a leaf that cannot tie
+                node = chosen + ((j, v),)
+                if r < best:
+                    best, found = r, [node]
+                elif r == best:
+                    found.append(node)
+                if left > 1:
+                    search(child, j + 1, left - 1, node)
+
+    if s:
+        search(tint, 0, s, ())
+    minimizers = [SparseSignal(d, tuple(j for j, _ in node), tuple(v for _, v in node))
+                  for node in found]
+    minimizers.sort(key=lambda x: _visit_key(x, s))
     return DecodeResult(
-        minimizers=tuple(SparseSignal.from_dense(v) for v in best_dense),
+        minimizers=tuple(minimizers),
         residual=Fraction(best, denom),
         sparsity_in_guarantee=2 * s <= m,
         candidates=n_candidates,
     )
+
+
+def _visit_key(x: SparseSignal, s: int):
+    """(S, values on S) for the lex-first s-subset S of columns that holds
+    x's support: the support plus its smallest zero positions."""
+    zeros = [j for j in range(x.dimension) if j not in x.support][:s - x.sparsity]
+    S = sorted(x.support + tuple(zeros))
+    dense = x.to_dense()
+    return S, [dense[j] for j in S]
 
 
 def scale_matrix(A: IntMatrix, c) -> IntMatrix:

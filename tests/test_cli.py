@@ -454,8 +454,8 @@ COVER = ["cover", "verify", "--in", "normals.json", "--k", "1"]
 
 class TestStrictInputs:
     """Malformed signal, measurement, normals and rational inputs, and
-    attack options no matrix could satisfy, exit 2 with a one-line error
-    instead of being coerced, raising or answering."""
+    attack or decode options no matrix could satisfy, exit 2 with a
+    one-line error instead of being coerced, raising or answering."""
 
     @pytest.mark.parametrize("files,argv", [
         ({"normals.json": [[1.5, 2]]}, COVER),
@@ -475,6 +475,8 @@ class TestStrictInputs:
         ({"meas.json": {"b": ["1", "0"], "noise_bound": "1/0"}}, DECODE),
         ({"meas.json": ["1", "0"]}, DECODE),
         ({"meas.json": {"b": ["1", "0"], "noise": ["0"]}}, DECODE),
+        ({}, DECODE[:-1] + ["0"]),
+        ({}, DECODE[:-3] + ["9", "--amp-bound", "1"]),
         ({}, ["attack", "--in", "mat.json", "--t", "1", "--lambda", "1",
               "--min-agree", "99"]),
     ])

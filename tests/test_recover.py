@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullrank.construct import construct, construct_vandermonde
 from fullrank.errors import BudgetExceededError
@@ -110,6 +111,71 @@ class TestDecode:
                 math.comb(d, r) * (2 * amp) ** r for r in range(s + 1))
             ambiguous += result.ambiguous
         assert 0 < ambiguous < 300  # ties and unique minimizers both seen
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_first_seen_scan_generated(self, data):
+        m, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
+        s, amp = data.draw(st.integers(0, min(3, d))), data.draw(st.integers(1, 2))
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                  min_size=m, max_size=m))
+        b = data.draw(st.lists(
+            st.fractions(min_value=-8, max_value=8, max_denominator=6),
+            min_size=m, max_size=m))
+        result = decode(IntMatrix.from_rows(rows), b, s=s, amp_bound=amp)
+        dense, residual, met = decode_first_seen(rows, b, s, amp)
+        assert [tuple(x.to_dense()) for x in result.minimizers] == dense
+        assert result.residual == residual
+        assert result.candidates == met
+
+    @pytest.mark.parametrize("rows,b,s,minimizers,residual", [
+        # a tie across support sizes 0, 1 and 2, not listed by size
+        ([[2, 2]], (1,), 2, [(-1, 1), (0, 0), (0, 1), (1, -1), (1, 0)], 1),
+        ([[1, 1, 2]], (2,), 2, [(1, 1, 0), (0, 0, 1)], 0),
+        ([[2]], (1,), 1, [(0,), (1,)], 1),
+    ])
+    def test_ties_across_support_sizes(self, rows, b, s, minimizers, residual):
+        result = decode(IntMatrix.from_rows(rows), b, s=s, amp_bound=1)
+        assert [tuple(x.to_dense()) for x in result.minimizers] == minimizers
+        assert result.residual == residual
+        assert decode_first_seen(rows, b, s, 1)[:2] == (minimizers, residual)
+
+    def test_bench_size_inside_guarantee(self):
+        # construct(6, 12, 11), s = 3, A = 3: the planted signal is the
+        # unique minimizer, at the noise level
+        A = construct(6, 12, 11)
+        rng = random.Random(41)
+        for _ in range(4):
+            support = sorted(rng.sample(range(11), 3))
+            x = SparseSignal(11, support, [rng.choice([-1, 1]) * rng.randint(1, 3)
+                                           for _ in support])
+            e = [F(rng.randint(-5, 5), 11) for _ in range(6)]
+            result = decode(A, encode(A, x, e), s=3, amp_bound=3)
+            assert result.minimizers == (x,)
+            assert result.residual == max(map(abs, e))
+            assert result.candidates == 37_687
+
+    @pytest.mark.parametrize("support,values,minimizers", [
+        ((0, 5, 8), (1, -2, 3), [((5, 8), (-2, 3)), ((0, 5, 8), (1, -2, 3))]),
+        ((0, 3, 10), (-1, 2, -3), [((0, 3, 10), (-1, 2, -3)), ((3, 10), (2, -3))]),
+    ])
+    def test_bench_size_half_noise_tie(self, support, values, minimizers):
+        # noise 1/2 along the all-ones column 0 makes x tie with x moved
+        # one step toward zero there; the visit order is pinned from
+        # decode_first_seen, which takes seconds at this size
+        A = construct(6, 12, 11)
+        c = -1 if values[0] > 0 else 1
+        meas = encode(A, SparseSignal(11, support, values), [F(c, 2)] * 6)
+        result = decode(A, meas, s=3, amp_bound=3)
+        assert [(x.support, x.values) for x in result.minimizers] == minimizers
+        assert result.residual == F(1, 2)
+
+    @pytest.mark.parametrize("s,amp", [
+        (-1, 1), (6, 1), (1, 0), (1, 1.5), (1.0, 1), (True, 1), (1, True)])
+    def test_rejects_bad_sparsity_or_amplitude(self, vand23, s, amp):
+        # amp_bound scales the pruning bound: only an exact int may reach it
+        with pytest.raises(ValueError):
+            decode(vand23, (0, 0), s=s, amp_bound=amp)
 
     def test_zero_measurement_gives_zero_signal(self, vand23):
         result = decode(vand23, (0, 0), s=1, amp_bound=3)
