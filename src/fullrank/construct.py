@@ -29,7 +29,7 @@ from .errors import (
     ConstructionInfeasibleError,
     PrimeNotFoundError,
 )
-from .intmath import floor_ln, floor_sqrt_ln, iroot, is_prime
+from .intmath import exact_ints, floor_ln, floor_sqrt_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
 VANDERMONDE = "vandermonde"
@@ -90,8 +90,7 @@ def find_prime_in(lo: int, hi: int) -> int:
     Both bounds must be ints (not bools): every caller states its window
     exactly, so no float or fraction comes near the endpoints.
     """
-    if any(isinstance(b, bool) or not isinstance(b, int) for b in (lo, hi)):
-        raise ValueError(f"prime window bounds must be ints (got {lo!r}, {hi!r})")
+    exact_ints((lo, hi), "prime window bounds")
     if lo > hi:
         raise ValueError("empty interval")
     for p in range(max(2, lo), hi + 1):

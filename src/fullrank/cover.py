@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .intmath import iroot, primitive_vector
+from .intmath import exact_ints, iroot, primitive_vector
 from .linalg import IntMatrix, combination_vector
 
 
@@ -26,11 +26,12 @@ class CoverInstance:
     normals: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        exact_ints((self.m, self.k), "cover m and k")
         if self.m < 1 or self.k < 0:
             raise ValueError("need m >= 1 and k >= 0")
         norm = []
         for n in self.normals:
-            n = tuple(int(x) for x in n)
+            n = exact_ints(n, "normal")
             if len(n) != self.m:
                 raise ValueError(f"normal {n} has length {len(n)}, expected {self.m}")
             norm.append(primitive_vector(n))  # raises on the zero vector
@@ -83,7 +84,7 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
 
 def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:
     """How many columns of A are orthogonal to n, and which ones."""
-    n = tuple(int(x) for x in n)
+    n = exact_ints(n, "normal")
     if len(n) != A.rows:
         raise ValueError(f"normal length {len(n)} != row count {A.rows}")
     if not any(n):

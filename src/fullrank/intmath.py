@@ -1,7 +1,43 @@
-"""Exact integer helpers: primality, integer roots, floor of ln, floor of
-c sqrt(ln k), primitive vectors."""
+"""Exact integer helpers: exact_ints and exact_rationals, the one rule by
+which every type and entry point refuses a float, a bool or a numeric
+string where an integer belongs instead of coercing it; primality,
+integer roots, floor of ln, floor of c sqrt(ln k), primitive vectors."""
 
 import math
+from fractions import Fraction
+
+
+def _sequence(values, what: str) -> tuple:
+    """values as a tuple; a string, a mapping or a non-iterable is a ValueError."""
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{what}: expected a sequence of numbers, got {values!r}")
+    return tuple(values)
+
+
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple when every one has type int; a bool, a float or a
+    numeric string among them, or values not a sequence, is a ValueError
+    naming what."""
+    out = values if type(values) is tuple else _sequence(values, what)
+    for v in out:
+        if type(v) is not int:
+            raise ValueError(f"{what}: {v!r} is not an integer")
+    return out
+
+
+def exact_rationals(values, what: str) -> tuple[Fraction, ...]:
+    """values as Fractions: each an int (not a bool), a Fraction, or a "p/q"
+    or decimal string ("3/10", "-2", "0.3"); a float, a bool, any other
+    string or a zero denominator is a ValueError naming what."""
+    out = []
+    for v in _sequence(values, what):
+        if not (type(v) is int or isinstance(v, (Fraction, str))):
+            raise ValueError(f"{what}: {v!r} is not an exact rational")
+        try:
+            out.append(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{what}: {v!r} is not an exact rational") from None
+    return tuple(out)
 
 
 def is_prime(n: int) -> bool:
@@ -26,6 +62,7 @@ def iroot(n: int, r: int) -> int:
     Newton iteration on arbitrary-precision integers; never goes through
     floating point, so exact at perfect powers.
     """
+    exact_ints((n, r), "iroot arguments")
     if r < 1:
         raise ValueError("root index must be >= 1")
     if n < 0:
@@ -92,6 +129,7 @@ def floor_ln(k: int) -> int:
     """floor(ln k), the largest integer t with e^t <= k, for k >= 1. ln k is
     irrational for k >= 2, so it is never an integer and the bracket
     decides."""
+    exact_ints((k,), "floor_ln argument")
     if k < 1:
         raise ValueError("floor_ln requires k >= 1")
     return _floor_of_ln(k, 64, lambda x, bits: x >> bits)
@@ -101,6 +139,7 @@ def floor_sqrt_ln(k: int, c: int) -> int:
     """floor(c sqrt(ln k)) for k >= 2 and c >= 1: the largest integer U with
     U^2 <= c^2 ln k. c^2 ln k is irrational, so never a square, and the
     bracket decides."""
+    exact_ints((k, c), "floor_sqrt_ln arguments")
     if k < 2 or c < 1:
         raise ValueError("floor_sqrt_ln requires k >= 2 and c >= 1")
     c2 = c * c
@@ -111,12 +150,11 @@ def floor_sqrt_ln(k: int, c: int) -> int:
 def primitive_vector(v) -> tuple[int, ...]:
     """Canonical form of a nonzero integer vector: divide by the gcd and
     flip signs so the first nonzero coordinate is positive."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(int(x)))
+    v = exact_ints(v, "vector")
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    w = tuple(int(x) // g for x in v)
+    w = tuple(x // g for x in v)
     for x in w:
         if x > 0:
             return w

@@ -7,7 +7,7 @@ unbounded-precision integers; nothing here touches floating point.
 
 from dataclasses import dataclass
 
-from .intmath import is_prime
+from .intmath import exact_ints, is_prime
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,11 @@ class IntMatrix:
     entry_bound: int | None = None
 
     def __post_init__(self):
+        exact_ints([self.rows, self.cols] + [v for v in (self.modulus, self.entry_bound)
+                                             if v is not None], "matrix shape and annotations")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix must have at least one row and one column")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", exact_ints(self.entries, "matrix entries"))
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -87,7 +89,7 @@ def det_exact(vectors) -> int:
     """Exact determinant of a square list of integer rows (or columns, as
     det M^T = det M) by fraction-free (Bareiss) elimination, every division
     exact. The input is copied, never changed."""
-    rows = [list(v) for v in vectors]
+    rows = [list(exact_ints(v, "determinant row")) for v in vectors]
     n = len(rows)
     if not n or any(len(r) != n for r in rows):
         raise ValueError("determinant requires a nonempty square matrix")
@@ -116,7 +118,7 @@ def det_exact(vectors) -> int:
 
 def combination_vector(A: IntMatrix, coeffs) -> tuple[int, ...]:
     """Coefficient-weighted sum of the first len(coeffs) rows, exact."""
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = exact_ints(coeffs, "coefficients")
     if len(coeffs) > A.rows:
         raise ValueError(
             f"{len(coeffs)} coefficients but only {A.rows} rows")
@@ -133,7 +135,7 @@ def select_columns(A: IntMatrix, cols) -> IntMatrix:
     Annotations (modulus, entry_bound) are inherited: dropping columns
     cannot break either invariant.
     """
-    cols = [int(c) for c in cols]
+    cols = exact_ints(cols, "column indices")
     if len(set(cols)) != len(cols):
         raise ValueError("duplicate column index")
     for c in cols:

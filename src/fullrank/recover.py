@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .intmath import exact_ints, exact_rationals
 from .linalg import IntMatrix
 
 HALF = Fraction(1, 2)
@@ -30,8 +31,9 @@ class SparseSignal:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        exact_ints((self.dimension,), "signal dimension")
+        object.__setattr__(self, "support", exact_ints(self.support, "signal support"))
+        object.__setattr__(self, "values", exact_ints(self.values, "signal values"))
         if len(self.support) != len(self.values):
             raise ValueError("support and values must have equal length")
         if any(v == 0 for v in self.values):
@@ -47,7 +49,7 @@ class SparseSignal:
 
     @classmethod
     def from_dense(cls, vec) -> "SparseSignal":
-        vec = [int(v) for v in vec]
+        vec = exact_ints(vec, "dense signal")
         support = tuple(i for i, v in enumerate(vec) if v != 0)
         return cls(len(vec), support, tuple(vec[i] for i in support))
 
@@ -67,12 +69,12 @@ class Measurement:
     noise_bound: Fraction = HALF
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        object.__setattr__(self, "noise", tuple(Fraction(x) for x in self.noise))
+        object.__setattr__(self, "b", exact_rationals(self.b, "measurement"))
+        object.__setattr__(self, "noise", exact_rationals(self.noise, "noise"))
         if self.noise and len(self.noise) != len(self.b):
             raise ValueError(
                 f"noise length {len(self.noise)} != measurement length {len(self.b)}")
-        bound = Fraction(self.noise_bound)
+        bound = exact_rationals((self.noise_bound,), "noise bound")[0]
         if bound <= 0:
             raise ValueError("noise bound must be positive")
         object.__setattr__(self, "noise_bound", bound)
@@ -115,7 +117,7 @@ def encode(A: IntMatrix, x: SparseSignal, e=None,
             f"signal dimension {x.dimension} != matrix columns {A.cols}")
     if e is None:
         e = (0,) * A.rows
-    e = tuple(Fraction(t) for t in e)
+    e = exact_rationals(e, "noise")
     if len(e) != A.rows:
         raise ValueError(f"noise length {len(e)} != matrix rows {A.rows}")
     dense = x.to_dense()
@@ -146,13 +148,11 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     budget, count the whole space, sum_{r<=s} C(d, r) (2 amp_bound)^r, so
     a refusal never depends on b.
     """
-    target = b.b if isinstance(b, Measurement) else tuple(Fraction(t) for t in b)
+    target = b.b if isinstance(b, Measurement) else exact_rationals(b, "measurement")
     m, d = A.rows, A.cols
     if len(target) != m:
         raise ValueError(f"measurement length {len(target)} != matrix rows {m}")
-    # amp_bound enters the pruning bound, so a float would reach a decision
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (s, amp_bound)):
-        raise ValueError("sparsity and amplitude bound must be ints")
+    exact_ints((s, amp_bound), "sparsity and amplitude bound")
     if not 0 <= s <= d:
         raise ValueError(f"sparsity s={s} outside [0, {d}]")
     if amp_bound < 1:
@@ -228,11 +228,10 @@ def scale_matrix(A: IntMatrix, c) -> IntMatrix:
     unchanged. The modulus annotation survives only the trivial c = 1/2,
     since any larger factor breaks the centered-residue invariant.
     """
-    c = Fraction(c)
-    factor = 2 * c
+    factor = 2 * exact_rationals((c,), "noise level c")[0]
     if factor <= 0 or factor.denominator != 1:
         raise ValueError("2c must be a positive integer to keep the matrix integral")
-    f = int(factor)
+    f = factor.numerator
     return IntMatrix(
         A.rows,
         A.cols,
@@ -244,5 +243,6 @@ def scale_matrix(A: IntMatrix, c) -> IntMatrix:
 
 def guarantee_holds(m: int, s: int, e) -> bool:
     """True iff 2s <= m and ||e||_inf < 1/2 (exact comparison)."""
-    e_inf = max((abs(Fraction(t)) for t in e), default=Fraction(0))
+    exact_ints((m, s), "m and s")
+    e_inf = max(map(abs, exact_rationals(e, "noise")), default=Fraction(0))
     return 2 * s <= m and e_inf < HALF

@@ -4,6 +4,11 @@ normals, and the JSON documents of certificates, reports and results.
 Matrix schema: {"m": int, "d": int, "k": int|null, "modulus": int|null,
 "entries": [row-major ints], "scalings": [ints]|null}. Rationals are
 "p/q" strings so files stay exact and diff-friendly.
+
+The readers check only JSON shape (an object, a list of normal lists, a
+missing field) and hand the raw values to the constructors, which refuse
+floats, bools and quoted numbers by the one rule in intmath (exact_ints,
+exact_rationals).
 """
 
 import json
@@ -11,13 +16,14 @@ from fractions import Fraction
 
 from .construct import BoundsReport, ConstructionParams
 from .cover import CoverCheck, CoverInstance
+from .intmath import exact_ints, exact_rationals
 from .linalg import IntMatrix
 from .recover import DecodeResult, Measurement, SparseSignal
 from .verify import DegeneracyCertificate, VerificationReport
 
 
 def rational_to_str(x) -> str:
-    f = Fraction(x)
+    f = exact_rationals((x,), "rational")[0]
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -25,15 +31,7 @@ def rational_from_str(s) -> Fraction:
     """Exact rational from a "p/q", integer or decimal string ("3/10",
     "-2", "0.3") or a JSON integer; anything else, or a zero denominator,
     is a ValueError."""
-    if type(s) is int:
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise ValueError(
-            f"rational must be a string or an integer, got {json.dumps(s)}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"rational {s!r} has a zero denominator") from None
+    return exact_rationals((s,), "rational")[0]
 
 
 def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> dict:
@@ -48,44 +46,21 @@ def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> di
     }
 
 
-def _json_int(doc: str, name: str, value, nullable: bool = False):
-    """value itself when it is a JSON integer (or null, if allowed); bools,
-    floats and strings are refused instead of coerced."""
-    if type(value) is int or (nullable and value is None):
-        return value
-    raise ValueError(
-        f"{doc} JSON field {name!r} must be an integer, got {json.dumps(value)}")
-
-
-def _json_ints(doc: str, name: str, values, nullable: bool = False):
-    if nullable and values is None:
-        return None
-    if not isinstance(values, list):
-        raise ValueError(f"{doc} JSON field {name!r} must be a list of integers")
-    return [_json_int(doc, name, v) for v in values]
-
-
 def _json_object(doc: str, obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{doc} JSON must be an object")
     return obj
 
 
-def matrix_from_dict(obj: dict) -> tuple[IntMatrix, list[int] | None]:
+def matrix_from_dict(obj: dict) -> tuple[IntMatrix, tuple[int, ...] | None]:
     obj = _json_object("matrix", obj)
     try:
-        matrix = IntMatrix(
-            rows=_json_int("matrix", "m", obj["m"]),
-            cols=_json_int("matrix", "d", obj["d"]),
-            entries=tuple(_json_ints("matrix", "entries", obj["entries"])),
-            modulus=_json_int("matrix", "modulus", obj.get("modulus"),
-                              nullable=True),
-            entry_bound=_json_int("matrix", "k", obj.get("k"), nullable=True),
-        )
+        matrix = IntMatrix(rows=obj["m"], cols=obj["d"], entries=obj["entries"],
+                           modulus=obj.get("modulus"), entry_bound=obj.get("k"))
     except KeyError as exc:
         raise ValueError(f"matrix JSON missing field {exc}") from exc
-    return matrix, _json_ints("matrix", "scalings", obj.get("scalings"),
-                              nullable=True)
+    scalings = obj.get("scalings")
+    return matrix, None if scalings is None else exact_ints(scalings, "matrix scalings")
 
 
 def matrix_to_csv(A: IntMatrix) -> str:
@@ -99,11 +74,8 @@ def signal_to_dict(x: SparseSignal) -> dict:
 def signal_from_dict(obj: dict) -> SparseSignal:
     obj = _json_object("signal", obj)
     try:
-        return SparseSignal(
-            dimension=_json_int("signal", "d", obj["d"]),
-            support=tuple(_json_ints("signal", "support", obj["support"])),
-            values=tuple(_json_ints("signal", "values", obj["values"])),
-        )
+        return SparseSignal(dimension=obj["d"], support=obj["support"],
+                            values=obj["values"])
     except KeyError as exc:
         raise ValueError(f"signal JSON missing field {exc}") from exc
 
@@ -116,20 +88,11 @@ def measurement_to_dict(meas: Measurement) -> dict:
     }
 
 
-def _json_rationals(doc: str, name: str, values) -> tuple[Fraction, ...]:
-    if not isinstance(values, list):
-        raise ValueError(f"{doc} JSON field {name!r} must be a list of rationals")
-    return tuple(rational_from_str(x) for x in values)
-
-
 def measurement_from_dict(obj: dict) -> Measurement:
     obj = _json_object("measurement", obj)
     try:
-        return Measurement(
-            b=_json_rationals("measurement", "b", obj["b"]),
-            noise=_json_rationals("measurement", "noise", obj.get("noise", [])),
-            noise_bound=rational_from_str(obj.get("noise_bound", "1/2")),
-        )
+        return Measurement(b=obj["b"], noise=obj.get("noise", []),
+                           noise_bound=obj.get("noise_bound", "1/2"))
     except KeyError as exc:
         raise ValueError(f"measurement JSON missing field {exc}") from exc
 
@@ -178,21 +141,18 @@ def bounds_to_dict(rep: BoundsReport) -> dict:
     }
 
 
-def normals_from_obj(obj, m: int | None = None) -> list[tuple[int, ...]]:
-    """Parse a JSON list of integer normal vectors."""
-    if not isinstance(obj, list):
+def normals_from_obj(obj) -> list[list]:
+    """A JSON list of normal vectors, each a list; CoverInstance checks
+    their entries and lengths."""
+    if not isinstance(obj, list) or not all(isinstance(n, list) for n in obj):
         raise ValueError("normals JSON must be a list of integer vectors")
-    normals = [tuple(_json_ints("normals", f"normal {i}", n))
-               for i, n in enumerate(obj)]
-    if m is not None and any(len(n) != m for n in normals):
-        raise ValueError(f"every normal must have length {m}")
-    return normals
+    return obj
 
 
 def cover_from_obj(obj, k: int, m: int | None = None) -> CoverInstance:
     """The cover of the grid of radius k by the normals in obj; the
     dimension m defaults to the length of the first normal."""
-    normals = normals_from_obj(obj, m=m)
+    normals = normals_from_obj(obj)
     if m is None:
         if not normals:
             raise ValueError("empty normals list needs an explicit --m")

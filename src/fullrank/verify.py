@@ -19,6 +19,7 @@ from itertools import combinations
 from operator import mul
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .intmath import exact_ints
 from .linalg import IntMatrix, combination_vector, det_exact
 
 
@@ -45,6 +46,11 @@ class DegeneracyCertificate:
     t: int
     coeffs: tuple[int, ...]
     columns: tuple[int, ...]
+
+    def __post_init__(self):
+        exact_ints((self.t,), "certificate t")
+        object.__setattr__(self, "coeffs", exact_ints(self.coeffs, "certificate coefficients"))
+        object.__setattr__(self, "columns", exact_ints(self.columns, "certificate columns"))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fullrank.construct import construct_vandermonde
+from fullrank.construct import construct_vandermonde, max_width
 from fullrank.cover import (
     CoverInstance,
     columns_on_hyperplane,
@@ -71,6 +71,16 @@ class TestCoverLowerBound:
     def test_exact_at_integer_boundary(self):
         # k=4, m=2: 16/2 = 8 exactly; a float ceiling could give 9
         assert cover_lower_bound(2, 4) == 8
+
+    @pytest.mark.parametrize("call", [
+        lambda: cover_lower_bound(2, 3.5),  # was 7.0, a float ceiling
+        lambda: cover_lower_bound(2.0, 4),
+        lambda: max_width(2, 3.5),  # was 6.0, a float floor
+        lambda: cover_lower_bound(2, True),
+    ], ids=["lower-k-float", "lower-m-float", "max-width-k-float", "lower-k-bool"])
+    def test_refuses_non_int_arguments(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestVerifyCover:

@@ -1,10 +1,18 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from fullrank.attack import attack_params
 from fullrank.construct import bounds_report
-from fullrank.intmath import floor_ln, floor_sqrt_ln, iroot
+from fullrank.intmath import (
+    exact_ints,
+    exact_rationals,
+    floor_ln,
+    floor_sqrt_ln,
+    iroot,
+)
 from oracles import floor_exp
 from oracles import floor_sqrt_ln as oracle_floor_sqrt_ln
 
@@ -98,3 +106,41 @@ class TestIroot:
             iroot(-1, 2)
         with pytest.raises(ValueError):
             iroot(5, 0)
+
+
+class TestExactNumbers:
+    """The one rule for exact input: ints are ints, rationals are ints,
+    Fractions or "p/q"/decimal strings; nothing is coerced."""
+
+    def test_ints_pass_through(self):
+        assert exact_ints([1, -2, 10 ** 30], "v") == (1, -2, 10 ** 30)
+        assert exact_ints(range(3), "v") == (0, 1, 2)
+        assert exact_ints((), "v") == ()
+
+    @pytest.mark.parametrize("bad", [[1.0], [True], ["1"], [None], 3, "12",
+                                     b"12", {1: 2}, None])
+    def test_ints_refuse(self, bad):
+        with pytest.raises(ValueError, match="what"):
+            exact_ints(bad, "what")
+
+    def test_rationals(self):
+        assert exact_rationals([3, Fraction(3, 10), "3/10", "0.3", "-2"], "r") == (
+            3, Fraction(3, 10), Fraction(3, 10), Fraction(3, 10), -2)
+
+    @pytest.mark.parametrize("bad", [[0.1], [True], ["1/0"], ["abc"], [None],
+                                     [[1]], 3, "12", {"1": 0}])
+    def test_rationals_refuse(self, bad):
+        with pytest.raises(ValueError, match="what"):
+            exact_rationals(bad, "what")
+
+    @pytest.mark.parametrize("call", [
+        lambda: iroot(12.25, 1), lambda: iroot(16, 2.0), lambda: iroot(True, 1),
+        lambda: floor_ln(10.0), lambda: floor_ln("10"),
+        lambda: floor_sqrt_ln(10.0, 3), lambda: floor_sqrt_ln(10, 3.0),
+        # a float k used to reach floor_ln and die with an AttributeError
+        lambda: bounds_report(2, 10.0), lambda: attack_params(2, 10.0),
+    ], ids=["iroot-n", "iroot-r", "iroot-bool", "floor_ln", "floor_ln-str",
+            "floor_sqrt_ln-k", "floor_sqrt_ln-c", "bounds_report", "attack_params"])
+    def test_kernels_refuse_non_ints(self, call):
+        with pytest.raises(ValueError):
+            call()

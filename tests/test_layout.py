@@ -1,15 +1,34 @@
 """Checks on the shape of the package: module boundaries, the exported
-names and runnable demos."""
+names, runnable demos and the exact-number contract every entry point
+keeps."""
 
 import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fullrank
+from fullrank import (
+    CoverInstance,
+    IntMatrix,
+    Measurement,
+    SparseSignal,
+    columns_on_hyperplane,
+    combination_vector,
+    construct_vandermonde,
+    decode,
+    det_exact,
+    encode,
+    find_prime_in,
+    guarantee_holds,
+    scale_matrix,
+    select_columns,
+)
+from fullrank.intmath import primitive_vector
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fullrank"
@@ -67,3 +86,88 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+A = construct_vandermonde(2, 3)[0]  # 2 x 5
+X = SparseSignal(5, (1,), (2,))
+
+# (entry point and field, a valid int for that field, the call with x there)
+INT_FIELDS = [
+    ("IntMatrix.rows", 1, lambda x: IntMatrix(x, 2, (1, 2))),
+    ("IntMatrix.cols", 1, lambda x: IntMatrix(1, x, (1,))),
+    ("IntMatrix.entries", 1, lambda x: IntMatrix(1, 2, (x, 2))),
+    ("IntMatrix.modulus", 3, lambda x: IntMatrix(1, 2, (1, -1), modulus=x)),
+    ("IntMatrix.entry_bound", 1, lambda x: IntMatrix(1, 2, (1, -1), entry_bound=x)),
+    ("det_exact", 1, lambda x: det_exact([(x, 0), (0, 1)])),
+    ("combination_vector", 1, lambda x: combination_vector(A, (x,))),
+    ("select_columns", 1, lambda x: select_columns(A, (x,))),
+    ("SparseSignal.dimension", 1, lambda x: SparseSignal(x, (0,), (1,))),
+    ("SparseSignal.support", 1, lambda x: SparseSignal(5, (x,), (2,))),
+    ("SparseSignal.values", 1, lambda x: SparseSignal(5, (1,), (x,))),
+    ("SparseSignal.from_dense", 1, lambda x: SparseSignal.from_dense([0, x])),
+    ("decode.s", 1, lambda x: decode(A, (0, 0), x, 1)),
+    ("decode.amp_bound", 1, lambda x: decode(A, (0, 0), 1, x)),
+    ("guarantee_holds.m", 2, lambda x: guarantee_holds(x, 1, ())),
+    ("guarantee_holds.s", 1, lambda x: guarantee_holds(2, x, ())),
+    ("CoverInstance.m", 2, lambda x: CoverInstance(x, 1, ((1, 0),))),
+    ("CoverInstance.k", 1, lambda x: CoverInstance(2, x, ((1, 0),))),
+    ("CoverInstance.normals", 1, lambda x: CoverInstance(2, 1, ((x, 0),))),
+    ("columns_on_hyperplane", 1, lambda x: columns_on_hyperplane(A, (x, 0))),
+    ("primitive_vector", 1, lambda x: primitive_vector((x, 2))),
+    ("find_prime_in.lo", 2, lambda x: find_prime_in(x, 10)),
+    ("find_prime_in.hi", 3, lambda x: find_prime_in(2, x)),
+]
+
+# (entry point and field, the call with the rational x there)
+RATIONAL_FIELDS = [
+    ("Measurement.b", lambda x: Measurement((x,), ())),
+    ("Measurement.noise", lambda x: Measurement((0,), (x,))),
+    ("Measurement.noise_bound", lambda x: Measurement((0,), (), x)),
+    ("encode.e", lambda x: encode(A, X, (x, 0))),
+    ("encode.noise_bound", lambda x: encode(A, X, None, x)),
+    ("decode.b", lambda x: decode(A, (x, 0), 1, 1)),
+    ("guarantee_holds.e", lambda x: guarantee_holds(2, 1, (x,))),
+]
+
+
+class TestExactNumberContract:
+    """Library calls refuse what the JSON readers refuse: a float, a bool
+    or a numeric string where an integer belongs, and a float, a bool or a
+    zero denominator where a rational belongs. Nothing is coerced."""
+
+    @pytest.mark.parametrize("call,valid", [(c, v) for _, v, c in INT_FIELDS],
+                             ids=[name for name, _, _ in INT_FIELDS])
+    def test_integer_field(self, call, valid):
+        call(valid)
+        for bad in (float(valid), True, str(valid)):
+            with pytest.raises(ValueError):
+                call(bad)
+
+    @pytest.mark.parametrize("call", [c for _, c in RATIONAL_FIELDS],
+                             ids=[name for name, _ in RATIONAL_FIELDS])
+    def test_rational_field(self, call):
+        for good in (3, Fraction(3, 10), "3/10", "0.3"):
+            call(good)
+        for bad in (0.1, True, "1/0"):
+            with pytest.raises(ValueError):
+                call(bad)
+
+    def test_scale_matrix_c(self):
+        # 2c must be a positive integer, so the accepted forms are of 3/2
+        for good in (3, Fraction(3, 2), "3/2", "1.5"):
+            assert scale_matrix(A, good).entries == tuple(
+                2 * Fraction(good) * e for e in A.entries)
+        for bad in (1.5, True, "1/0"):
+            with pytest.raises(ValueError):
+                scale_matrix(A, bad)
+
+    def test_float_signal_not_truncated(self):
+        # was support (1,) and value 2, silently
+        with pytest.raises(ValueError):
+            SparseSignal(5, (1.7,), (2.9,))
+
+    def test_float_noise_not_taken_at_its_binary_value(self):
+        # was b_0 = 75660473739824333/36028797018963968
+        with pytest.raises(ValueError):
+            encode(A, X, [0.1, 0])
+        assert encode(A, X, ["0.1", 0]).b[0] == Fraction(21, 10)

@@ -188,6 +188,17 @@ class TestVerifyCertificate:
         for cert in bad:
             assert not verify_certificate(vand23, cert).accepted
 
+    @pytest.mark.parametrize("t,coeffs,columns", [
+        (2, (2, -1), (0.0, 1)),  # was a TypeError inside verify_certificate
+        (2, (2.0, -1), (0, 1)),  # was accepted as coefficients
+        (2.0, (2, -1), (0, 1)),
+        (2, (True, -1), (0, 1)),
+        (2, (2, -1), ("0", 1)),
+    ])
+    def test_refuses_non_int_fields(self, t, coeffs, columns):
+        with pytest.raises(ValueError):
+            DegeneracyCertificate(t, coeffs, columns)
+
     def test_soundness_accept_implies_failures(self):
         A = IntMatrix.from_rows([[1, 1, 1, 1], [1, 1, 2, 3]])
         cert = DegeneracyCertificate(t=2, coeffs=(1, -1), columns=(0, 1))
