@@ -25,11 +25,7 @@ from .cover import (
     min_cover_bruteforce,
     verify_cover,
 )
-from .errors import (
-    BudgetExceededError,
-    ConstructionInfeasibleError,
-    PrimeNotFoundError,
-)
+from .errors import BudgetExceededError, PrimeNotFoundError
 from .linalg import (
     IntMatrix,
     centered_residue,
@@ -62,7 +58,6 @@ __all__ = [
     "BoundsReport",
     "BudgetExceededError",
     "CertificateCheck",
-    "ConstructionInfeasibleError",
     "ConstructionParams",
     "CoverCheck",
     "CoverInstance",

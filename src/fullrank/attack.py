@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .intmath import floor_ln, iroot
+from .intmath import exact_ints, floor_ln, iroot
 from .linalg import IntMatrix, combination_vector
 from .verify import DegeneracyCertificate
 
@@ -26,6 +26,8 @@ class AttackConfig:
     k_below_regime: bool = False  # t was clamped up to 1; guarantee is void
 
     def __post_init__(self):
+        exact_ints((self.t, self.lam, self.min_agree, self.budget),
+                   "attack t, lam, min_agree and budget")
         if self.t < 1 or self.lam < 1 or self.min_agree < 1:
             raise ValueError("t, lam and min_agree must all be >= 1")
         if self.budget < 1:

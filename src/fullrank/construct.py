@@ -1,34 +1,29 @@
 """Constructions of bounded-entry matrices with all maximal minors invertible.
 
-Two explicit families, both built mod an odd prime d and both exact:
+Both explicit families are one object, made by one builder: column j
+(j = 1..d) holds the centered residues of l_j * j^(i-1) mod the smallest
+prime d of the family's window. Any m columns form a Vandermonde matrix on
+distinct nodes mod d times unit column scalings, so no minor vanishes mod d.
 
-* power-residue ("vandermonde"): entries are centered residues of j^(i-1)
-  mod d, with d the smallest odd prime in [k+1, 2k+1] (Bertrand's
-  postulate guarantees one). Every m x m column selection is a
-  Vandermonde matrix on distinct nodes mod d, so no minor vanishes mod d.
+* power-residue ("vandermonde"): l_j = 1, d in [k+1, 2k+1] (Bertrand's
+  postulate guarantees a prime), so |entries| <= (d-1)/2 <= k.
 
-* column-rescaled ("scaled"): the same power pattern for a much larger
-  prime d ~ k^(m/(m-1))/2, with each column multiplied by a unit l_j
-  chosen by a simultaneous-approximation search so that all centered
-  residues in the column shrink below the entry bound. The search returns
-  what a scan of every l in 1..d-1 would, but visits far fewer: the
-  quality is symmetric under l -> d-l, and row 0 (j^0 = 1) bounds it
-  below by l itself. Rescaling columns by units and reducing mod d
-  preserves the nonzero-minor property.
+* column-rescaled ("scaled"): d in [k^(m/(m-1))/2, k^(m/(m-1))), each l_j
+  a unit chosen by a simultaneous-approximation search so that the
+  column's residues shrink below the entry bound. The search returns what
+  a scan of every l in 1..d-1 would, but visits far fewer: the quality is
+  symmetric under l -> d-l, and row 0 (j^0 = 1) bounds it below by l.
 
-All threshold comparisons are done on integers (d * ||l j^i / d|| is an
-integer), never through floating point.
+_window states each window once, in integer form; the IntMatrix the
+builder returns enforces the entry bound k. All threshold comparisons are
+done on integers (d * ||l j^i / d|| is an integer), never through
+floating point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    ConstructionInfeasibleError,
-    PrimeNotFoundError,
-)
+from .errors import DEFAULT_BUDGET, BudgetExceededError, PrimeNotFoundError
 from .intmath import exact_ints, floor_ln, floor_sqrt_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
@@ -67,17 +62,11 @@ class ConstructionParams:
     def __post_init__(self):
         if self.variant not in (VANDERMONDE, SCALED):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not is_prime(self.d):
-            raise ValueError("d must be prime")
-        if self.variant == VANDERMONDE:
-            if self.d % 2 == 0 or not self.k + 1 <= self.d <= 2 * self.k + 1:
-                raise ValueError("vandermonde prime must be odd in [k+1, 2k+1]")
-        else:
-            km = self.k ** self.m
-            if (2 * self.d) ** (self.m - 1) < km or self.d ** (self.m - 1) >= km:
-                raise ValueError(
-                    "scaled prime must satisfy k^(m/(m-1))/2 <= d < k^(m/(m-1))"
-                )
+        lo, hi = _window(self.m, self.k, self.variant)
+        if self.d % 2 == 0 or not lo <= self.d <= hi or not is_prime(self.d):
+            raise ValueError(
+                f"{self.variant} prime must be odd in [{lo}, {hi}], got d={self.d}")
+        if self.variant == SCALED:
             if self.scalings is None or len(self.scalings) != self.d:
                 raise ValueError("scaled variant needs one multiplier per column")
             if any(not 1 <= l <= self.d - 1 for l in self.scalings):
@@ -99,37 +88,58 @@ def find_prime_in(lo: int, hi: int) -> int:
     raise PrimeNotFoundError(f"no prime in [{lo}, {hi}]")
 
 
-def _refuse_oversize(m: int, width: int) -> None:
-    """Refuse a family whose narrowest member has more than DEFAULT_BUDGET
-    entries, before the prime search and before any column is built."""
-    entries = m * width
+def _window(m: int, k: int, variant: str) -> tuple[int, int]:
+    """The family's prime window [lo, hi], the one statement of either.
+
+    Power residues: [k+1, 2k+1]. Scaled: the d with
+    k^(m/(m-1))/2 <= d < k^(m/(m-1)); both bounds are irrational in
+    general, so hi is the largest d with d^(m-1) < k^m and lo the
+    smallest d with (2d)^(m-1) >= k^m.
+    """
+    exact_ints((m, k), "m and k")
+    if m < 2 or k < 1:
+        raise ValueError(f"need m >= 2 and k >= 1 (got m={m}, k={k})")
+    if variant == VANDERMONDE:
+        return k + 1, 2 * k + 1
+    hi = iroot(k ** m - 1, m - 1)
+    return (hi + 2) // 2, hi
+
+
+def _power_residues(m: int, k: int, variant: str, multiplier) -> IntMatrix:
+    """m x d matrix whose column j = 1..d holds the centered residues of
+    multiplier(j, d) * j^(i-1) mod d, d the smallest prime of the family's
+    window, annotated with modulus d and entry bound k.
+
+    A family whose narrowest member has more than DEFAULT_BUDGET entries
+    is refused before the prime search and before any column is built.
+    """
+    lo, hi = _window(m, k, variant)
+    entries = m * lo
     if entries > DEFAULT_BUDGET:
         raise BudgetExceededError(
             entries, DEFAULT_BUDGET,
-            message=f"this family needs at least {m} x {width} = {entries} "
+            message=f"this family needs at least {m} x {lo} = {entries} "
                     f"entries, above the fixed limit of {DEFAULT_BUDGET}")
+    d = find_prime_in(lo, hi)
+    scale = [multiplier(j, d) for j in range(1, d + 1)]
+    return IntMatrix(m, d, tuple(
+        centered_residue(l * pow(j, i, d), d)
+        for i in range(m)
+        for j, l in enumerate(scale, 1)
+    ), modulus=d, entry_bound=k)
 
 
 def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
     """m x d power-residue matrix with |entries| <= (d-1)/2 <= k.
 
     Columns are indexed j = 1..d; row i holds centered residues of
-    j^(i-1) mod d. Requires k >= m so the interval [k+1, 2k+1] yields a
-    prime d > m.
+    j^(i-1) mod d. Requires k >= m, so every prime in [k+1, 2k+1] is odd
+    and above m.
     """
-    if m < 2:
-        raise ValueError("need at least 2 rows")
     if k < m:
         raise ValueError(f"this variant needs k >= m (got m={m}, k={k})")
-    _refuse_oversize(m, k + 1)
-    d = find_prime_in(k + 1, 2 * k + 1)  # k >= m >= 2: every prime here is odd
-    entries = tuple(
-        centered_residue(pow(j, i, d), d)
-        for i in range(m)
-        for j in range(1, d + 1)
-    )
-    matrix = IntMatrix(m, d, entries, modulus=d, entry_bound=k)
-    return matrix, ConstructionParams(m=m, k=k, d=d, variant=VANDERMONDE)
+    matrix = _power_residues(m, k, VANDERMONDE, lambda j, d: 1)
+    return matrix, ConstructionParams(m=m, k=k, d=matrix.cols, variant=VANDERMONDE)
 
 
 def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
@@ -145,6 +155,7 @@ def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
     scan stops once l reaches the best value found. The d^(-1/m)
     threshold check is the integer comparison (d*q)^m <= d^(m-1).
     """
+    exact_ints((j, d, m), "column, prime and row count")
     if m < 2:
         raise ValueError("need m >= 2")
     if not is_prime(d):
@@ -174,59 +185,26 @@ def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
     )
 
 
-def _scaled_prime(m: int, k: int) -> int:
-    """Smallest prime d with k^(m/(m-1))/2 <= d < k^(m/(m-1)).
-
-    Both bounds are irrational in general; the window is their integer
-    form: hi is the largest d with d^(m-1) < k^m, and lo the smallest d
-    with (2d)^(m-1) >= k^m.
-    """
-    hi = iroot(k ** m - 1, m - 1)
-    lo = (hi + 2) // 2
-    _refuse_oversize(m, lo)
-    return find_prime_in(lo, hi)
-
-
 def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
     """m x d column-rescaled matrix with |entries| <= k and prime d ~ k^(m/(m-1))/2.
 
     Only meaningful when the target width beats the power-residue family,
-    i.e. k^(m/(m-1))/2 > k+1 (equivalently k^m > (2(k+1))^(m-1)).
+    i.e. when the scaled window starts above k+1.
     """
-    if m < 2:
-        raise ValueError("need at least 2 rows")
-    if k < 3 or k ** m <= (2 * (k + 1)) ** (m - 1):
+    lo, _ = _window(m, k, SCALED)
+    if lo <= k + 1:
         raise ValueError(
-            f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for m={m}, k={k}"
-        )
-    d = _scaled_prime(m, k)
+            f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for m={m}, k={k}")
     reports = []
-    cols = []
-    for j in range(1, d + 1):
-        rep = dirichlet_scale(j, d, m)
-        col = [
-            centered_residue(rep.multiplier * pow(j, i, d), d) for i in range(m)
-        ]
-        worst = max(abs(a) for a in col)
-        if worst > k:
-            # even the minimax-optimal multiplier leaves an oversized entry
-            raise ConstructionInfeasibleError(
-                f"column {j}: best multiplier {rep.multiplier} still gives "
-                f"|entry| = {worst} > k = {k}"
-            )
-        reports.append(rep)
-        cols.append(col)
-    entries = tuple(cols[j][i] for i in range(m) for j in range(d))
-    matrix = IntMatrix(m, d, entries, modulus=d, entry_bound=k)
-    params = ConstructionParams(
-        m=m,
-        k=k,
-        d=d,
-        variant=SCALED,
-        scalings=tuple(r.multiplier for r in reports),
-        scale_reports=tuple(reports),
-    )
-    return matrix, params
+
+    def multiplier(j, d):
+        reports.append(dirichlet_scale(j, d, m))
+        return reports[-1].multiplier
+
+    matrix = _power_residues(m, k, SCALED, multiplier)
+    return matrix, ConstructionParams(
+        m=m, k=k, d=matrix.cols, variant=SCALED,
+        scalings=tuple(r.multiplier for r in reports), scale_reports=tuple(reports))
 
 
 def max_width(m: int, k: int) -> int:
@@ -291,13 +269,10 @@ def construct(m: int, k: int, d_requested: int) -> IntMatrix:
     at most (d-1)/2) and truncates to the first d_requested columns. The
     nonzero-minor property survives column truncation.
     """
-    if m < 2:
-        raise ValueError("need at least 2 rows")
-    if k < 1:
-        raise ValueError("need k >= 1")
+    exact_ints((d_requested,), "requested width d")
+    limit = max_width(m, k)
     if d_requested <= m:
         raise ValueError(f"need d > m (got d={d_requested}, m={m})")
-    limit = max_width(m, k)
     if d_requested > limit:
         raise ValueError(
             f"d={d_requested} exceeds the guaranteed width "

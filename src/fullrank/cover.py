@@ -117,6 +117,7 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
     any one hyperplane) only m = 2 with k <= 4 and m = 3 with k <= 1 are
     searched; that limit is fixed, so a refusal names it, not a budget.
     """
+    exact_ints((m, k), "cover m and k")
     if m < 2 or k < 0:
         raise ValueError("need m >= 2 and k >= 0")
     if k == 0:

@@ -25,7 +25,3 @@ class BudgetExceededError(RuntimeError):
 
 class PrimeNotFoundError(Exception):
     """No prime exists in the requested interval."""
-
-
-class ConstructionInfeasibleError(Exception):
-    """A construction cannot meet its entry bound for the given parameters."""

@@ -128,6 +128,7 @@ def verify_sampled(A: IntMatrix, trials: int, seed: int,
     Subsets may repeat; equal seeds give identical reports. Refuses, before
     drawing anything, when trials exceeds the budget.
     """
+    exact_ints((trials, seed), "trials and seed")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > budget:

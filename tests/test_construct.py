@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from fullrank.construct import (
+    SCALED,
+    VANDERMONDE,
     ConstructionParams,
-    _scaled_prime,
+    _window,
     construct,
     construct_scaled,
     construct_vandermonde,
@@ -63,9 +65,72 @@ class TestScaledPrime:
                         break
                 if d is None:
                     with pytest.raises(PrimeNotFoundError):
-                        _scaled_prime(m, k)
+                        find_prime_in(*_window(m, k, SCALED))
                 else:
-                    assert _scaled_prime(m, k) == d
+                    assert find_prime_in(*_window(m, k, SCALED)) == d
+
+
+class TestWindow:
+    """_window is the one statement of each family's prime window."""
+
+    def test_scaled_refused_exactly_below_power_residue_width(self, monkeypatch):
+        # the refusal is the real-number test k^(m/(m-1))/2 <= k+1, in its
+        # integer form; the builder is stubbed, so nothing is built
+        class Built(Exception):
+            pass
+
+        def stub(*args):
+            raise Built
+
+        monkeypatch.setattr(construct_mod, "_power_residues", stub)
+        for m in range(2, 9):
+            for k in range(1, 401):
+                refused = k < 3 or k ** m <= (2 * (k + 1)) ** (m - 1)
+                with pytest.raises(ValueError if refused else Built):
+                    construct_scaled(m, k)
+
+    @staticmethod
+    def params(variant, m, k, d, scalings=True):
+        if scalings is True:
+            scalings = (1,) * d if variant == SCALED else None
+        return ConstructionParams(m=m, k=k, d=d, variant=variant,
+                                  scalings=scalings)
+
+    @pytest.mark.parametrize("variant,m,k", [
+        (VANDERMONDE, 2, 6), (VANDERMONDE, 3, 10), (VANDERMONDE, 4, 30),
+        (SCALED, 2, 8), (SCALED, 3, 20), (SCALED, 4, 30), (SCALED, 5, 40)])
+    def test_params_accept_exactly_the_window(self, variant, m, k):
+        lo, hi = _window(m, k, variant)
+        if variant == SCALED:
+            # k^(m/(m-1))/2 <= d < k^(m/(m-1)), checked at both ends
+            km = k ** m
+            assert (2 * lo) ** (m - 1) >= km > (2 * (lo - 1)) ** (m - 1)
+            assert hi ** (m - 1) < km <= (hi + 1) ** (m - 1)
+        else:
+            assert (lo, hi) == (k + 1, 2 * k + 1)
+        inside = [p for p in range(lo, hi + 1) if trial_prime(p)]
+        below = max(p for p in range(3, lo) if trial_prime(p))
+        above = min(p for p in range(hi + 1, 2 * hi + 2) if trial_prime(p))
+        for d in (inside[0], inside[-1]):
+            assert self.params(variant, m, k, d).d == d
+        for d in (lo - 1, below, hi + 1, above):
+            with pytest.raises(ValueError):
+                self.params(variant, m, k, d)
+
+    def test_params_reject_even_prime(self):
+        # d = 2 lies in both windows here
+        assert _window(2, 1, VANDERMONDE)[0] == _window(2, 2, SCALED)[0] == 2
+        with pytest.raises(ValueError):
+            self.params(VANDERMONDE, 2, 1, 2)
+        with pytest.raises(ValueError):
+            self.params(SCALED, 2, 2, 2)
+
+    def test_params_need_one_multiplier_per_column(self):
+        # m=2, k=8: the window is [32, 63]
+        assert self.params(SCALED, 2, 8, 37).d == 37
+        for scalings in (None, (1,) * 36, (1,) * 38):
+            with pytest.raises(ValueError):
+                self.params(SCALED, 2, 8, 37, scalings)
 
 
 class TestSizeLimit:

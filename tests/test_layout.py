@@ -13,20 +13,26 @@ import pytest
 
 import fullrank
 from fullrank import (
+    AttackConfig,
     CoverInstance,
     IntMatrix,
     Measurement,
     SparseSignal,
     columns_on_hyperplane,
     combination_vector,
+    construct,
     construct_vandermonde,
     decode,
     det_exact,
+    dirichlet_scale,
     encode,
+    find_collision,
     find_prime_in,
     guarantee_holds,
+    min_cover_bruteforce,
     scale_matrix,
     select_columns,
+    verify_sampled,
 )
 from fullrank.intmath import primitive_vector
 
@@ -116,6 +122,18 @@ INT_FIELDS = [
     ("primitive_vector", 1, lambda x: primitive_vector((x, 2))),
     ("find_prime_in.lo", 2, lambda x: find_prime_in(x, 10)),
     ("find_prime_in.hi", 3, lambda x: find_prime_in(2, x)),
+    ("AttackConfig.t", 1, lambda x: find_collision(A, AttackConfig(x, 1, 2))),
+    ("AttackConfig.lam", 1, lambda x: find_collision(A, AttackConfig(1, x, 2))),
+    ("AttackConfig.min_agree", 2, lambda x: find_collision(A, AttackConfig(1, 1, x))),
+    ("AttackConfig.budget", 1, lambda x: find_collision(A, AttackConfig(1, 1, 2, x))),
+    ("verify_sampled.trials", 10, lambda x: verify_sampled(A, x, 1)),
+    ("verify_sampled.seed", 1, lambda x: verify_sampled(A, 5, x)),
+    ("dirichlet_scale.j", 2, lambda x: dirichlet_scale(x, 7, 2)),
+    ("dirichlet_scale.d", 7, lambda x: dirichlet_scale(2, x, 2)),
+    ("dirichlet_scale.m", 2, lambda x: dirichlet_scale(2, 7, x)),
+    ("min_cover_bruteforce.m", 2, lambda x: min_cover_bruteforce(x, 1)),
+    ("min_cover_bruteforce.k", 1, lambda x: min_cover_bruteforce(2, x)),
+    ("construct.d", 4, lambda x: construct(2, 3, x)),
 ]
 
 # (entry point and field, the call with the rational x there)
