@@ -25,7 +25,7 @@ from .cover import (
     min_cover_bruteforce,
     verify_cover,
 )
-from .errors import BudgetExceededError, PrimeNotFoundError
+from .errors import BudgetExceededError
 from .linalg import (
     IntMatrix,
     centered_residue,
@@ -65,7 +65,6 @@ __all__ = [
     "DegeneracyCertificate",
     "IntMatrix",
     "Measurement",
-    "PrimeNotFoundError",
     "ScaleSearchResult",
     "SparseSignal",
     "VerificationReport",

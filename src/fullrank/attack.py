@@ -9,7 +9,7 @@ those columns. find_collision scans each such difference once.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 from .intmath import exact_ints, floor_ln, iroot
 from .linalg import IntMatrix, combination_vector
 from .verify import DegeneracyCertificate
@@ -26,12 +26,10 @@ class AttackConfig:
     k_below_regime: bool = False  # t was clamped up to 1; guarantee is void
 
     def __post_init__(self):
-        exact_ints((self.t, self.lam, self.min_agree, self.budget),
-                   "attack t, lam, min_agree and budget")
+        exact_ints((self.t, self.lam, self.min_agree),
+                   "attack t, lam and min_agree")
         if self.t < 1 or self.lam < 1 or self.min_agree < 1:
             raise ValueError("t, lam and min_agree must all be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 def attack_params(m: int, k: int) -> AttackConfig:
@@ -95,10 +93,8 @@ def find_collision(A: IntMatrix, cfg: AttackConfig) -> DegeneracyCertificate | N
     if cfg.min_agree > A.cols:
         raise ValueError(
             f"min_agree={cfg.min_agree} exceeds column count {A.cols}")
-    differences = ((2 * cfg.lam + 1) ** cfg.t - 1) // 2
-    if differences > cfg.budget:
-        raise BudgetExceededError(differences, cfg.budget,
-                                  what="coefficient difference scan")
+    check_budget(((2 * cfg.lam + 1) ** cfg.t - 1) // 2, cfg.budget,
+                 "coefficient difference scan")
     span = range(cfg.lam + 1)
     for small in product(span, repeat=cfg.t):
         for large in product(*[span if a == 0 else (0,) for a in small]):

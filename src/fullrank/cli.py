@@ -17,7 +17,7 @@ from . import cover as cover_mod
 from . import recover as recover_mod
 from . import serialize as ser
 from . import verify as verify_mod
-from .errors import DEFAULT_BUDGET, BudgetExceededError, PrimeNotFoundError
+from .errors import DEFAULT_BUDGET
 
 # The package rebinds its attribute ``construct`` to the function of that
 # name, so the module is looked up by its full name.
@@ -281,8 +281,7 @@ def run(argv) -> int:
         if res.csv is not None:
             with open(args.csv_out, "w", encoding="utf-8") as fh:
                 fh.write(res.csv)
-    except (BudgetExceededError, OSError, PrimeNotFoundError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(res.doc) if args.json else human)

@@ -13,6 +13,8 @@ distinct nodes mod d times unit column scalings, so no minor vanishes mod d.
   column's residues shrink below the entry bound. The search returns what
   a scan of every l in 1..d-1 would, but visits far fewer: the quality is
   symmetric under l -> d-l, and row 0 (j^0 = 1) bounds it below by l.
+  Dirichlet's theorem caps each column's scan at d // floor(d^(1/m))
+  tries, and a family needing more than DEFAULT_BUDGET tries is refused.
 
 _window states each window once, in integer form; the IntMatrix the
 builder returns enforces the entry bound k. All threshold comparisons are
@@ -23,7 +25,7 @@ floating point.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, PrimeNotFoundError
+from .errors import DEFAULT_BUDGET, check_budget
 from .intmath import exact_ints, floor_ln, floor_sqrt_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
@@ -63,6 +65,8 @@ class ConstructionParams:
         if self.variant not in (VANDERMONDE, SCALED):
             raise ValueError(f"unknown variant {self.variant!r}")
         lo, hi = _window(self.m, self.k, self.variant)
+        exact_ints((self.d,), "prime d")
+        exact_ints(self.scalings or (), "scalings")
         if self.d % 2 == 0 or not lo <= self.d <= hi or not is_prime(self.d):
             raise ValueError(
                 f"{self.variant} prime must be odd in [{lo}, {hi}], got d={self.d}")
@@ -85,7 +89,7 @@ def find_prime_in(lo: int, hi: int) -> int:
     for p in range(max(2, lo), hi + 1):
         if is_prime(p):
             return p
-    raise PrimeNotFoundError(f"no prime in [{lo}, {hi}]")
+    raise ValueError(f"no prime in [{lo}, {hi}]")
 
 
 def _window(m: int, k: int, variant: str) -> tuple[int, int]:
@@ -105,23 +109,20 @@ def _window(m: int, k: int, variant: str) -> tuple[int, int]:
     return (hi + 2) // 2, hi
 
 
-def _power_residues(m: int, k: int, variant: str, multiplier) -> IntMatrix:
+def _power_residues(m: int, k: int, variant: str, scalings) -> IntMatrix:
     """m x d matrix whose column j = 1..d holds the centered residues of
-    multiplier(j, d) * j^(i-1) mod d, d the smallest prime of the family's
-    window, annotated with modulus d and entry bound k.
+    l_j * j^(i-1) mod d, d the smallest prime of the family's window and
+    (l_1, ..., l_d) = scalings(d), annotated with modulus d and entry
+    bound k.
 
     A family whose narrowest member has more than DEFAULT_BUDGET entries
     is refused before the prime search and before any column is built.
     """
     lo, hi = _window(m, k, variant)
-    entries = m * lo
-    if entries > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            entries, DEFAULT_BUDGET,
-            message=f"this family needs at least {m} x {lo} = {entries} "
-                    f"entries, above the fixed limit of {DEFAULT_BUDGET}")
+    check_budget(m * lo, DEFAULT_BUDGET, f"this family needs at least {m} x "
+                 f"{lo} = {m * lo} entries", fixed=True)
     d = find_prime_in(lo, hi)
-    scale = [multiplier(j, d) for j in range(1, d + 1)]
+    scale = scalings(d)
     return IntMatrix(m, d, tuple(
         centered_residue(l * pow(j, i, d), d)
         for i in range(m)
@@ -138,7 +139,7 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
     """
     if k < m:
         raise ValueError(f"this variant needs k >= m (got m={m}, k={k})")
-    matrix = _power_residues(m, k, VANDERMONDE, lambda j, d: 1)
+    matrix = _power_residues(m, k, VANDERMONDE, lambda d: [1] * d)
     return matrix, ConstructionParams(m=m, k=k, d=matrix.cols, variant=VANDERMONDE)
 
 
@@ -152,8 +153,12 @@ def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
     search compares the integers d*q(l). Two facts prune the scan without
     changing its answer: q(d-l) = q(l), so l > d/2 never beats its mirror
     d-l < l; and row 0 is j^0 = 1, so d*q(l) >= l for l <= d/2, and the
-    scan stops once l reaches the best value found. The d^(-1/m)
-    threshold check is the integer comparison (d*q)^m <= d^(m-1).
+    scan stops once l reaches the best value found. It takes at most
+    d // N tries, N = floor(d^(1/m)): by Dirichlet's box argument two of
+    the d points l (j^0, ..., j^(m-1)) / d mod 1, l = 0..d-1, share one
+    of the N^m < d boxes of side 1/N, so their difference has d*q < d/N.
+    The d^(-1/m) threshold check is the integer comparison
+    (d*q)^m <= d^(m-1).
     """
     exact_ints((j, d, m), "column, prime and row count")
     if m < 2:
@@ -197,11 +202,14 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
             f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for m={m}, k={k}")
     reports = []
 
-    def multiplier(j, d):
-        reports.append(dirichlet_scale(j, d, m))
-        return reports[-1].multiplier
+    def scalings(d):
+        tries = d // iroot(d, m)  # per column, at most (see dirichlet_scale)
+        check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search "
+                     f"needs up to {d} x {tries} = {d * tries} tries", fixed=True)
+        reports.extend(dirichlet_scale(j, d, m) for j in range(1, d + 1))
+        return [r.multiplier for r in reports]
 
-    matrix = _power_residues(m, k, SCALED, multiplier)
+    matrix = _power_residues(m, k, SCALED, scalings)
     return matrix, ConstructionParams(
         m=m, k=k, d=matrix.cols, variant=SCALED,
         scalings=tuple(r.multiplier for r in reports), scale_reports=tuple(reports))

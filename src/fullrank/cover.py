@@ -11,7 +11,7 @@ for tiny grids.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 from .intmath import exact_ints, iroot, primitive_vector
 from .linalg import IntMatrix, combination_vector
 
@@ -67,9 +67,7 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     first uncovered point. An empty normal list covers nothing, so it is
     rejected at the first point scanned.
     """
-    size = (2 * inst.k + 1) ** inst.m
-    if size > budget:
-        raise BudgetExceededError(size, budget, what="grid enumeration")
+    check_budget((2 * inst.k + 1) ** inst.m, budget, "grid enumeration")
     span = range(-inst.k, inst.k + 1)
     checked = 0
     for x in product(span, repeat=inst.m):
@@ -123,10 +121,8 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
     if k == 0:
         return 1, ((1,) + (0,) * (m - 1),)
     if not ((m == 2 and k <= 4) or (m == 3 and k <= 1)):
-        raise BudgetExceededError(
-            (2 * k + 1) ** m, (2 * 4 + 1) ** 2, message=(
-                f"exact cover search supports only k = 0, m = 2 with "
-                f"k <= 4 and m = 3 with k <= 1 (got m={m}, k={k})"))
+        raise ValueError(f"exact cover search supports only k = 0, m = 2 with "
+                         f"k <= 4 and m = 3 with k <= 1 (got m={m}, k={k})")
 
     points = _half_grid(m, k)
     candidates = sorted({primitive_vector(p) for p in points})

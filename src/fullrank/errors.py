@@ -1,27 +1,32 @@
-"""Exception types and the work budget shared across the package."""
+"""The one work budget and the one rule that enforces it: every search
+counts its steps before it starts and passes the count to check_budget.
+A refusal is then a BudgetExceededError; every refusal is a ValueError."""
+
+from .intmath import exact_ints
 
 # Default cap on the steps one exhaustive scan may take: minors, coefficient
-# differences, decoder candidates or grid points.
+# differences, decoder candidates or grid points; the fixed cap on the
+# entries and the multiplier tries of a construction.
 DEFAULT_BUDGET = 10_000_000
 
 
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed its work budget.
+class BudgetExceededError(ValueError):
+    """A search would exceed its work budget; carries the required count
+    so callers can decide to raise the budget and retry."""
 
-    Carries the required count so callers can decide to raise the budget
-    and retry. A search whose limit is fixed rather than settable passes
-    its own message naming the supported range.
-    """
-
-    def __init__(self, required: int, budget: int, what: str = "enumeration",
-                 message: str | None = None):
+    def __init__(self, required: int, budget: int, message: str):
         self.required = required
         self.budget = budget
-        if message is None:
-            message = (f"{what} needs {required} steps, exceeding the budget "
-                       f"of {budget}; pass a larger budget to override")
         super().__init__(message)
 
 
-class PrimeNotFoundError(Exception):
-    """No prime exists in the requested interval."""
+def check_budget(required: int, budget: int, what: str, fixed: bool = False):
+    """Refuse `required` steps of the work named by what above an int
+    budget. A fixed limit (fixed=True, what stating the need) is named
+    as such instead of asking for a larger budget."""
+    exact_ints((budget,), "budget")
+    if required > budget:
+        raise BudgetExceededError(required, budget, (
+            f"{what}, above the fixed limit of {budget}" if fixed else
+            f"{what} needs {required} steps, exceeding the budget of "
+            f"{budget}; pass a larger budget to override"))

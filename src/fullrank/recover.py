@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 from .intmath import exact_ints, exact_rationals
 from .linalg import IntMatrix
 
@@ -159,8 +159,7 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
         raise ValueError("amplitude bound must be >= 1")
     n_candidates = sum(math.comb(d, r) * (2 * amp_bound) ** r
                        for r in range(s + 1))
-    if n_candidates > budget:
-        raise BudgetExceededError(n_candidates, budget, what="decoder enumeration")
+    check_budget(n_candidates, budget, "decoder enumeration")
 
     # clear denominators once so the search is pure integer arithmetic
     denom = math.lcm(*(t.denominator for t in target))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 from .intmath import exact_ints
 from .linalg import IntMatrix, combination_vector, det_exact
 
@@ -100,8 +100,7 @@ def verify_exhaustive(A: IntMatrix,
     m, d = A.rows, A.cols
     cols = _columns(A)
     total = math.comb(d, m)
-    if total > budget:
-        raise BudgetExceededError(total, budget, what="exhaustive minor sweep")
+    check_budget(total, budget, "exhaustive minor sweep")
     plans = _laplace_plans(m)
     failures = []
 
@@ -131,8 +130,7 @@ def verify_sampled(A: IntMatrix, trials: int, seed: int,
     exact_ints((trials, seed), "trials and seed")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if trials > budget:
-        raise BudgetExceededError(trials, budget, what="sampled minor check")
+    check_budget(trials, budget, "sampled minor check")
     m, d = A.rows, A.cols
     cols = _columns(A)
     rng = random.Random(seed)

@@ -16,7 +16,8 @@ from fullrank.construct import (
     find_prime_in,
     max_width,
 )
-from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError, PrimeNotFoundError
+from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError
+from fullrank.intmath import iroot
 from fullrank.linalg import select_columns
 from oracles import (
     all_minors_nonzero,
@@ -35,7 +36,7 @@ class TestFindPrimeIn:
         assert find_prime_in(2, 3) == 2
 
     def test_composite_window(self):
-        with pytest.raises(PrimeNotFoundError):
+        with pytest.raises(ValueError, match=r"no prime in \[24, 28\]"):
             find_prime_in(24, 28)
 
     def test_non_int_bounds_rejected(self):
@@ -64,7 +65,7 @@ class TestScaledPrime:
                         d = None
                         break
                 if d is None:
-                    with pytest.raises(PrimeNotFoundError):
+                    with pytest.raises(ValueError):
                         find_prime_in(*_window(m, k, SCALED))
                 else:
                     assert find_prime_in(*_window(m, k, SCALED)) == d
@@ -135,7 +136,8 @@ class TestWindow:
 
 class TestSizeLimit:
     """A family whose narrowest member has more than DEFAULT_BUDGET entries
-    is refused before the prime search."""
+    is refused before the prime search; a scaled family whose multiplier
+    search may take more than DEFAULT_BUDGET tries, before any column."""
 
     def test_refused_at_huge_k(self):
         for build in (lambda: construct_scaled(2, 100_000),
@@ -155,13 +157,36 @@ class TestSizeLimit:
         assert "2 x 6 = 12 entries" in str(exc.value)
 
     def test_scaled_limit_is_m_times_window_start(self, monkeypatch):
-        # m=2, k=8: the window is [32, 63]
-        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 64)
+        # m=2, k=8: the window is [32, 63], d = 37 and each column's scan
+        # takes at most 37 // isqrt(37) = 6 tries
+        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 222)
         assert construct_scaled(2, 8)[1].d == 37
+        monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 221)
+        with pytest.raises(BudgetExceededError) as exc:
+            construct_scaled(2, 8)
+        assert exc.value.required == 222
+        assert "37 x 6 = 222 tries" in str(exc.value)
         monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 63)
         with pytest.raises(BudgetExceededError) as exc:
             construct_scaled(2, 8)
         assert exc.value.required == 64
+
+    def test_multiplier_tries_limit(self, monkeypatch):
+        # d * (d // isqrt(d)): 9.94M tries at k = 304, 10.5M at k = 310;
+        # the refusal comes before any column is searched
+        searched = []
+        monkeypatch.setattr(construct_mod, "dirichlet_scale",
+                            lambda *args: searched.append(args))
+        for k in (310, 600):
+            with pytest.raises(BudgetExceededError) as exc:
+                construct_scaled(2, k)
+            assert exc.value.required > DEFAULT_BUDGET
+            assert "tries" in str(exc.value)
+            assert str(DEFAULT_BUDGET) in str(exc.value)
+        assert searched == []
+        lo, hi = _window(2, 304, SCALED)
+        d = find_prime_in(lo, hi)
+        assert d * (d // iroot(d, 2)) <= DEFAULT_BUDGET
 
 
 class TestVandermonde:
@@ -216,6 +241,15 @@ class TestDirichletScale:
                     l, q, met = best_multiplier_exhaustive(j, d, m)
                     assert (rep.multiplier, rep.quality) == (l, q)
                     assert rep.within_threshold == met
+
+    def test_dirichlet_bounds_the_scan(self):
+        # d * quality < d / floor(d^(1/m)): the bound the multiplier
+        # search's work limit counts, d // N tries per column
+        for d in filter(trial_prime, range(300)):
+            for m in range(2, 6):
+                tries = d // iroot(d, m)
+                for j in range(1, d + 1):
+                    assert d * dirichlet_scale(j, d, m).quality <= tries
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -176,13 +176,14 @@ class TestMinCover:
         assert verify_cover(CoverInstance(3, 1, witness)).accepted
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            min_cover_bruteforce(2, 5)
-        with pytest.raises(BudgetExceededError):
-            min_cover_bruteforce(3, 2)
+        # a fixed range, not a budget: a plain ValueError, no counts
+        for m, k in ((2, 5), (3, 2), (4, 1)):
+            with pytest.raises(ValueError) as exc:
+                min_cover_bruteforce(m, k)
+            assert not isinstance(exc.value, BudgetExceededError)
 
     def test_refusal_names_supported_range(self):
-        with pytest.raises(BudgetExceededError) as exc:
+        with pytest.raises(ValueError) as exc:
             min_cover_bruteforce(4, 1)
         msg = str(exc.value)
         assert "m = 2 with k <= 4" in msg and "m = 3 with k <= 1" in msg

@@ -14,6 +14,7 @@ import pytest
 import fullrank
 from fullrank import (
     AttackConfig,
+    ConstructionParams,
     CoverInstance,
     IntMatrix,
     Measurement,
@@ -32,6 +33,8 @@ from fullrank import (
     min_cover_bruteforce,
     scale_matrix,
     select_columns,
+    verify_cover,
+    verify_exhaustive,
     verify_sampled,
 )
 from fullrank.intmath import primitive_vector
@@ -84,6 +87,13 @@ def test_default_budget_assigned_once():
         assert module.DEFAULT_BUDGET is errors.DEFAULT_BUDGET
 
 
+def test_budget_refused_only_by_check_budget():
+    # one refusal rule: every search passes its count to errors.check_budget
+    raising = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "BudgetExceededError(" in path.read_text()]
+    assert raising == ["errors.py"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)
@@ -113,11 +123,14 @@ INT_FIELDS = [
     ("SparseSignal.from_dense", 1, lambda x: SparseSignal.from_dense([0, x])),
     ("decode.s", 1, lambda x: decode(A, (0, 0), x, 1)),
     ("decode.amp_bound", 1, lambda x: decode(A, (0, 0), 1, x)),
+    ("decode.budget", 11, lambda x: decode(A, (0, 0), 1, 1, x)),
     ("guarantee_holds.m", 2, lambda x: guarantee_holds(x, 1, ())),
     ("guarantee_holds.s", 1, lambda x: guarantee_holds(2, x, ())),
     ("CoverInstance.m", 2, lambda x: CoverInstance(x, 1, ((1, 0),))),
     ("CoverInstance.k", 1, lambda x: CoverInstance(2, x, ((1, 0),))),
     ("CoverInstance.normals", 1, lambda x: CoverInstance(2, 1, ((x, 0),))),
+    ("verify_cover.budget", 9,
+     lambda x: verify_cover(CoverInstance(2, 1, ((1, 0),)), x)),
     ("columns_on_hyperplane", 1, lambda x: columns_on_hyperplane(A, (x, 0))),
     ("primitive_vector", 1, lambda x: primitive_vector((x, 2))),
     ("find_prime_in.lo", 2, lambda x: find_prime_in(x, 10)),
@@ -128,12 +141,19 @@ INT_FIELDS = [
     ("AttackConfig.budget", 1, lambda x: find_collision(A, AttackConfig(1, 1, 2, x))),
     ("verify_sampled.trials", 10, lambda x: verify_sampled(A, x, 1)),
     ("verify_sampled.seed", 1, lambda x: verify_sampled(A, 5, x)),
+    ("verify_sampled.budget", 5, lambda x: verify_sampled(A, 5, 1, x)),
+    ("verify_exhaustive.budget", 10, lambda x: verify_exhaustive(A, x)),
     ("dirichlet_scale.j", 2, lambda x: dirichlet_scale(x, 7, 2)),
     ("dirichlet_scale.d", 7, lambda x: dirichlet_scale(2, x, 2)),
     ("dirichlet_scale.m", 2, lambda x: dirichlet_scale(2, 7, x)),
     ("min_cover_bruteforce.m", 2, lambda x: min_cover_bruteforce(x, 1)),
     ("min_cover_bruteforce.k", 1, lambda x: min_cover_bruteforce(2, x)),
     ("construct.d", 4, lambda x: construct(2, 3, x)),
+    ("ConstructionParams.d", 7,
+     lambda x: ConstructionParams(m=2, k=6, d=x, variant="vandermonde")),
+    ("ConstructionParams.scalings", 1,
+     lambda x: ConstructionParams(m=2, k=8, d=37, variant="scaled",
+                                  scalings=(x,) + (1,) * 36)),
 ]
 
 # (entry point and field, the call with the rational x there)
