@@ -13,6 +13,7 @@ from .construct import (
     construct,
     construct_scaled,
     construct_vandermonde,
+    construct_width,
     dirichlet_scale,
     find_prime_in,
     max_width,
@@ -76,6 +77,7 @@ __all__ = [
     "construct",
     "construct_scaled",
     "construct_vandermonde",
+    "construct_width",
     "cover_lower_bound",
     "decode",
     "det_exact",

@@ -1,9 +1,10 @@
 """Degeneracy search over small-coefficient row combinations.
 
-A nonzero c in {-L..L}^t whose combination of the first t rows vanishes
-on at least min_agree columns certifies a degenerate m x m submatrix; it
-is the difference of two vectors in {0..L}^t whose combinations agree on
-those columns. find_collision scans each such difference once.
+A nonzero c in {-L..L}^t whose combination of the first t <= m rows
+vanishes on at least min_agree >= m columns certifies a degenerate m x m
+submatrix; it is the difference of two vectors in {0..L}^t whose
+combinations agree on those columns. find_collision scans each such
+difference once, under a budget passed like every other scan's.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,6 @@ class AttackConfig:
     t: int
     lam: int
     min_agree: int
-    budget: int = DEFAULT_BUDGET
-    k_below_regime: bool = False  # t was clamped up to 1; guarantee is void
 
     def __post_init__(self):
         exact_ints((self.t, self.lam, self.min_agree),
@@ -38,29 +37,21 @@ def attack_params(m: int, k: int) -> AttackConfig:
     Regime split at m >= ln k, decided exactly as m > floor(ln k) (ln k is
     irrational for k >= 2): there use t = floor(ln k) rows and
     coefficients up to 9; otherwise t = m and coefficients up to
-    floor(25 * k^(1/(m-1))), computed exactly. For tiny k the floor can
-    drop below one row; t is clamped to 1 and the config flagged, since
-    the search guarantee is meaningless in that range.
+    floor(25 * k^(1/(m-1))), computed exactly. For k < e the floor is 0
+    rows; t is clamped to 1, a range where the search guarantee says
+    nothing.
     """
     if m < 2 or k < 2:
         raise ValueError("need m >= 2 and k >= 2")
     ln_floor = floor_ln(k)
     if m > ln_floor:
-        t = ln_floor
-        lam = 9
-        clamped = t < 1
-        t = max(t, 1)
-    else:
-        t = m
-        # floor(25 k^(1/(m-1))) as the integer (m-1)-th root of 25^(m-1) k
-        lam = iroot(25 ** (m - 1) * k, m - 1)
-        clamped = False
-    return AttackConfig(t=t, lam=lam, min_agree=m, k_below_regime=clamped)
+        return AttackConfig(t=max(ln_floor, 1), lam=9, min_agree=m)
+    # floor(25 k^(1/(m-1))) as the integer (m-1)-th root of 25^(m-1) k
+    return AttackConfig(t=m, lam=iroot(25 ** (m - 1) * k, m - 1), min_agree=m)
 
 
 def attack_config(A: IntMatrix, t: int | None = None, lam: int | None = None,
-                  min_agree: int | None = None,
-                  budget: int = DEFAULT_BUDGET) -> AttackConfig:
+                  min_agree: int | None = None) -> AttackConfig:
     """Search parameters for A, each given field kept as is. A missing t or
     lam comes from attack_params(rows, k), k being A's entry bound, else its
     largest |entry|, and at least 2 (so a 1-row matrix needs both given);
@@ -71,12 +62,15 @@ def attack_config(A: IntMatrix, t: int | None = None, lam: int | None = None,
         t = defaults.t if t is None else t
         lam = defaults.lam if lam is None else lam
     min_agree = A.rows if min_agree is None else min_agree
-    return AttackConfig(t=t, lam=lam, min_agree=min_agree, budget=budget)
+    return AttackConfig(t=t, lam=lam, min_agree=min_agree)
 
 
-def find_collision(A: IntMatrix, cfg: AttackConfig) -> DegeneracyCertificate | None:
+def find_collision(A: IntMatrix, cfg: AttackConfig,
+                   budget: int = DEFAULT_BUDGET) -> DegeneracyCertificate | None:
     """First pair of coefficient vectors in {0..lam}^t whose combinations
     agree on >= cfg.min_agree coordinates, as a degeneracy certificate.
+    min_agree must lie between A's row and column counts, so that every
+    certificate returned lists the m columns verify_certificate needs.
 
     Pairs are ordered lexicographically on (smaller, larger), and whether
     a pair agrees depends only on its difference c = larger - smaller. So
@@ -90,10 +84,10 @@ def find_collision(A: IntMatrix, cfg: AttackConfig) -> DegeneracyCertificate | N
     """
     if cfg.t > A.rows:
         raise ValueError(f"t={cfg.t} exceeds row count {A.rows}")
-    if cfg.min_agree > A.cols:
-        raise ValueError(
-            f"min_agree={cfg.min_agree} exceeds column count {A.cols}")
-    check_budget(((2 * cfg.lam + 1) ** cfg.t - 1) // 2, cfg.budget,
+    if not A.rows <= cfg.min_agree <= A.cols:
+        raise ValueError(f"min_agree={cfg.min_agree} outside [{A.rows}, "
+                         f"{A.cols}], the row and column counts")
+    check_budget(((2 * cfg.lam + 1) ** cfg.t - 1) // 2, budget,
                  "coefficient difference scan")
     span = range(cfg.lam + 1)
     for small in product(span, repeat=cfg.t):

@@ -40,28 +40,28 @@ def _load_matrix(path: str):
 
 
 def cmd_construct(args) -> Outcome:
-    params = None
     if args.d is not None:
-        matrix = construct_mod.construct(args.m, args.k, args.d)
+        matrix, params = construct_mod.construct_width(args.m, args.k, args.d)
     elif args.variant == construct_mod.SCALED:
         matrix, params = construct_mod.construct_scaled(args.m, args.k)
     else:
         matrix, params = construct_mod.construct_vandermonde(args.m, args.k)
     doc = ser.matrix_to_dict(matrix, params)
-    variant = params.variant if params else "auto"
     return Outcome(0, doc,
                    f"constructed {matrix.rows}x{matrix.cols} matrix "
-                   f"(variant={variant}, modulus={matrix.modulus}, "
+                   f"(variant={params.variant}, modulus={matrix.modulus}, "
                    f"entry_bound={matrix.entry_bound})",
                    out_doc=doc,
                    csv=ser.matrix_to_csv(matrix) if args.csv_out else None)
 
 
 def cmd_verify(args) -> Outcome:
+    if args.trials is None and args.seed is not None:
+        raise ValueError("--seed applies only to sampled mode (--trials)")
     matrix = _load_matrix(args.infile)
     if args.trials is not None:
         report = verify_mod.verify_sampled(
-            matrix, trials=args.trials, seed=args.seed, budget=args.budget)
+            matrix, trials=args.trials, seed=args.seed or 0, budget=args.budget)
     else:
         report = verify_mod.verify_exhaustive(matrix, budget=args.budget)
     lines = [f"checked {report.total_checked} minors "
@@ -76,8 +76,8 @@ def cmd_verify(args) -> Outcome:
 def cmd_attack(args) -> Outcome:
     matrix = _load_matrix(args.infile)
     cfg = attack_mod.attack_config(matrix, t=args.t, lam=args.lam,
-                                   min_agree=args.min_agree, budget=args.budget)
-    cert = attack_mod.find_collision(matrix, cfg)
+                                   min_agree=args.min_agree)
+    cert = attack_mod.find_collision(matrix, cfg, args.budget)
     if cert is None:
         return Outcome(0, {"certificate": None}, f"no degeneracy found "
                        f"(t={cfg.t}, coefficient range 0..{cfg.lam})")
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check every minor (default)")
     mode.add_argument("--trials", type=int, default=None,
                       help="sampled mode: number of random minors")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled mode (default 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for sampled mode only (default 0)")
 
     p = command(sub, "attack", cmd_attack,
                 "search row combinations for a degeneracy certificate",
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="max coefficient")
     p.add_argument("--min-agree", type=int, default=None,
-                   help="required agreements (default: row count)")
+                   help="required agreements, from the row count (the "
+                        "default) to the column count")
 
     p = sub.add_parser("recover", help="encode/decode sparse integer signals")
     rsub = p.add_subparsers(dest="recover_command", required=True)

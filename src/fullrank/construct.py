@@ -269,8 +269,10 @@ def bounds_report(m: int, k: int) -> BoundsReport:
     )
 
 
-def construct(m: int, k: int, d_requested: int) -> IntMatrix:
-    """m x d_requested matrix with |entries| <= k and every m x m minor invertible.
+def construct_width(m: int, k: int,
+                    d_requested: int) -> tuple[IntMatrix, ConstructionParams]:
+    """m x d_requested matrix with |entries| <= k and every m x m minor
+    invertible, and the parameters of the family it is cut from.
 
     Picks the variant whose guaranteed width covers d_requested (preferring
     the power-residue family when both do, since its entries are provably
@@ -288,9 +290,14 @@ def construct(m: int, k: int, d_requested: int) -> IntMatrix:
         )
     if d_requested <= k + 1:
         # d > m and d <= k+1 force k >= m, the variant's precondition
-        matrix, _ = construct_vandermonde(m, k)
+        matrix, params = construct_vandermonde(m, k)
     else:
-        matrix, _ = construct_scaled(m, k)
-    if d_requested == matrix.cols:
-        return matrix
-    return select_columns(matrix, range(d_requested))
+        matrix, params = construct_scaled(m, k)
+    if d_requested != matrix.cols:
+        matrix = select_columns(matrix, range(d_requested))
+    return matrix, params
+
+
+def construct(m: int, k: int, d_requested: int) -> IntMatrix:
+    """The matrix of construct_width(m, k, d_requested)."""
+    return construct_width(m, k, d_requested)[0]

@@ -71,23 +71,19 @@ def iroot(n: int, r: int) -> int:
         return n
     if r == 2:
         return math.isqrt(n)
-    # Seed just above the root from a float log2: a power-of-two seed costs
-    # about r Newton steps. The check keeps it above whatever the float error.
-    lg = math.log2(n) / r
-    shift = max(int(lg) - 60, 0)
-    x = (int(2 ** (lg - shift) * (1 + 2 ** -30)) + 1) << shift
-    while x ** r <= n:
-        x *= 2
+    # From any x with x^r > n a Newton step gives y with floor(n^(1/r)) <= y
+    # < x (AM-GM), so the first step that does not descend starts from the
+    # answer. The seed is 2^(b+1) for a short root and, for a long one,
+    # (root of n >> rs, plus one) << s: above the root and right to half its
+    # bits, where a power-of-two seed alone would cost about r steps.
+    b = n.bit_length() // r
+    s = b // 2
+    x = (iroot(n >> (r * s), r) + 1) << s if s else 2 << b
     while True:
         y = ((r - 1) * x + n // x ** (r - 1)) // r
         if y >= x:
-            break
+            return x
         x = y
-    while x ** r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
-    return x
 
 
 def _ln_bracket(k: int, bits: int) -> tuple[int, int]:

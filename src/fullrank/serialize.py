@@ -35,7 +35,7 @@ def rational_from_str(s) -> Fraction:
 
 
 def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> dict:
-    scalings = list(params.scalings) if params and params.scalings else None
+    scalings = list(params.scalings[:A.cols]) if params and params.scalings else None
     return {
         "m": A.rows,
         "d": A.cols,

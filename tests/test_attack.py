@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullrank.attack import (
     AttackConfig,
@@ -11,9 +13,10 @@ from fullrank.attack import (
     find_collision,
 )
 from fullrank.construct import construct_vandermonde
-from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError
+from fullrank.errors import BudgetExceededError
 from fullrank.linalg import IntMatrix
 from fullrank.verify import verify_certificate
+from oracles import perm_det
 
 
 def collision_oracle(rows, t, lam, min_agree):
@@ -38,7 +41,6 @@ class TestAttackParams:
     def test_large_m_regime(self):
         cfg = attack_params(2, 7)  # ln 7 ~ 1.946 <= 2
         assert (cfg.t, cfg.lam, cfg.min_agree) == (1, 9, 2)
-        assert not cfg.k_below_regime
 
     def test_small_m_regime(self):
         cfg = attack_params(2, 10)  # ln 10 ~ 2.303 > 2
@@ -48,10 +50,9 @@ class TestAttackParams:
         cfg = attack_params(5, 3)
         assert (cfg.t, cfg.lam) == (1, 9)
 
-    def test_tiny_k_clamped_and_flagged(self):
+    def test_tiny_k_clamped(self):
         cfg = attack_params(3, 2)  # floor(ln 2) = 0
-        assert cfg.t == 1
-        assert cfg.k_below_regime
+        assert (cfg.t, cfg.lam, cfg.min_agree) == (1, 9, 3)
 
     def test_exact_coefficient_root(self):
         # k = 64, m = 4: floor(25 * 64^(1/3)) = 100 exactly, a value float
@@ -76,7 +77,7 @@ class TestAttackConfig:
         cfg = attack_config(A)
         ref = attack_params(2, 100)  # not attack_params(2, 2)
         assert (cfg.t, cfg.lam, cfg.min_agree) == (ref.t, ref.lam, 2) == (2, 2500, 2)
-        assert cfg.budget == DEFAULT_BUDGET
+        assert dataclasses.astuple(cfg) == (2, 2500, 2)  # the search, nothing else
 
     def test_defaults_from_largest_entry_at_least_two(self):
         wide = IntMatrix.from_rows([[1, 0, 40], [0, 1, -3]])
@@ -89,8 +90,8 @@ class TestAttackConfig:
         ref = attack_params(2, 3)
         assert (attack_config(A, t=1).t, attack_config(A, t=1).lam) == (1, ref.lam)
         assert (attack_config(A, lam=7).t, attack_config(A, lam=7).lam) == (ref.t, 7)
-        cfg = attack_config(A, t=2, lam=2, min_agree=3, budget=99)
-        assert (cfg.t, cfg.lam, cfg.min_agree, cfg.budget) == (2, 2, 3, 99)
+        cfg = attack_config(A, t=2, lam=2, min_agree=3)
+        assert (cfg.t, cfg.lam, cfg.min_agree) == (2, 2, 3)
 
     def test_one_row_needs_both_fields(self):
         A = IntMatrix.from_rows([[1, 2, 3]])
@@ -135,16 +136,16 @@ class TestFindCollision:
     def test_budget_refusal(self):
         A = IntMatrix.from_rows([[0, 0, 1], [1, 2, 3]])
         with pytest.raises(BudgetExceededError) as exc:
-            find_collision(A, AttackConfig(t=2, lam=9, min_agree=2, budget=10))
+            find_collision(A, AttackConfig(t=2, lam=9, min_agree=2), budget=10)
         assert exc.value.required == (19 ** 2 - 1) // 2  # differences, c ~ -c
 
     def test_budget_counts_differences(self):
         # 12 = (5^2 - 1) / 2 differences fit exactly; one fewer is refused
         A = IntMatrix.from_rows([[1, 2, 3], [1, 4, 9]])
-        assert find_collision(A, AttackConfig(t=2, lam=2, min_agree=2,
-                                              budget=12)) is None
+        cfg = AttackConfig(t=2, lam=2, min_agree=2)
+        assert find_collision(A, cfg, 12) is None
         with pytest.raises(BudgetExceededError):
-            find_collision(A, AttackConfig(t=2, lam=2, min_agree=2, budget=11))
+            find_collision(A, cfg, 11)
 
     def test_t_beyond_rows(self):
         A = IntMatrix.from_rows([[0, 0, 1], [1, 2, 3]])
@@ -196,13 +197,15 @@ class TestFindCollision:
 
     def test_matches_oracle_random_configs(self):
         # shapes, row counts, coefficient ranges and agreement thresholds
-        # all vary; the first hit must be the pair scan's first hit
+        # (from the row count up) all vary; the first hit must be the pair
+        # scan's first hit
         rng = random.Random(19)
         hits = 0
         for _ in range(300):
             m = rng.randint(1, 5)
             d = rng.randint(m, m + 12)
-            t, lam, min_agree = rng.randint(1, m), rng.randint(1, 4), rng.randint(1, m)
+            t, lam = rng.randint(1, m), rng.randint(1, 3)
+            min_agree = rng.randint(m, min(d, m + 2))
             rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
             cert = find_collision(IntMatrix.from_rows(rows),
                                   AttackConfig(t=t, lam=lam, min_agree=min_agree))
@@ -211,21 +214,39 @@ class TestFindCollision:
             hits += expected is not None
         assert 0 < hits < 300  # both outcomes exercised
 
-    def test_first_hit_in_pair_order(self):
-        # (1, -1, 0) and (1, 1, -2) both hit; the pair (0,0,2) < (1,1,0)
-        # precedes (0,1,0) < (1,0,0), so the second is returned
-        rows = [[-1, -1, 3, 0], [-1, 1, 3, -2], [-1, 2, -1, -1]]
-        cert = find_collision(IntMatrix.from_rows(rows),
-                              AttackConfig(t=3, lam=4, min_agree=2))
-        assert (cert.coeffs, cert.columns) == ((1, 1, -2), (0, 3))
-        assert collision_oracle(rows, 3, 4, 2) == ((1, 1, -2), (0, 3))
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_certificate_certifies(self, data):
+        # verify_certificate has no determinant check: whatever the search
+        # returns must be accepted and its first m columns truly singular
+        m = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(m, m + 4))
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                           max_size=d), min_size=m, max_size=m))
+        cfg = AttackConfig(t=data.draw(st.integers(1, m)),
+                           lam=data.draw(st.integers(1, 2)),
+                           min_agree=data.draw(st.integers(m, d)))
+        A = IntMatrix.from_rows(rows)
+        cert = find_collision(A, cfg)
+        if cert is not None:
+            assert verify_certificate(A, cert).accepted
+            assert perm_det([[row[j] for j in cert.columns[:m]] for row in rows]) == 0
 
-    def test_near_collision_explorer(self):
-        # min_agree below m turns the search into a near-collision scan
+    def test_first_hit_in_pair_order(self):
+        # (1, -2, -1) and (2, 1, -2) both hit; the pair (0,0,2) < (2,1,0)
+        # precedes (0,2,1) < (1,0,0), so the second is returned
+        rows = [[-2, -2, -1, 2], [0, -1, 0, -2], [-2, 0, -1, 1]]
+        cert = find_collision(IntMatrix.from_rows(rows),
+                              AttackConfig(t=3, lam=2, min_agree=3))
+        assert (cert.coeffs, cert.columns) == ((2, 1, -2), (0, 2, 3))
+        assert collision_oracle(rows, 3, 2, 3) == ((2, 1, -2), (0, 2, 3))
+
+    def test_min_agree_below_rows_refused(self):
+        # fewer than m agreeing columns witness no m x m minor: on this
+        # 2 x 5 matrix, whose minors all pass, row 1 alone vanishes at column 4
         A, _ = construct_vandermonde(2, 3)
-        cert = find_collision(A, AttackConfig(t=2, lam=1, min_agree=1))
-        assert cert is not None
-        assert len(cert.columns) == 1
+        with pytest.raises(ValueError, match="min_agree=1 outside"):
+            find_collision(A, AttackConfig(t=2, lam=1, min_agree=1))
 
 
 class TestConfigValidation:

@@ -188,6 +188,10 @@ class TestConstructCommand:
                                       "--d", "12", "--json"])
         assert code == 0
         assert doc["d"] == 12
+        # the first 12 columns of the scaled family mod 13 keep their multipliers
+        assert doc["scalings"] == list(construct_scaled(2, 5)[1].scalings[:12])
+        assert run(["construct", "--m", "2", "--k", "5", "--d", "12"]) == 0
+        assert "(variant=scaled, modulus=13," in capsys.readouterr().out
 
     def test_invalid_parameters_exit_2(self, capsys):
         assert run(["construct", "--m", "2", "--k", "1"]) == 2
@@ -246,6 +250,12 @@ class TestVerifyCommand:
 
     def test_budget_refusal_exit_2(self, mat_path):
         assert run(["verify", "--in", mat_path, "--budget", "5"]) == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--exhaustive"]])
+    def test_seed_without_trials_exit_2(self, mat_path, capsys, mode):
+        assert run(["verify", "--in", mat_path, "--seed", "5", "--json"] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --seed applies only to sampled mode (--trials)\n"
 
     def test_missing_file_exit_2(self):
         assert run(["verify", "--in", "/nonexistent/mat.json"]) == 2
@@ -479,6 +489,9 @@ class TestStrictInputs:
         ({}, DECODE[:-3] + ["9", "--amp-bound", "1"]),
         ({}, ["attack", "--in", "mat.json", "--t", "1", "--lambda", "1",
               "--min-agree", "99"]),
+        # one agreeing column is no certificate of a 2 x 2 minor
+        ({}, ["attack", "--in", "mat.json", "--t", "2", "--lambda", "1",
+              "--min-agree", "1"]),
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys,
                                     files, argv):

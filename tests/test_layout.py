@@ -138,7 +138,7 @@ INT_FIELDS = [
     ("AttackConfig.t", 1, lambda x: find_collision(A, AttackConfig(x, 1, 2))),
     ("AttackConfig.lam", 1, lambda x: find_collision(A, AttackConfig(1, x, 2))),
     ("AttackConfig.min_agree", 2, lambda x: find_collision(A, AttackConfig(1, 1, x))),
-    ("AttackConfig.budget", 1, lambda x: find_collision(A, AttackConfig(1, 1, 2, x))),
+    ("find_collision.budget", 1, lambda x: find_collision(A, AttackConfig(1, 1, 2), x)),
     ("verify_sampled.trials", 10, lambda x: verify_sampled(A, x, 1)),
     ("verify_sampled.seed", 1, lambda x: verify_sampled(A, 5, x)),
     ("verify_sampled.budget", 5, lambda x: verify_sampled(A, 5, 1, x)),

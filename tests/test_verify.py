@@ -1,12 +1,15 @@
 import math
 import random
+import re
 
 import pytest
 
+from fullrank.attack import AttackConfig, find_collision
 from fullrank.construct import construct_vandermonde
 from fullrank.errors import BudgetExceededError
-from fullrank.linalg import IntMatrix
+from fullrank.linalg import IntMatrix, combination_vector, det_exact
 from fullrank.verify import (
+    CertificateCheck,
     DegeneracyCertificate,
     verify_certificate,
     verify_exhaustive,
@@ -204,6 +207,73 @@ class TestVerifyCertificate:
         cert = DegeneracyCertificate(t=2, coeffs=(1, -1), columns=(0, 1))
         assert verify_certificate(A, cert).accepted
         assert len(verify_exhaustive(A).failures) >= 1
+
+
+def certificate_check_with_det(A, cert):
+    """verify_certificate plus a final determinant check on the first m
+    listed columns; equal results show that check decides nothing."""
+    m, d = A.rows, A.cols
+    if not 1 <= cert.t <= m:
+        return CertificateCheck(False, f"t={cert.t} outside [1, {m}]")
+    if len(cert.coeffs) != cert.t:
+        return CertificateCheck(
+            False, f"{len(cert.coeffs)} coefficients for t={cert.t} rows")
+    if not any(cert.coeffs):
+        return CertificateCheck(False, "coefficient vector is zero")
+    cols = cert.columns
+    if len(cols) < m:
+        return CertificateCheck(False, f"needs at least m={m} columns, got {len(cols)}")
+    if any(not 0 <= j < d for j in cols):
+        return CertificateCheck(False, "column index out of range")
+    if any(a >= b for a, b in zip(cols, cols[1:])):
+        return CertificateCheck(False, "columns must be strictly increasing")
+    combination = combination_vector(A, cert.coeffs)
+    for j in cols:
+        if combination[j]:
+            return CertificateCheck(False, f"combination does not vanish at "
+                                           f"column {j} (value {combination[j]})")
+    if det_exact([A.column(j) for j in cols[:m]]) != 0:
+        return CertificateCheck(
+            False, "submatrix on the first m listed columns is nonsingular")
+    return CertificateCheck(True, "ok")
+
+
+def mutations(cert, d):
+    """cert and certificates one edit away from it: each field changed,
+    shortened, lengthened or reordered."""
+    t, c, cols = cert.t, cert.coeffs, cert.columns
+    yield cert
+    yield DegeneracyCertificate(t + 1, c + (1,), cols)
+    yield DegeneracyCertificate(t, c + (1,), cols)
+    yield DegeneracyCertificate(t, c[:-1] + (c[-1] + 1,), cols)
+    yield DegeneracyCertificate(t, tuple(-x for x in c), cols)
+    yield DegeneracyCertificate(t, (0,) * t, cols)
+    yield DegeneracyCertificate(t, c, cols[:-1])
+    yield DegeneracyCertificate(t, c, cols[::-1])
+    yield DegeneracyCertificate(t, c, cols + (d,))
+    yield DegeneracyCertificate(t, c, tuple(sorted(set(cols) ^ {0})))
+
+
+class TestCertificateCheckReference:
+    def test_same_check_without_determinant(self):
+        rng = random.Random(23)
+        verdicts = set()
+        for _ in range(400):
+            m = rng.randint(1, 4)
+            d = rng.randint(m, m + 4)
+            A = IntMatrix.from_rows(random_rows(rng, m, d))
+            t = rng.randint(1, m)
+            cfg = AttackConfig(t=t, lam=2, min_agree=rng.randint(m, d))
+            found = find_collision(A, cfg)
+            drawn = DegeneracyCertificate(
+                t, tuple(rng.randint(-2, 2) for _ in range(t)),
+                tuple(sorted(rng.sample(range(d), rng.randint(1, d)))))
+            for base in filter(None, (found, drawn)):
+                for cert in mutations(base, d):
+                    check = verify_certificate(A, cert)
+                    assert check == certificate_check_with_det(A, cert)
+                    verdicts.add(re.sub(r"-?\d+", "#", check.reason))
+        assert len(verdicts) == 8  # acceptance and each of the seven rejections
 
 
 class TestTallDuplicateColumn:
