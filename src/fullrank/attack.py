@@ -10,8 +10,9 @@ difference once, under a budget passed like every other scan's.
 from dataclasses import dataclass
 from itertools import product
 
+from .construct import LARGE_M, width_regime
 from .errors import DEFAULT_BUDGET, check_budget
-from .intmath import exact_ints, floor_ln, iroot
+from .intmath import exact_ints, iroot
 from .linalg import IntMatrix, combination_vector
 from .verify import DegeneracyCertificate
 
@@ -34,17 +35,14 @@ class AttackConfig:
 def attack_params(m: int, k: int) -> AttackConfig:
     """Default search parameters for an m-row matrix with entries bounded by k.
 
-    Regime split at m >= ln k, decided exactly as m > floor(ln k) (ln k is
-    irrational for k >= 2): there use t = floor(ln k) rows and
-    coefficients up to 9; otherwise t = m and coefficients up to
-    floor(25 * k^(1/(m-1))), computed exactly. For k < e the floor is 0
-    rows; t is clamped to 1, a range where the search guarantee says
-    nothing.
+    In the large_m regime of construct.width_regime (m >= ln k) use
+    t = floor(ln k) rows and coefficients up to 9; otherwise t = m and
+    coefficients up to floor(25 * k^(1/(m-1))), computed exactly. For
+    k < e the floor is 0 rows; t is clamped to 1, a range where the search
+    guarantee says nothing.
     """
-    if m < 2 or k < 2:
-        raise ValueError("need m >= 2 and k >= 2")
-    ln_floor = floor_ln(k)
-    if m > ln_floor:
+    regime, ln_floor = width_regime(m, k)
+    if regime == LARGE_M:
         return AttackConfig(t=max(ln_floor, 1), lam=9, min_agree=m)
     # floor(25 k^(1/(m-1))) as the integer (m-1)-th root of 25^(m-1) k
     return AttackConfig(t=m, lam=iroot(25 ** (m - 1) * k, m - 1), min_agree=m)

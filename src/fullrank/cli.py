@@ -91,10 +91,8 @@ def cmd_attack(args) -> Outcome:
 def cmd_recover_encode(args) -> Outcome:
     matrix = _load_matrix(args.infile)
     signal = ser.signal_from_dict(ser.load_json(args.signal))
-    noise = (tuple(ser.rational_from_str(t) for t in args.noise.split(","))
-             if args.noise else None)
-    meas = recover_mod.encode(matrix, signal, noise,
-                              noise_bound=ser.rational_from_str(args.noise_bound))
+    noise = None if args.noise is None else args.noise.split(",")
+    meas = recover_mod.encode(matrix, signal, noise, noise_bound=args.noise_bound)
     doc = ser.measurement_to_dict(meas)
     flag = "inside" if meas.in_guarantee else "OUTSIDE"
     return Outcome(0, doc,
@@ -199,11 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "verify", cmd_verify,
                 "check maximal minors for degeneracy", [matrix_in], budget=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true",
-                      help="check every minor (default)")
-    mode.add_argument("--trials", type=int, default=None,
-                      help="sampled mode: number of random minors")
+    p.add_argument("--trials", type=int, default=None,
+                   help="sampled mode: number of random minors (without "
+                        "--trials every minor is checked)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled mode only (default 0)")
 
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True, help="signal JSON path")
     p.add_argument("--noise", default=None,
                    help='comma-separated rationals, e.g. "3/10,-1/5"')
-    p.add_argument("--noise-bound", default="1/2")
+    p.add_argument("--noise-bound", default=recover_mod.HALF)
 
     p = command(rsub, "decode", cmd_recover_decode,
                 "sup-norm decoder: every minimizer, by a pruned search; --budget "

@@ -215,11 +215,21 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
         scalings=tuple(r.multiplier for r in reports), scale_reports=tuple(reports))
 
 
+def width_regime(m: int, k: int) -> tuple[str, int]:
+    """(LARGE_M or SMALL_M, floor(ln k)) for m >= 2 and k >= 2. The split
+    at m >= ln k is decided exactly as m > floor(ln k), since ln k is
+    irrational for k >= 2."""
+    exact_ints((m, k), "m and k")
+    if m < 2 or k < 2:
+        raise ValueError("need m >= 2 and k >= 2")
+    ln_floor = floor_ln(k)
+    return (LARGE_M if m > ln_floor else SMALL_M), ln_floor
+
+
 def max_width(m: int, k: int) -> int:
     """Largest column count the constructions guarantee: max(k+1, k^(m/(m-1))/2),
     floored to an integer, computed exactly."""
-    if m < 2 or k < 1:
-        raise ValueError("need m >= 2 and k >= 1")
+    _window(m, k, VANDERMONDE)  # refuses m and k as every family does
     return max(k + 1, iroot(k ** m, m - 1) // 2)
 
 
@@ -246,14 +256,10 @@ def bounds_report(m: int, k: int) -> BoundsReport:
     extraction; the large_m value 100 k m sqrt(ln k) is floored by
     squaring against rational brackets of ln k (intmath.floor_sqrt_ln).
     """
-    if m < 2 or k < 2:
-        raise ValueError("need m >= 2 and k >= 2")
-    ln_floor = floor_ln(k)
-    if m > ln_floor:  # m >= ln k, exactly: ln k is irrational for k >= 2
-        regime = LARGE_M
+    regime, ln_floor = width_regime(m, k)
+    if regime == LARGE_M:
         upper = floor_sqrt_ln(k, 100 * k * m)
     else:
-        regime = SMALL_M
         # (400 k^(m/(m-1)) m^(3/2)) ** (2(m-1)) is the integer below
         power = 400 ** (2 * (m - 1)) * k ** (2 * m) * m ** (3 * (m - 1))
         upper = iroot(power, 2 * (m - 1))

@@ -48,16 +48,13 @@ class CoverCheck:
 def cover_lower_bound(m: int, k: int) -> int:
     """ceil(k^(m/(m-1)) / (2m-2)), exactly.
 
-    The ceiling is located by integer comparisons of k^m against
-    ((2m-2) q)^(m-1); no floating point near the boundary.
+    ceil(k^(m/(m-1))) is the smallest r with r^(m-1) >= k^m, one more
+    than the integer root of k^m - 1; no floating point near the boundary.
     """
     if m < 2 or k < m:
         raise ValueError(f"bound needs k >= m >= 2 (got m={m}, k={k})")
-    km = k ** m
-    root = iroot(km, m - 1)
-    r_ceil = root if root ** (m - 1) == km else root + 1
-    step = 2 * m - 2
-    return -(-r_ceil // step)
+    r_ceil = iroot(k ** m - 1, m - 1) + 1
+    return -(-r_ceil // (2 * m - 2))
 
 
 def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverCheck:
@@ -92,16 +89,10 @@ def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:
 
 
 def _half_grid(m: int, k: int) -> list[tuple[int, ...]]:
-    """Nonzero grid points up to sign (first nonzero coordinate positive)."""
-    pts = []
-    for x in product(range(-k, k + 1), repeat=m):
-        for c in x:
-            if c > 0:
-                pts.append(x)
-                break
-            if c < 0:
-                break
-    return pts
+    """Nonzero grid points up to sign: those whose first nonzero coordinate
+    is positive, which in tuple order are the ones above the origin."""
+    origin = (0,) * m
+    return [x for x in product(range(-k, k + 1), repeat=m) if x > origin]
 
 
 def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -145,15 +145,11 @@ def floor_sqrt_ln(k: int, c: int) -> int:
 
 def primitive_vector(v) -> tuple[int, ...]:
     """Canonical form of a nonzero integer vector: divide by the gcd and
-    flip signs so the first nonzero coordinate is positive."""
+    flip signs so the first nonzero coordinate is positive, which is
+    exactly w > (0, ..., 0) in tuple order."""
     v = exact_ints(v, "vector")
     g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     w = tuple(x // g for x in v)
-    for x in w:
-        if x > 0:
-            return w
-        if x < 0:
-            return tuple(-y for y in w)
-    raise AssertionError("unreachable")
+    return w if w > (0,) * len(w) else tuple(-x for x in w)

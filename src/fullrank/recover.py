@@ -120,11 +120,8 @@ def encode(A: IntMatrix, x: SparseSignal, e=None,
     e = exact_rationals(e, "noise")
     if len(e) != A.rows:
         raise ValueError(f"noise length {len(e)} != matrix rows {A.rows}")
-    dense = x.to_dense()
-    b = tuple(
-        sum(A.entry(i, j) * dense[j] for j in range(A.cols)) + e[i]
-        for i in range(A.rows)
-    )
+    b = tuple(sum((A.entry(i, j) * v for j, v in zip(x.support, x.values)), e[i])
+              for i in range(A.rows))
     return Measurement(b=b, noise=e, noise_bound=noise_bound)
 
 

@@ -18,7 +18,7 @@ from .construct import BoundsReport, ConstructionParams
 from .cover import CoverCheck, CoverInstance
 from .intmath import exact_ints, exact_rationals
 from .linalg import IntMatrix
-from .recover import DecodeResult, Measurement, SparseSignal
+from .recover import HALF, DecodeResult, Measurement, SparseSignal
 from .verify import DegeneracyCertificate, VerificationReport
 
 
@@ -92,7 +92,7 @@ def measurement_from_dict(obj: dict) -> Measurement:
     obj = _json_object("measurement", obj)
     try:
         return Measurement(b=obj["b"], noise=obj.get("noise", []),
-                           noise_bound=obj.get("noise_bound", "1/2"))
+                           noise_bound=obj.get("noise_bound", HALF))
     except KeyError as exc:
         raise ValueError(f"measurement JSON missing field {exc}") from exc
 

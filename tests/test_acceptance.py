@@ -60,7 +60,7 @@ def test_criterion_1_construction_validity_small_variant(tmp_path, capsys):
             capsys.readouterr()
             assert code == 0, (m, k)
             code, doc = cli_json(capsys, [
-                "verify", "--in", str(path), "--exhaustive", "--json"])
+                "verify", "--in", str(path), "--json"])
             assert code == 0, (m, k)
             assert doc["failures"] == [], (m, k)
             assert doc["total_checked"] > 0

@@ -225,10 +225,16 @@ class TestConstructCommand:
 
 class TestVerifyCommand:
     def test_clean_matrix_exit_0(self, mat_path, capsys):
-        code, doc = run_json(capsys, ["verify", "--in", mat_path,
-                                      "--exhaustive", "--json"])
+        code, doc = run_json(capsys, ["verify", "--in", mat_path, "--json"])
         assert code == 0
         assert (doc["total_checked"], doc["failures"]) == (10, [])
+
+    def test_exhaustive_flag_is_usage_error(self, mat_path, capsys):
+        # every minor is checked without --trials; no flag selects that
+        assert run(["verify", "--in", mat_path, "--exhaustive"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert "unrecognized arguments: --exhaustive" in err
 
     def test_degenerate_matrix_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -238,6 +244,16 @@ class TestVerifyCommand:
         code, doc = run_json(capsys, ["verify", "--in", str(bad), "--json"])
         assert code == 1
         assert doc["failures"] == [[0, 1]]
+
+    def test_human_output_lists_twenty_failures(self, tmp_path, capsys):
+        ones = tmp_path / "ones.json"
+        ones.write_text(json.dumps(matrix_to_dict(
+            IntMatrix.from_rows([[1] * 8, [1] * 8]))))
+        assert run(["verify", "--in", str(ones)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "checked 28 minors (exhaustive): 28 failures"
+        assert lines[1] == "  degenerate columns: [0, 1]"
+        assert len(lines) == 22 and lines[-1] == "  ... and 8 more"
 
     def test_sampled_mode_deterministic(self, mat_path, capsys):
         code1, doc1 = run_json(capsys, ["verify", "--in", mat_path,
@@ -251,9 +267,8 @@ class TestVerifyCommand:
     def test_budget_refusal_exit_2(self, mat_path):
         assert run(["verify", "--in", mat_path, "--budget", "5"]) == 2
 
-    @pytest.mark.parametrize("mode", [[], ["--exhaustive"]])
-    def test_seed_without_trials_exit_2(self, mat_path, capsys, mode):
-        assert run(["verify", "--in", mat_path, "--seed", "5", "--json"] + mode) == 2
+    def test_seed_without_trials_exit_2(self, mat_path, capsys):
+        assert run(["verify", "--in", mat_path, "--seed", "5", "--json"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --seed applies only to sampled mode (--trials)\n"
 
@@ -446,6 +461,12 @@ class TestBoundsCommand:
         assert doc["lower_bound"] == 5000
         assert doc["regime"] == "small_m"
 
+    def test_small_k_note(self, capsys):
+        assert run(["bounds", "--m", "2", "--k", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "note: the upper bound is asymptotic and proves nothing at entry "
+            "bounds this small")
+
     def test_huge_k_exit_0(self, capsys):
         # the float formula raised OverflowError here
         k = 10 ** 400
@@ -478,6 +499,7 @@ class TestStrictInputs:
         ({"sig.json": [SIGNAL]}, ENCODE),
         ({}, ENCODE + ["--noise=1/0,0"]),
         ({}, ENCODE + ["--noise-bound", "1/0"]),
+        ({}, ENCODE + ["--noise="]),  # was zero noise, silently
         ({"meas.json": {"b": ["1/0", "0"]}}, DECODE),
         ({"meas.json": {"b": [1.5, 0]}}, DECODE),
         ({"meas.json": {"b": "12"}}, DECODE),
@@ -489,6 +511,8 @@ class TestStrictInputs:
         ({}, DECODE[:-3] + ["9", "--amp-bound", "1"]),
         ({}, ["attack", "--in", "mat.json", "--t", "1", "--lambda", "1",
               "--min-agree", "99"]),
+        ({}, ["construct", "--m", "1", "--k", "3"]),
+        ({}, ["construct", "--m", "1", "--k", "3", "--d", "2"]),
         # one agreeing column is no certificate of a 2 x 2 minor
         ({}, ["attack", "--in", "mat.json", "--t", "2", "--lambda", "1",
               "--min-agree", "1"]),

@@ -328,6 +328,11 @@ class TestConstruct:
         assert max_width(2, 5) == 12  # floor(25/2)
         assert max_width(3, 2) == 3   # max(k+1, floor(sqrt(8))/2 = 1)
 
+    @pytest.mark.parametrize("m,k", [(1, 3), (2, 0)])
+    def test_max_width_refuses_out_of_range(self, m, k):
+        with pytest.raises(ValueError, match="need m >= 2 and k >= 1"):
+            max_width(m, k)
+
 
 class TestConstructionInvariants:
     CASES = [(2, 2), (2, 5), (3, 4), (4, 6), (2, 12), (4, 12)]

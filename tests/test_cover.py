@@ -83,6 +83,18 @@ class TestCoverLowerBound:
             call()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: CoverInstance(0, 1, ()), "need m >= 1"),
+    (lambda: CoverInstance(2, -1, ()), "k >= 0"),
+    (lambda: columns_on_hyperplane(construct_vandermonde(2, 3)[0], (1, 0, 0)),
+     "normal length 3 != row count 2"),
+    (lambda: min_cover_bruteforce(1, 1), "need m >= 2"),
+], ids=["instance-m", "instance-k", "normal-length", "min-cover-m"])
+def test_refuses_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestVerifyCover:
     def test_axes_and_diagonals_cover_radius_one(self):
         inst = CoverInstance(2, 1, ((1, 0), (0, 1), (1, -1), (1, 1)))

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,8 +13,10 @@ from fullrank.intmath import (
     floor_ln,
     floor_sqrt_ln,
     iroot,
+    is_prime,
+    primitive_vector,
 )
-from oracles import floor_exp
+from oracles import floor_exp, trial_prime
 from oracles import floor_sqrt_ln as oracle_floor_sqrt_ln
 
 
@@ -106,6 +109,21 @@ class TestIroot:
             iroot(-1, 2)
         with pytest.raises(ValueError):
             iroot(5, 0)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-5, 200):
+        assert is_prime(n) == trial_prime(n), n
+
+
+def test_primitive_vector_first_nonzero_positive():
+    for v in product(range(-4, 5), repeat=3):
+        if not any(v):
+            continue
+        w = primitive_vector(v)
+        assert math.gcd(*w) == 1 and next(x for x in w if x) > 0
+        g = math.gcd(*v)
+        assert w in (tuple(x // g for x in v), tuple(-x // g for x in v))
 
 
 class TestExactNumbers:

@@ -3,6 +3,7 @@ names, runnable demos and the exact-number contract every entry point
 keeps."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from fullrank import (
     find_collision,
     find_prime_in,
     guarantee_holds,
+    max_width,
     min_cover_bruteforce,
     scale_matrix,
     select_columns,
@@ -37,6 +39,7 @@ from fullrank import (
     verify_exhaustive,
     verify_sampled,
 )
+from fullrank.construct import width_regime
 from fullrank.intmath import primitive_vector
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,14 +97,28 @@ def test_budget_refused_only_by_check_budget():
     assert raising == ["errors.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return env
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point():
+    # python -m fullrank runs the same command line as the console script
+    proc = subprocess.run(
+        [sys.executable, "-m", "fullrank", "bounds", "--m", "2", "--k", "10", "--json"],
+        cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["lower_bound"] == 50
 
 
 A = construct_vandermonde(2, 3)[0]  # 2 x 5
@@ -149,6 +166,10 @@ INT_FIELDS = [
     ("min_cover_bruteforce.m", 2, lambda x: min_cover_bruteforce(x, 1)),
     ("min_cover_bruteforce.k", 1, lambda x: min_cover_bruteforce(2, x)),
     ("construct.d", 4, lambda x: construct(2, 3, x)),
+    ("max_width.m", 2, lambda x: max_width(x, 3)),
+    ("max_width.k", 1, lambda x: max_width(2, x)),
+    ("width_regime.m", 2, lambda x: width_regime(x, 10)),
+    ("width_regime.k", 2, lambda x: width_regime(3, x)),
     ("ConstructionParams.d", 7,
      lambda x: ConstructionParams(m=2, k=6, d=x, variant="vandermonde")),
     ("ConstructionParams.scalings", 1,

@@ -166,6 +166,19 @@ class TestIntMatrixInvariants:
         with pytest.raises(ValueError):
             IntMatrix(1, 2, (1, 0), modulus=9)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: IntMatrix(0, 2, ()), "at least one row"),
+        (lambda: IntMatrix(2, 0, ()), "at least one row and one column"),
+        (lambda: IntMatrix.from_rows([]), "nonempty and of equal length"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "nonempty and of equal length"),
+        (lambda: select_columns(IntMatrix.from_rows([[1, 2]]), ()),
+         "at least one column"),
+    ], ids=["no-rows", "no-columns", "from-no-rows", "from-ragged-rows",
+            "select-nothing"])
+    def test_empty_or_ragged_shape(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestCombinationVector:
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),

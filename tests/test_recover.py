@@ -78,6 +78,20 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(vand23, SparseSignal(5, (0,), (1,)), [0, 0, 0])
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda A: Measurement((0,), (), 0), "must be positive"),
+        (lambda A: Measurement((0,), (), "-1/2"), "must be positive"),
+        (lambda A: encode(A, SparseSignal(5, (0,), (1,)), None, 0),
+         "must be positive"),
+        (lambda A: decode(A, (0,), 1, 1), "measurement length 1 != matrix rows 2"),
+        (lambda A: decode(A, Measurement((0, 0, 0), ()), 1, 1),
+         "measurement length 3 != matrix rows 2"),
+    ], ids=["bound-zero", "bound-negative", "encode-bound-zero",
+            "decode-short", "decode-long"])
+    def test_bound_and_length_refused(self, vand23, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(vand23)
+
     def test_decimal_strings_parse_exactly(self, vand23):
         x = SparseSignal(5, (2,), (2,))
         meas = encode(vand23, x, ("0.3", "-0.2"))
