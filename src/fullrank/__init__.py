@@ -4,6 +4,8 @@ buys: brute-force-exact sparse integer recovery, degeneracy search, and
 hyperplane covers of integer grids.
 """
 
+import types
+
 from .attack import AttackConfig, attack_params, find_collision
 from .construct import (
     BoundsReport,
@@ -54,44 +56,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackConfig",
-    "BoundsReport",
-    "BudgetExceededError",
-    "CertificateCheck",
-    "ConstructionParams",
-    "CoverCheck",
-    "CoverInstance",
-    "DecodeResult",
-    "DegeneracyCertificate",
-    "IntMatrix",
-    "Measurement",
-    "ScaleSearchResult",
-    "SparseSignal",
-    "VerificationReport",
-    "attack_params",
-    "bounds_report",
-    "centered_residue",
-    "columns_on_hyperplane",
-    "combination_vector",
-    "construct",
-    "construct_scaled",
-    "construct_vandermonde",
-    "construct_width",
-    "cover_lower_bound",
-    "decode",
-    "det_exact",
-    "dirichlet_scale",
-    "encode",
-    "find_collision",
-    "find_prime_in",
-    "guarantee_holds",
-    "max_width",
-    "min_cover_bruteforce",
-    "scale_matrix",
-    "select_columns",
-    "verify_certificate",
-    "verify_cover",
-    "verify_exhaustive",
-    "verify_sampled",
-]
+# every public name the imports above bind, without the submodules they load
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/accept; 1 property violation (verification
 failures, a found degeneracy certificate, decode ambiguity, rejected
-cover); 2 invalid input, budget refusal or usage error.
+cover); 2 invalid input, budget refusal, usage error or a failed write.
 """
 
 import argparse
@@ -269,6 +269,11 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
+    # The options were parsed under Python's int-to-str digit limit, which
+    # caps them; an answer computed from them may be longer and is printed.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         res = args.func(args)
         human = res.human
@@ -278,10 +283,14 @@ def run(argv) -> int:
         if res.csv is not None:
             with open(args.csv_out, "w", encoding="utf-8") as fh:
                 fh.write(res.csv)
+        # flushed here, so a failed write to stdout is an error like any other
+        print(json.dumps(res.doc) if args.json else human, flush=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(res.doc) if args.json else human)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     return res.code
 
 

@@ -16,10 +16,10 @@ distinct nodes mod d times unit column scalings, so no minor vanishes mod d.
   Dirichlet's theorem caps each column's scan at d // floor(d^(1/m))
   tries, and a family needing more than DEFAULT_BUDGET tries is refused.
 
-_window states each window once, in integer form; the IntMatrix the
-builder returns enforces the entry bound k. All threshold comparisons are
-done on integers (d * ||l j^i / d|| is an integer), never through
-floating point.
+_window states each window once, in integer form, and _family_prime
+takes its smallest prime; the IntMatrix the builder returns enforces the
+entry bound k. All threshold comparisons are done on integers
+(d * ||l j^i / d|| is an integer), never through floating point.
 """
 
 from dataclasses import dataclass
@@ -109,24 +109,24 @@ def _window(m: int, k: int, variant: str) -> tuple[int, int]:
     return (hi + 2) // 2, hi
 
 
-def _power_residues(m: int, k: int, variant: str, scalings) -> IntMatrix:
-    """m x d matrix whose column j = 1..d holds the centered residues of
-    l_j * j^(i-1) mod d, d the smallest prime of the family's window and
-    (l_1, ..., l_d) = scalings(d), annotated with modulus d and entry
-    bound k.
-
-    A family whose narrowest member has more than DEFAULT_BUDGET entries
-    is refused before the prime search and before any column is built.
-    """
+def _family_prime(m: int, k: int, variant: str) -> int:
+    """The smallest prime of the family's window. A family whose narrowest
+    member has more than DEFAULT_BUDGET entries is refused before the
+    prime search and before any column is built."""
     lo, hi = _window(m, k, variant)
     check_budget(m * lo, DEFAULT_BUDGET, f"this family needs at least {m} x "
                  f"{lo} = {m * lo} entries", fixed=True)
-    d = find_prime_in(lo, hi)
-    scale = scalings(d)
+    return find_prime_in(lo, hi)
+
+
+def _power_residues(m: int, k: int, d: int, scalings) -> IntMatrix:
+    """m x d matrix whose column j = 1..d holds the centered residues of
+    l_j * j^(i-1) mod d, (l_1, ..., l_d) = scalings, annotated with
+    modulus d and entry bound k."""
     return IntMatrix(m, d, tuple(
         centered_residue(l * pow(j, i, d), d)
         for i in range(m)
-        for j, l in enumerate(scale, 1)
+        for j, l in enumerate(scalings, 1)
     ), modulus=d, entry_bound=k)
 
 
@@ -139,8 +139,9 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
     """
     if k < m:
         raise ValueError(f"this variant needs k >= m (got m={m}, k={k})")
-    matrix = _power_residues(m, k, VANDERMONDE, lambda d: [1] * d)
-    return matrix, ConstructionParams(m=m, k=k, d=matrix.cols, variant=VANDERMONDE)
+    d = _family_prime(m, k, VANDERMONDE)
+    return (_power_residues(m, k, d, (1,) * d),
+            ConstructionParams(m=m, k=k, d=d, variant=VANDERMONDE))
 
 
 def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
@@ -200,19 +201,14 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
     if lo <= k + 1:
         raise ValueError(
             f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for m={m}, k={k}")
-    reports = []
-
-    def scalings(d):
-        tries = d // iroot(d, m)  # per column, at most (see dirichlet_scale)
-        check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search "
-                     f"needs up to {d} x {tries} = {d * tries} tries", fixed=True)
-        reports.extend(dirichlet_scale(j, d, m) for j in range(1, d + 1))
-        return [r.multiplier for r in reports]
-
-    matrix = _power_residues(m, k, SCALED, scalings)
-    return matrix, ConstructionParams(
-        m=m, k=k, d=matrix.cols, variant=SCALED,
-        scalings=tuple(r.multiplier for r in reports), scale_reports=tuple(reports))
+    d = _family_prime(m, k, SCALED)
+    tries = d // iroot(d, m)  # per column, at most (see dirichlet_scale)
+    check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search needs "
+                 f"up to {d} x {tries} = {d * tries} tries", fixed=True)
+    reports = tuple(dirichlet_scale(j, d, m) for j in range(1, d + 1))
+    scalings = tuple(r.multiplier for r in reports)
+    return _power_residues(m, k, d, scalings), ConstructionParams(
+        m=m, k=k, d=d, variant=SCALED, scalings=scalings, scale_reports=reports)
 
 
 def width_regime(m: int, k: int) -> tuple[str, int]:

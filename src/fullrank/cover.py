@@ -66,15 +66,13 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     """
     check_budget((2 * inst.k + 1) ** inst.m, budget, "grid enumeration")
     span = range(-inst.k, inst.k + 1)
-    checked = 0
-    for x in product(span, repeat=inst.m):
-        checked += 1
+    for checked, x in enumerate(product(span, repeat=inst.m), 1):
         covered = any(
             sum(a * b for a, b in zip(n, x)) == 0 for n in inst.normals
         )
         if not covered:
             return CoverCheck(False, x, checked)
-    return CoverCheck(True, None, checked)
+    return CoverCheck(True, None, len(span) ** inst.m)
 
 
 def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:

@@ -36,18 +36,14 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if self.entry_bound is not None:
-            bad = max(abs(e) for e in self.entries)
-            if bad > self.entry_bound:
-                raise ValueError(
-                    f"entry bound {self.entry_bound} violated (found |{bad}|)"
-                )
+        largest = max(map(abs, self.entries))
+        if self.entry_bound is not None and largest > self.entry_bound:
+            raise ValueError(f"entry bound {self.entry_bound} violated (found |{largest}|)")
         if self.modulus is not None:
             p = self.modulus
             if p < 3 or p % 2 == 0 or not is_prime(p):
                 raise ValueError("modulus must be an odd prime")
-            half = (p - 1) // 2
-            if any(abs(e) > half for e in self.entries):
+            if largest > (p - 1) // 2:
                 raise ValueError("entries of a mod-p matrix must be centered residues")
 
     @classmethod

@@ -60,7 +60,13 @@ def matrix_from_dict(obj: dict) -> tuple[IntMatrix, tuple[int, ...] | None]:
     except KeyError as exc:
         raise ValueError(f"matrix JSON missing field {exc}") from exc
     scalings = obj.get("scalings")
-    return matrix, None if scalings is None else exact_ints(scalings, "matrix scalings")
+    if scalings is None:
+        return matrix, None
+    scalings = exact_ints(scalings, "matrix scalings")
+    if len(scalings) != matrix.cols:
+        raise ValueError(f"matrix scalings: expected d = {matrix.cols} "
+                         f"multipliers, got {len(scalings)}")
+    return matrix, scalings
 
 
 def matrix_to_csv(A: IntMatrix) -> str:
@@ -167,5 +173,10 @@ def save_json(path: str, obj: dict) -> None:
 
 
 def load_json(path: str):
+    """The JSON document in the file at path; a file that is not JSON is a
+    ValueError that names it."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fullrank.attack import attack_params
 from fullrank.cli import build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
-from fullrank.cover import CoverCheck
+from fullrank.cover import CoverCheck, cover_lower_bound
 from fullrank.linalg import IntMatrix
 from fullrank.recover import decode
 from fullrank.serialize import (
@@ -130,6 +130,13 @@ class TestMatrixJson:
     def test_missing_field_is_value_error(self):
         with pytest.raises(ValueError):
             matrix_from_dict({"m": 2, "d": 2})
+
+    @pytest.mark.parametrize("scalings", [[], [1], [1] * 6])
+    def test_scalings_length_must_be_d(self, scalings):
+        # a 2 x 5 matrix with one multiplier was read without complaint
+        doc = matrix_to_dict(construct_vandermonde(2, 3)[0])
+        with pytest.raises(ValueError, match="matrix scalings"):
+            matrix_from_dict({**doc, "scalings": scalings})
 
     def test_csv_export(self):
         A, _ = construct_vandermonde(2, 3)
@@ -287,6 +294,7 @@ class TestVerifyCommand:
         {"m": 2.0},
         {"d": "3"},
         {"scalings": [1, 2.5, 3]},
+        {"scalings": [1]},  # was exit 0: never counted against d
     ])
     def test_non_integer_fields_exit_2(self, tmp_path, capsys, change):
         doc = {"m": 2, "d": 3, "k": None, "modulus": None,
@@ -475,6 +483,40 @@ class TestBoundsCommand:
         assert code == 0 and doc["regime"] == "large_m"
         assert doc["upper_bound"] == floor_sqrt_ln(k, 100 * k * 1000)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("command,value", [
+        (["bounds"], lambda k: bounds_report(2, k).lower_bound),
+        (["cover", "bound"], lambda k: cover_lower_bound(2, k)),
+    ])
+    def test_answer_above_int_str_limit(self, capsys, command, value, as_json):
+        # a 2,501-digit k parses under Python's 4,300-digit limit, but the
+        # answer ~k^2 was refused when printed
+        k = 10 ** 2500
+        digits = sys.get_int_max_str_digits()
+        code = run(command + ["--m", "2", "--k", str(k)] + ["--json"] * as_json)
+        out, err = capsys.readouterr()
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", digits)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert str(value(k)) in (
+                [str(json.loads(out)["lower_bound"])] if as_json else out.split())
+        finally:
+            sys.set_int_max_str_digits(digits)
+
+    def test_failed_stdout_write_exit_2(self):
+        # the print sat outside run's error handling: a traceback and exit 1
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Full()), contextlib.redirect_stderr(err):
+            code = run(["bounds", "--m", "2", "--k", "10"])
+        assert (code, err.getvalue()) == (
+            2, "error: [Errno 28] No space left on device\n")
+
 
 SIGNAL = {"d": 5, "support": [2], "values": [2]}
 ENCODE = ["recover", "encode", "--in", "mat.json", "--signal", "sig.json"]
@@ -529,6 +571,19 @@ class TestStrictInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("empty", ["mat.json", "meas.json"])
+    def test_empty_file_named(self, tmp_path, monkeypatch, capsys, empty):
+        # the error did not say which of the two input files was not JSON
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mat.json").write_text(
+            json.dumps(matrix_to_dict(construct_vandermonde(2, 3)[0])))
+        (tmp_path / "meas.json").write_text(json.dumps({"b": ["1", "0"]}))
+        (tmp_path / empty).write_text("")
+        assert run(DECODE) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {empty}: Expecting value")
 
 
 class TestBudgetRefusals:
@@ -678,7 +733,8 @@ MALFORMED = {
                 not_len(6, st.integers(-5, 5))),
             "scalings": st.one_of(
                 NOT_INT.filter(lambda v: not isinstance(v, list)),
-                with_bad_item([1, 2, 3], NOT_INT)),
+                with_bad_item([1, 2, 3], NOT_INT),
+                not_len(3, st.integers(1, 2))),
         })),
     "signal": st.one_of(
         NOT_OBJECT,

@@ -76,14 +76,14 @@ class TestWindow:
 
     def test_scaled_refused_exactly_below_power_residue_width(self, monkeypatch):
         # the refusal is the real-number test k^(m/(m-1))/2 <= k+1, in its
-        # integer form; the builder is stubbed, so nothing is built
+        # integer form; the prime step is stubbed, so nothing is built
         class Built(Exception):
             pass
 
         def stub(*args):
             raise Built
 
-        monkeypatch.setattr(construct_mod, "_power_residues", stub)
+        monkeypatch.setattr(construct_mod, "_family_prime", stub)
         for m in range(2, 9):
             for k in range(1, 401):
                 refused = k < 3 or k ** m <= (2 * (k + 1)) ** (m - 1)
