@@ -6,9 +6,11 @@ cover); 2 invalid input, budget refusal, usage error or a failed write.
 """
 
 import argparse
+import contextlib
 import functools
 import importlib
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -33,6 +35,21 @@ class Outcome(NamedTuple):
     human: str
     out_doc: object = None
     csv: str | None = None
+
+
+@contextlib.contextmanager
+def _all_digits():
+    """Python's int-to-str digit limit lifted while an answer, which may
+    outgrow its input, is made into text; input is parsed under the limit
+    (so as a decorator, only on handlers that read nothing but options)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def _load_matrix(path: str):
@@ -127,6 +144,7 @@ def cmd_cover_verify(args) -> Outcome:
                    f"cover rejected: first uncovered point {list(check.uncovered)}")
 
 
+@_all_digits()
 def cmd_cover_bound(args) -> Outcome:
     bound = cover_mod.cover_lower_bound(args.m, args.k)
     return Outcome(0, {"m": args.m, "k": args.k, "lower_bound": bound},
@@ -142,6 +160,7 @@ def cmd_cover_min(args) -> Outcome:
                    out_doc=normals)
 
 
+@_all_digits()
 def cmd_bounds(args) -> Outcome:
     rep = construct_mod.bounds_report(args.m, args.k)
     lines = [f"m={rep.m} k={rep.k} regime={rep.regime}",
@@ -269,30 +288,34 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    # The options were parsed under Python's int-to-str digit limit, which
-    # caps them; an answer computed from them may be longer and is printed.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
     try:
         res = args.func(args)
         human = res.human
-        if res.out_doc is not None and args.out:
-            ser.save_json(args.out, res.out_doc)
-            human += f" -> {args.out}"
+        with _all_digits():
+            if res.out_doc is not None and args.out:
+                ser.save_json(args.out, res.out_doc)
+                human += f" -> {args.out}"
+            text = json.dumps(res.doc) if args.json else human
         if res.csv is not None:
             with open(args.csv_out, "w", encoding="utf-8") as fh:
                 fh.write(res.csv)
         # flushed here, so a failed write to stdout is an error like any other
-        print(json.dumps(res.doc) if args.json else human, flush=True)
+        print(text, flush=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
     return res.code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # unwritten text (run() already reported its own) stays buffered; drop
+        # it, or the flush at exit fails again and Python exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:
+            print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

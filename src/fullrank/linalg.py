@@ -36,7 +36,9 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        largest = max(map(abs, self.entries))
+        if self.entry_bound is None and self.modulus is None:
+            return
+        largest = self.max_abs_entry()
         if self.entry_bound is not None and largest > self.entry_bound:
             raise ValueError(f"entry bound {self.entry_bound} violated (found |{largest}|)")
         if self.modulus is not None:
@@ -68,7 +70,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def max_abs_entry(self) -> int:
-        return max(abs(e) for e in self.entries)
+        return max(map(abs, self.entries))
 
 
 def centered_residue(x: int, p: int) -> int:

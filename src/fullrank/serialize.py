@@ -173,8 +173,7 @@ def save_json(path: str, obj: dict) -> None:
 
 
 def load_json(path: str):
-    """The JSON document in the file at path; a file that is not JSON is a
-    ValueError that names it."""
+    """The JSON document in the file at path; a ValueError naming it if not."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

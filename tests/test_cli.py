@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -586,6 +587,31 @@ class TestStrictInputs:
         assert err.startswith(f"error: {empty}: Expecting value")
 
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("files,argv", [
+        ({"big.json": '{"m": 2, "d": 2, "k": null, "modulus": null, '
+                      '"entries": [1, 1, 0, HUGE], "scalings": null}'},
+         ["verify", "--in", "big.json"]),
+        ({"sig.json": '{"d": 5, "support": [2], "values": [HUGE]}'}, ENCODE),
+        ({}, ENCODE + ["--noise=HUGE/7,0"]),
+    ])
+    def test_input_above_int_str_limit_exit_2(self, tmp_path, monkeypatch,
+                                              capsys, files, argv):
+        # input is parsed under Python's 4,300-digit limit, which refuses a
+        # long decimal string before converting it costs quadratic time
+        huge = "9" * 5000
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mat.json").write_text(
+            json.dumps(matrix_to_dict(construct_vandermonde(2, 3)[0])))
+        (tmp_path / "sig.json").write_text(json.dumps(SIGNAL))
+        for name, text in files.items():
+            (tmp_path / name).write_text(text.replace("HUGE", huge))
+        assert run([a.replace("HUGE", huge) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestBudgetRefusals:
     """Every --budget refuses a count above it with exit 2 and one stderr
     line before any work, and runs normally at exactly that count."""
@@ -666,6 +692,25 @@ class TestUsageErrors:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["upper_bound"] == 11313708
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv,unbuffered", [
+        (["bounds", "--m", "2", "--k", "10"], False),
+        (["bounds", "--m", "2", "--k", "10"], True),
+        (["bounds", "--help"], False),
+    ])
+    def test_full_stdout_exit_2(self, argv, unbuffered):
+        # the text that could not be written stayed buffered, so the flush at
+        # interpreter exit failed again: a second report and exit 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "fullrank", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: [Errno 28] No space left on device\n")
 
 
 # --- fuzzing the exit-2 contract ------------------------------------------
