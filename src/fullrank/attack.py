@@ -9,6 +9,7 @@ difference once, under a budget passed like every other scan's.
 
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 
 from .construct import LARGE_M, width_regime
 from .errors import DEFAULT_BUDGET, check_budget
@@ -92,7 +93,7 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
         for large in product(*[span if a == 0 else (0,) for a in small]):
             if large <= small:
                 continue
-            coeffs = tuple(b - a for a, b in zip(small, large))
+            coeffs = tuple(map(sub, large, small))
             agree = [j for j, x in enumerate(combination_vector(A, coeffs))
                      if x == 0]
             if len(agree) >= cfg.min_agree:

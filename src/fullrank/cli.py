@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import functools
 import importlib
+import io
 import json
 import os
 import sys
@@ -285,8 +286,15 @@ def run(argv) -> int:
     process exit status."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse swallows a failed write of --help; it is written here instead
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
+        try:
+            print(shown.getvalue(), end="", flush=True)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         return int(exc.code or 0)
     try:
         res = args.func(args)

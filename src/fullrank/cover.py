@@ -10,6 +10,7 @@ for tiny grids.
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .errors import DEFAULT_BUDGET, check_budget
 from .intmath import exact_ints, iroot, primitive_vector
@@ -64,15 +65,13 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     first uncovered point. An empty normal list covers nothing, so it is
     rejected at the first point scanned.
     """
-    check_budget((2 * inst.k + 1) ** inst.m, budget, "grid enumeration")
+    total = (2 * inst.k + 1) ** inst.m
+    check_budget(total, budget, "grid enumeration")
     span = range(-inst.k, inst.k + 1)
     for checked, x in enumerate(product(span, repeat=inst.m), 1):
-        covered = any(
-            sum(a * b for a, b in zip(n, x)) == 0 for n in inst.normals
-        )
-        if not covered:
+        if all(sum(map(mul, n, x)) for n in inst.normals):
             return CoverCheck(False, x, checked)
-    return CoverCheck(True, None, len(span) ** inst.m)
+    return CoverCheck(True, None, total)
 
 
 def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:
@@ -84,13 +83,6 @@ def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:
         raise ValueError("normal must be nonzero")
     hits = tuple(j for j, x in enumerate(combination_vector(A, n)) if x == 0)
     return len(hits), hits
-
-
-def _half_grid(m: int, k: int) -> list[tuple[int, ...]]:
-    """Nonzero grid points up to sign: those whose first nonzero coordinate
-    is positive, which in tuple order are the ones above the origin."""
-    origin = (0,) * m
-    return [x for x in product(range(-k, k + 1), repeat=m) if x > origin]
 
 
 def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -113,19 +105,19 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
         raise ValueError(f"exact cover search supports only k = 0, m = 2 with "
                          f"k <= 4 and m = 3 with k <= 1 (got m={m}, k={k})")
 
-    points = _half_grid(m, k)
+    # nonzero grid points up to sign: first nonzero coordinate positive,
+    # which in tuple order are the ones above the origin
+    origin = (0,) * m
+    points = [x for x in product(range(-k, k + 1), repeat=m) if x > origin]
     candidates = sorted({primitive_vector(p) for p in points})
     cover_sets = {
-        n: frozenset(
-            p for p in points if sum(a * b for a, b in zip(n, p)) == 0
-        )
+        n: frozenset(p for p in points if not sum(map(mul, n, p)))
         for n in candidates
     }
     by_point = {
         p: [n for n in candidates if p in cover_sets[n]] for p in points
     }
     max_cover = max(len(s) for s in cover_sets.values())
-    universe = frozenset(points)
 
     best_size = len(candidates) + 1
     best_witness: tuple = ()
@@ -145,5 +137,5 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
         for n in by_point[pivot]:
             dfs(uncovered - cover_sets[n], chosen + (n,))
 
-    dfs(universe, ())
+    dfs(frozenset(points), ())
     return best_size, tuple(sorted(best_witness))

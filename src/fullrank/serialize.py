@@ -46,19 +46,21 @@ def matrix_to_dict(A: IntMatrix, params: ConstructionParams | None = None) -> di
     }
 
 
-def _json_object(doc: str, obj) -> dict:
+def _from_object(doc: str, obj, build):
+    """build(obj) for a JSON object obj; a non-object or a missing field is
+    a ValueError naming the document."""
     if not isinstance(obj, dict):
         raise ValueError(f"{doc} JSON must be an object")
-    return obj
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"{doc} JSON missing field {exc}") from exc
 
 
 def matrix_from_dict(obj: dict) -> tuple[IntMatrix, tuple[int, ...] | None]:
-    obj = _json_object("matrix", obj)
-    try:
-        matrix = IntMatrix(rows=obj["m"], cols=obj["d"], entries=obj["entries"],
-                           modulus=obj.get("modulus"), entry_bound=obj.get("k"))
-    except KeyError as exc:
-        raise ValueError(f"matrix JSON missing field {exc}") from exc
+    matrix = _from_object("matrix", obj, lambda o: IntMatrix(
+        rows=o["m"], cols=o["d"], entries=o["entries"],
+        modulus=o.get("modulus"), entry_bound=o.get("k")))
     scalings = obj.get("scalings")
     if scalings is None:
         return matrix, None
@@ -78,12 +80,8 @@ def signal_to_dict(x: SparseSignal) -> dict:
 
 
 def signal_from_dict(obj: dict) -> SparseSignal:
-    obj = _json_object("signal", obj)
-    try:
-        return SparseSignal(dimension=obj["d"], support=obj["support"],
-                            values=obj["values"])
-    except KeyError as exc:
-        raise ValueError(f"signal JSON missing field {exc}") from exc
+    return _from_object("signal", obj, lambda o: SparseSignal(
+        dimension=o["d"], support=o["support"], values=o["values"]))
 
 
 def measurement_to_dict(meas: Measurement) -> dict:
@@ -95,12 +93,9 @@ def measurement_to_dict(meas: Measurement) -> dict:
 
 
 def measurement_from_dict(obj: dict) -> Measurement:
-    obj = _json_object("measurement", obj)
-    try:
-        return Measurement(b=obj["b"], noise=obj.get("noise", []),
-                           noise_bound=obj.get("noise_bound", HALF))
-    except KeyError as exc:
-        raise ValueError(f"measurement JSON missing field {exc}") from exc
+    return _from_object("measurement", obj, lambda o: Measurement(
+        b=o["b"], noise=o.get("noise", []),
+        noise_bound=o.get("noise_bound", HALF)))
 
 
 def certificate_to_dict(cert: DegeneracyCertificate) -> dict:

@@ -3,8 +3,8 @@
 Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
-decimal exponentials and logarithms, and a decoder that revisits
-candidates.
+decimal exponentials and logarithms, a decoder that revisits
+candidates, and a point-by-point grid cover check.
 """
 
 import decimal
@@ -129,3 +129,17 @@ def decode_first_seen(rows, b, s: int, amp: int):
             if resid == best and y not in found:
                 found.append(y)
     return found, best, len(met)
+
+
+def cover_scan(m: int, k: int, normals):
+    """(accepted, first uncovered point, points checked) for the grid
+    {x : ||x||_inf <= k} in Z^m and the hyperplanes with these normals,
+    point by point in lexicographic order from (-k, ..., -k)."""
+    span = range(-k, k + 1)
+    for checked, x in enumerate(itertools.product(span, repeat=m), 1):
+        covered = any(
+            sum(a * b for a, b in zip(n, x)) == 0 for n in normals
+        )
+        if not covered:
+            return False, x, checked
+    return True, None, len(span) ** m

@@ -436,6 +436,30 @@ class TestCoverCommands:
         assert run(["cover", "verify", "--in", str(wit), "--k", "1"]) == 0
         assert len(normals) == 4
 
+    # every instance the search supports: which witness is printed is part
+    # of the output, not only that it covers
+    @pytest.mark.parametrize("m,k,size,witness", [
+        (2, 0, 1, [[1, 0]]),
+        (2, 1, 4, [[0, 1], [1, -1], [1, 0], [1, 1]]),
+        (2, 2, 8, [[0, 1], [1, -2], [1, -1], [1, 0], [1, 1], [1, 2], [2, -1],
+                   [2, 1]]),
+        (2, 3, 16, [[0, 1], [1, -3], [1, -2], [1, -1], [1, 0], [1, 1], [1, 2],
+                    [1, 3], [2, -3], [2, -1], [2, 1], [2, 3], [3, -2],
+                    [3, -1], [3, 1], [3, 2]]),
+        (2, 4, 24, [[0, 1], [1, -4], [1, -3], [1, -2], [1, -1], [1, 0],
+                    [1, 1], [1, 2], [1, 3], [1, 4], [2, -3], [2, -1], [2, 1],
+                    [2, 3], [3, -4], [3, -2], [3, -1], [3, 1], [3, 2],
+                    [3, 4], [4, -3], [4, -1], [4, 1], [4, 3]]),
+        (3, 0, 1, [[1, 0, 0]]),
+        (3, 1, 4, [[0, 0, 1], [0, 1, -1], [0, 1, 0], [0, 1, 1]]),
+        (5, 0, 1, [[1, 0, 0, 0, 0]]),
+    ])
+    def test_min_witness_pinned(self, capsys, m, k, size, witness):
+        code, doc = run_json(capsys, ["cover", "min", "--m", str(m),
+                                      "--k", str(k), "--json"])
+        assert code == 0
+        assert doc == {"m": m, "k": k, "minimum": size, "witness": witness}
+
     def test_min_budget_exit_2(self):
         assert run(["cover", "min", "--m", "3", "--k", "2"]) == 2
 
@@ -586,6 +610,29 @@ class TestStrictInputs:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {empty}: Expecting value")
 
+    @pytest.mark.parametrize("files,argv,line", [
+        ({"mat.json": [1, 2]}, ["verify", "--in", "mat.json"],
+         "matrix JSON must be an object"),
+        ({"mat.json": {"m": 2, "d": 2}}, ["verify", "--in", "mat.json"],
+         "matrix JSON missing field 'entries'"),
+        ({"sig.json": [SIGNAL]}, ENCODE, "signal JSON must be an object"),
+        ({"sig.json": {"d": 5, "support": [2]}}, ENCODE,
+         "signal JSON missing field 'values'"),
+        ({"meas.json": ["1", "0"]}, DECODE,
+         "measurement JSON must be an object"),
+        ({"meas.json": {"noise": ["0", "0"]}}, DECODE,
+         "measurement JSON missing field 'b'"),
+    ])
+    def test_document_shape_message(self, tmp_path, monkeypatch, capsys,
+                                    files, argv, line):
+        # the matrix, signal and measurement readers share one shape rule
+        monkeypatch.chdir(tmp_path)
+        docs = {"mat.json": matrix_to_dict(construct_vandermonde(2, 3)[0]),
+                "sig.json": SIGNAL, "meas.json": {"b": ["1", "0"]}, **files}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str digit limit")
@@ -698,6 +745,7 @@ class TestUsageErrors:
         (["bounds", "--m", "2", "--k", "10"], False),
         (["bounds", "--m", "2", "--k", "10"], True),
         (["bounds", "--help"], False),
+        (["bounds", "--help"], True),  # argparse swallowed the failed write
     ])
     def test_full_stdout_exit_2(self, argv, unbuffered):
         # the text that could not be written stayed buffered, so the flush at

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullrank.construct import construct_vandermonde, max_width
 from fullrank.cover import (
@@ -14,6 +15,7 @@ from fullrank.cover import (
 from fullrank.errors import BudgetExceededError
 from fullrank.intmath import primitive_vector
 from fullrank.linalg import IntMatrix
+from oracles import cover_scan
 
 
 def primitive_classes(m, k):
@@ -122,6 +124,22 @@ class TestVerifyCover:
         inst = CoverInstance(2, 100, ((1, 0),))
         with pytest.raises(BudgetExceededError):
             verify_cover(inst, budget=100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_point_scan_oracle(self, data):
+        m = data.draw(st.integers(1, 4), label="m")
+        k = data.draw(st.integers(0, 3), label="k")
+        vector = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+        drawn = data.draw(st.lists(vector.filter(any), max_size=12))
+        # repeats and sign flips name a hyperplane already listed
+        again = data.draw(st.lists(
+            st.tuples(st.sampled_from(drawn), st.sampled_from((1, -1))),
+            max_size=12 - len(drawn)) if drawn else st.just([]))
+        normals = drawn + [[sign * a for a in n] for n, sign in again]
+        check = verify_cover(CoverInstance(m, k, tuple(map(tuple, normals))))
+        assert (check.accepted, check.uncovered, check.points_checked) == \
+            cover_scan(m, k, normals)
 
     def test_normals_stored_primitive(self):
         inst = CoverInstance(2, 1, ((-2, 4), (0, -3)))
