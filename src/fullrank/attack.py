@@ -53,9 +53,11 @@ def attack_config(A: IntMatrix, t: int | None = None, lam: int | None = None,
                   min_agree: int | None = None) -> AttackConfig:
     """Search parameters for A, each given field kept as is. A missing t or
     lam comes from attack_params(rows, k), k being A's entry bound, else its
-    largest |entry|, and at least 2 (so a 1-row matrix needs both given);
-    min_agree defaults to the row count."""
+    largest |entry|, and at least 2; a 1-row matrix has no defaults, so it
+    needs both given. min_agree defaults to the row count."""
     if t is None or lam is None:
+        if A.rows < 2:
+            raise ValueError("a 1-row matrix needs both t and lam (--t and --lambda)")
         k = A.entry_bound or A.max_abs_entry()
         defaults = attack_params(A.rows, max(k, 2))
         t = defaults.t if t is None else t

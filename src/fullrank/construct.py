@@ -112,10 +112,13 @@ def _window(m: int, k: int, variant: str) -> tuple[int, int]:
 def _family_prime(m: int, k: int, variant: str) -> int:
     """The smallest prime of the family's window. A family whose narrowest
     member has more than DEFAULT_BUDGET entries is refused before the
-    prime search and before any column is built."""
+    prime search and before any column is built; a row longer than that
+    limit is named by the limit alone, as its length may have too many
+    digits to write out."""
     lo, hi = _window(m, k, variant)
-    check_budget(m * lo, DEFAULT_BUDGET, f"this family needs at least {m} x "
-                 f"{lo} = {m * lo} entries", fixed=True)
+    need = (f"at least {m} x {lo} = {m * lo} entries" if lo <= DEFAULT_BUDGET
+            else f"rows of more than {DEFAULT_BUDGET} entries")
+    check_budget(m * lo, DEFAULT_BUDGET, f"this family needs {need}", fixed=True)
     return find_prime_in(lo, hi)
 
 

@@ -9,7 +9,7 @@ for tiny grids.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, count, product
 from operator import mul
 
 from .errors import DEFAULT_BUDGET, check_budget
@@ -88,13 +88,16 @@ def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:
 def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact minimum number of hyperplanes covering the grid, with a witness.
 
-    Candidate normals are the primitive sign-normalized vectors with
-    ||n||_inf <= k. At this scale every hyperplane that can appear in an
-    optimal cover is determined by grid points it must contain, so the
-    restriction loses nothing. Search is depth-first on the least-covered
-    point with branch-and-bound pruning. Past k = 0 (the origin, covered by
-    any one hyperplane) only m = 2 with k <= 4 and m = 3 with k <= 1 are
-    searched; that limit is fixed, so a refusal names it, not a budget.
+    A hyperplane through the origin holds a point exactly when it holds
+    the point's primitive sign-normalized direction, and the candidate
+    normals are those same directions (at this scale every hyperplane of
+    an optimal cover is determined by grid points it holds). Sizes are
+    tried upward from the counting bound ceil(directions / most held by
+    one normal), each size's combinations in sorted order, so the first
+    cover found is minimal and is the lexicographically first minimal
+    cover. Past k = 0 (the origin, covered by any one hyperplane) only
+    m = 2 with k <= 4 and m = 3 with k <= 1 are searched; that limit is
+    fixed, so a refusal names it, not a budget.
     """
     exact_ints((m, k), "cover m and k")
     if m < 2 or k < 0:
@@ -105,37 +108,12 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
         raise ValueError(f"exact cover search supports only k = 0, m = 2 with "
                          f"k <= 4 and m = 3 with k <= 1 (got m={m}, k={k})")
 
-    # nonzero grid points up to sign: first nonzero coordinate positive,
-    # which in tuple order are the ones above the origin
-    origin = (0,) * m
-    points = [x for x in product(range(-k, k + 1), repeat=m) if x > origin]
-    candidates = sorted({primitive_vector(p) for p in points})
-    cover_sets = {
-        n: frozenset(p for p in points if not sum(map(mul, n, p)))
-        for n in candidates
-    }
-    by_point = {
-        p: [n for n in candidates if p in cover_sets[n]] for p in points
-    }
-    max_cover = max(len(s) for s in cover_sets.values())
-
-    best_size = len(candidates) + 1
-    best_witness: tuple = ()
-
-    def dfs(uncovered: frozenset, chosen: tuple):
-        nonlocal best_size, best_witness
-        if not uncovered:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_witness = chosen
-            return
-        lower = len(chosen) + -(-len(uncovered) // max_cover)
-        if lower >= best_size:
-            return
-        # branch on the point with the fewest available hyperplanes
-        pivot = min(uncovered, key=lambda p: len(by_point[p]))
-        for n in by_point[pivot]:
-            dfs(uncovered - cover_sets[n], chosen + (n,))
-
-    dfs(frozenset(points), ())
-    return best_size, tuple(sorted(best_witness))
+    dirs = sorted({primitive_vector(x) for x in product(range(-k, k + 1), repeat=m)
+                   if any(x)})
+    held = {n: frozenset(d for d in dirs if not sum(map(mul, n, d))) for n in dirs}
+    # every direction is orthogonal to another of sup-norm <= k, so all of
+    # dirs covers and the loop returns by size len(dirs)
+    for size in count(-(-len(dirs) // max(map(len, held.values())))):
+        for chosen in combinations(dirs, size):
+            if len(frozenset().union(*map(held.get, chosen))) == len(dirs):
+                return size, chosen

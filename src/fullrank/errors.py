@@ -20,6 +20,16 @@ class BudgetExceededError(ValueError):
         super().__init__(message)
 
 
+def _decimal(n: int) -> str:
+    """n in decimal or, past 4,300 digits (Python's default int-to-str
+    limit), as the power of ten it reaches, found without writing n out."""
+    digits = (abs(n).bit_length() - 1) * 30102 // 100000 + 1  # log10 2 > 0.30102
+    while abs(n) >= 10 ** digits:
+        digits += 1
+    bound = f"at most -10^{digits - 1}" if n < 0 else f"at least 10^{digits - 1}"
+    return str(n) if digits <= 4300 else bound
+
+
 def check_budget(required: int, budget: int, what: str, fixed: bool = False):
     """Refuse `required` steps of the work named by what above an int
     budget. A fixed limit (fixed=True, what stating the need) is named
@@ -28,5 +38,5 @@ def check_budget(required: int, budget: int, what: str, fixed: bool = False):
     if required > budget:
         raise BudgetExceededError(required, budget, (
             f"{what}, above the fixed limit of {budget}" if fixed else
-            f"{what} needs {required} steps, exceeding the budget of "
-            f"{budget}; pass a larger budget to override"))
+            f"{what} needs {_decimal(required)} steps, exceeding the budget of "
+            f"{_decimal(budget)}; pass a larger budget to override"))

@@ -96,8 +96,9 @@ class TestAttackConfig:
     def test_one_row_needs_both_fields(self):
         A = IntMatrix.from_rows([[1, 2, 3]])
         assert attack_config(A, t=1, lam=2).min_agree == 1
-        with pytest.raises(ValueError):
-            attack_config(A, t=1)
+        for given in ({}, {"t": 1}, {"lam": 2}):
+            with pytest.raises(ValueError, match=r"t and lam \(--t and --lambda\)"):
+                attack_config(A, **given)
 
 
 class TestCombinationVector:

@@ -583,6 +583,9 @@ class TestStrictInputs:
         # one agreeing column is no certificate of a 2 x 2 minor
         ({}, ["attack", "--in", "mat.json", "--t", "2", "--lambda", "1",
               "--min-agree", "1"]),
+        # a 1-row matrix has no default --t or --lambda
+        ({"mat.json": matrix_to_dict(IntMatrix.from_rows([[1, 2, 3]]))},
+         ["attack", "--in", "mat.json"]),
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys,
                                     files, argv):
@@ -686,6 +689,31 @@ class TestBudgetRefusals:
         assert f"needs {count} steps" in err
         assert run(argv + ["--budget", str(count)]) in (0, 1)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv,count", [
+        (["cover", "verify", "--in", "normals.json", "--k", "1" + "0" * 2000],
+         "needs at least 10^6000 steps"),
+        (["attack", "--in", "mat.json", "--t", "2", "--lambda", "1" + "0" * 2200],
+         "needs at least 10^4400 steps"),
+        (DECODE[:-3] + ["2", "--amp-bound", "1" + "0" * 2200],
+         "needs at least 10^4401 steps"),
+        (["construct", "--m", "2", "--k", "1" + "0" * 2200, "--variant", "scaled"],
+         "rows of more than 10000000 entries"),
+    ], ids=["cover-verify", "attack", "decode", "construct"])
+    def test_count_past_int_str_limit(self, tmp_path, monkeypatch, capsys,
+                                      argv, count):
+        # a count too long for Python to write in decimal is refused like
+        # any other, not with the interpreter's own conversion error
+        monkeypatch.chdir(tmp_path)
+        docs = {"mat.json": matrix_to_dict(construct_vandermonde(2, 3)[0]),
+                "meas.json": {"b": ["1", "0"]}, "normals.json": [[1, 0, 0]]}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert count in err and "10000000" in err
+        assert "set_int_max_str_digits" not in err
 
 
 class TestParserReuse:

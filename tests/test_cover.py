@@ -205,6 +205,14 @@ class TestMinCover:
         assert size == 4
         assert verify_cover(CoverInstance(3, 1, witness)).accepted
 
+    @pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)])
+    def test_no_smaller_cover(self, m, k):
+        # minimality checked by the cover verifier, not by captured output:
+        # no set of normals one smaller than the answer covers the grid
+        size = min_cover_bruteforce(m, k)[0]
+        for subset in itertools.combinations(primitive_classes(m, k), size - 1):
+            assert not verify_cover(CoverInstance(m, k, subset)).accepted
+
     def test_budget_guard(self):
         # a fixed range, not a budget: a plain ValueError, no counts
         for m, k in ((2, 5), (3, 2), (4, 1)):

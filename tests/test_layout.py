@@ -15,6 +15,7 @@ import pytest
 import fullrank
 from fullrank import (
     AttackConfig,
+    BudgetExceededError,
     ConstructionParams,
     CoverInstance,
     IntMatrix,
@@ -23,6 +24,7 @@ from fullrank import (
     columns_on_hyperplane,
     combination_vector,
     construct,
+    construct_scaled,
     construct_vandermonde,
     decode,
     det_exact,
@@ -230,3 +232,27 @@ class TestExactNumberContract:
         with pytest.raises(ValueError):
             encode(A, X, [0.1, 0])
         assert encode(A, X, ["0.1", 0]).b[0] == Fraction(21, 10)
+
+
+@pytest.mark.parametrize("call,required,text", [
+    (lambda: verify_cover(CoverInstance(3, 10 ** 2000, ((1, 0, 0),))),
+     (2 * 10 ** 2000 + 1) ** 3, "needs at least 10^6000 steps"),
+    (lambda: find_collision(A, AttackConfig(2, 10 ** 2200, 2)),
+     ((2 * 10 ** 2200 + 1) ** 2 - 1) // 2, "needs at least 10^4400 steps"),
+    (lambda: decode(A, (0, 0), 2, 10 ** 2200),
+     1 + 5 * 2 * 10 ** 2200 + 10 * (2 * 10 ** 2200) ** 2,
+     "needs at least 10^4401 steps"),
+    (lambda: construct_vandermonde(2, 10 ** 5000), 2 * (10 ** 5000 + 1),
+     "rows of more than 10000000 entries"),
+    (lambda: construct_scaled(2, 10 ** 2200), 2 * ((10 ** 4400 + 1) // 2),
+     "rows of more than 10000000 entries"),
+], ids=["cover", "attack", "decode", "vandermonde", "scaled"])
+def test_refusal_of_count_past_int_str_limit(call, required, text):
+    # past Python's 4,300-digit int-to-str limit the refusal still carries
+    # the exact count and writes it as the power of ten it reaches
+    with pytest.raises(BudgetExceededError) as exc:
+        call()
+    assert exc.value.required == required
+    message = str(exc.value)
+    assert text in message and "10000000" in message and "\n" not in message
+    assert "set_int_max_str_digits" not in message
