@@ -12,7 +12,7 @@ from itertools import product
 from operator import sub
 
 from .construct import LARGE_M, width_regime
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, iroot
 from .linalg import IntMatrix, combination_vector
 from .verify import DegeneracyCertificate
@@ -84,10 +84,11 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
     Returns None only after exhausting every difference.
     """
     if cfg.t > A.rows:
-        raise ValueError(f"t={cfg.t} exceeds row count {A.rows}")
+        raise ValueError(f"t={as_decimal(cfg.t)} exceeds row count {as_decimal(A.rows)}")
     if not A.rows <= cfg.min_agree <= A.cols:
-        raise ValueError(f"min_agree={cfg.min_agree} outside [{A.rows}, "
-                         f"{A.cols}], the row and column counts")
+        raise ValueError(f"min_agree={as_decimal(cfg.min_agree)} outside "
+                         f"[{as_decimal(A.rows)}, {as_decimal(A.cols)}], the row "
+                         f"and column counts")
     check_budget(((2 * cfg.lam + 1) ** cfg.t - 1) // 2, budget,
                  "coefficient difference scan")
     span = range(cfg.lam + 1)

@@ -25,7 +25,7 @@ entry bound k. All threshold comparisons are done on integers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, floor_ln, floor_sqrt_ln, iroot, is_prime
 from .linalg import IntMatrix, centered_residue, select_columns
 
@@ -69,7 +69,8 @@ class ConstructionParams:
         exact_ints(self.scalings or (), "scalings")
         if self.d % 2 == 0 or not lo <= self.d <= hi or not is_prime(self.d):
             raise ValueError(
-                f"{self.variant} prime must be odd in [{lo}, {hi}], got d={self.d}")
+                f"{self.variant} prime must be odd in [{as_decimal(lo)}, "
+                f"{as_decimal(hi)}], got d={as_decimal(self.d)}")
         if self.variant == SCALED:
             if self.scalings is None or len(self.scalings) != self.d:
                 raise ValueError("scaled variant needs one multiplier per column")
@@ -89,7 +90,7 @@ def find_prime_in(lo: int, hi: int) -> int:
     for p in range(max(2, lo), hi + 1):
         if is_prime(p):
             return p
-    raise ValueError(f"no prime in [{lo}, {hi}]")
+    raise ValueError(f"no prime in [{as_decimal(lo)}, {as_decimal(hi)}]")
 
 
 def _window(m: int, k: int, variant: str) -> tuple[int, int]:
@@ -102,7 +103,8 @@ def _window(m: int, k: int, variant: str) -> tuple[int, int]:
     """
     exact_ints((m, k), "m and k")
     if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1 (got m={m}, k={k})")
+        raise ValueError(f"need m >= 2 and k >= 1 (got m={as_decimal(m)}, "
+                         f"k={as_decimal(k)})")
     if variant == VANDERMONDE:
         return k + 1, 2 * k + 1
     hi = iroot(k ** m - 1, m - 1)
@@ -116,8 +118,8 @@ def _family_prime(m: int, k: int, variant: str) -> int:
     limit is named by the limit alone, as its length may have too many
     digits to write out."""
     lo, hi = _window(m, k, variant)
-    need = (f"at least {m} x {lo} = {m * lo} entries" if lo <= DEFAULT_BUDGET
-            else f"rows of more than {DEFAULT_BUDGET} entries")
+    need = (f"at least {as_decimal(m)} x {lo} = {as_decimal(m * lo)} entries"
+            if lo <= DEFAULT_BUDGET else f"rows of more than {DEFAULT_BUDGET} entries")
     check_budget(m * lo, DEFAULT_BUDGET, f"this family needs {need}", fixed=True)
     return find_prime_in(lo, hi)
 
@@ -141,7 +143,8 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
     and above m.
     """
     if k < m:
-        raise ValueError(f"this variant needs k >= m (got m={m}, k={k})")
+        raise ValueError(f"this variant needs k >= m (got m={as_decimal(m)}, "
+                         f"k={as_decimal(k)})")
     d = _family_prime(m, k, VANDERMONDE)
     return (_power_residues(m, k, d, (1,) * d),
             ConstructionParams(m=m, k=k, d=d, variant=VANDERMONDE))
@@ -170,7 +173,7 @@ def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
     if not is_prime(d):
         raise ValueError("d must be prime")
     if not 1 <= j <= d:
-        raise ValueError(f"column index {j} outside [1, {d}]")
+        raise ValueError(f"column index {as_decimal(j)} outside [1, {as_decimal(d)}]")
     powers = [pow(j, i, d) for i in range(m)]
     best_l = None
     best_q = d  # d * q(l), an integer in [0, d/2]; d is above every value
@@ -203,11 +206,13 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
     lo, _ = _window(m, k, SCALED)
     if lo <= k + 1:
         raise ValueError(
-            f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for m={m}, k={k}")
+            f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for "
+            f"m={as_decimal(m)}, k={as_decimal(k)}")
     d = _family_prime(m, k, SCALED)
     tries = d // iroot(d, m)  # per column, at most (see dirichlet_scale)
-    check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search needs "
-                 f"up to {d} x {tries} = {d * tries} tries", fixed=True)
+    check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search needs up to "
+                 f"{as_decimal(d)} x {as_decimal(tries)} = {as_decimal(d * tries)} "
+                 f"tries", fixed=True)
     reports = tuple(dirichlet_scale(j, d, m) for j in range(1, d + 1))
     scalings = tuple(r.multiplier for r in reports)
     return _power_residues(m, k, d, scalings), ConstructionParams(
@@ -287,11 +292,13 @@ def construct_width(m: int, k: int,
     exact_ints((d_requested,), "requested width d")
     limit = max_width(m, k)
     if d_requested <= m:
-        raise ValueError(f"need d > m (got d={d_requested}, m={m})")
+        raise ValueError(f"need d > m (got d={as_decimal(d_requested)}, "
+                         f"m={as_decimal(m)})")
     if d_requested > limit:
         raise ValueError(
-            f"d={d_requested} exceeds the guaranteed width "
-            f"max(k+1, k^(m/(m-1))/2) = {limit} for m={m}, k={k}"
+            f"d={as_decimal(d_requested)} exceeds the guaranteed width "
+            f"max(k+1, k^(m/(m-1))/2) = {as_decimal(limit)} for "
+            f"m={as_decimal(m)}, k={as_decimal(k)}"
         )
     if d_requested <= k + 1:
         # d > m and d <= k+1 force k >= m, the variant's precondition

@@ -2,10 +2,11 @@
 through the origin.
 
 Includes the exact lower bound ceil(k^(m/(m-1)) / (2m-2)) on the number
-of hyperplanes needed, a brute-force cover verifier, the column-counting
-duality check (a matrix with all maximal minors invertible puts at most
-m-1 of its columns on any hyperplane), and an exact minimum-cover search
-for tiny grids.
+of hyperplanes needed, a cover verifier that scans the grid one line at
+a time (a hyperplane holds a whole line or at most one of its points),
+the column-counting duality check (a matrix with all maximal minors
+invertible puts at most m-1 of its columns on any hyperplane), and an
+exact minimum-cover search for tiny grids.
 """
 
 from dataclasses import dataclass
@@ -61,16 +62,33 @@ def cover_lower_bound(m: int, k: int) -> int:
 def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverCheck:
     """Accept iff every grid point lies on some listed hyperplane.
 
-    Scans lexicographically from (-k, ..., -k); a rejection reports the
-    first uncovered point. An empty normal list covers nothing, so it is
-    rejected at the first point scanned.
+    Scans the lines x_1..x_{m-1} fixed in lexicographic order, so a
+    rejection reports the first uncovered point of the lexicographic
+    scan from (-k, ..., -k), and points_checked is that point's position
+    in the scan (the grid's size when accepted). On one line a normal
+    with n_m = 0 holds every point or none; one with n_m != 0 holds at
+    most the point x_m = -s/n_m, s = n_{<m}.x_{<m}, when n_m divides s
+    and the quotient lies in [-k, k]. An empty normal list covers
+    nothing, so it is rejected at the first point. The budget counts
+    every grid point.
     """
-    total = (2 * inst.k + 1) ** inst.m
+    k, side = inst.k, 2 * inst.k + 1
+    total = side ** inst.m
     check_budget(total, budget, "grid enumeration")
-    span = range(-inst.k, inst.k + 1)
-    for checked, x in enumerate(product(span, repeat=inst.m), 1):
-        if all(sum(map(mul, n, x)) for n in inst.normals):
-            return CoverCheck(False, x, checked)
+    span = range(-k, k + 1)
+    flat = [n[:-1] for n in inst.normals if not n[-1]]
+    steep = [(n[:-1], n[-1]) for n in inst.normals if n[-1]]
+    for line, prefix in enumerate(product(span, repeat=inst.m - 1)):
+        if not all(sum(map(mul, n, prefix)) for n in flat):
+            continue
+        held = set()
+        for head, last in steep:
+            x, r = divmod(-sum(map(mul, head, prefix)), last)
+            if not r and -k <= x <= k:
+                held.add(x)
+        if len(held) < side:
+            x = next(x for x in span if x not in held)
+            return CoverCheck(False, prefix + (x,), line * side + x + k + 1)
     return CoverCheck(True, None, total)
 
 

@@ -20,9 +20,11 @@ class BudgetExceededError(ValueError):
         super().__init__(message)
 
 
-def _decimal(n: int) -> str:
+def as_decimal(n: int) -> str:
     """n in decimal or, past 4,300 digits (Python's default int-to-str
-    limit), as the power of ten it reaches, found without writing n out."""
+    limit), as the power of ten it reaches, found without writing n out.
+    Every integer a refusal message writes goes through here, so a refusal
+    of a huge argument is still the refusal, not Python's conversion error."""
     digits = (abs(n).bit_length() - 1) * 30102 // 100000 + 1  # log10 2 > 0.30102
     while abs(n) >= 10 ** digits:
         digits += 1
@@ -37,6 +39,6 @@ def check_budget(required: int, budget: int, what: str, fixed: bool = False):
     exact_ints((budget,), "budget")
     if required > budget:
         raise BudgetExceededError(required, budget, (
-            f"{what}, above the fixed limit of {budget}" if fixed else
-            f"{what} needs {_decimal(required)} steps, exceeding the budget of "
-            f"{_decimal(budget)}; pass a larger budget to override"))
+            f"{what}, above the fixed limit of {as_decimal(budget)}" if fixed else
+            f"{what} needs {as_decimal(required)} steps, exceeding the budget of "
+            f"{as_decimal(budget)}; pass a larger budget to override"))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, exact_rationals
 from .linalg import IntMatrix
 
@@ -73,7 +73,8 @@ class Measurement:
         object.__setattr__(self, "noise", exact_rationals(self.noise, "noise"))
         if self.noise and len(self.noise) != len(self.b):
             raise ValueError(
-                f"noise length {len(self.noise)} != measurement length {len(self.b)}")
+                f"noise length {as_decimal(len(self.noise))} != measurement length "
+                f"{as_decimal(len(self.b))}")
         bound = exact_rationals((self.noise_bound,), "noise bound")[0]
         if bound <= 0:
             raise ValueError("noise bound must be positive")
@@ -114,12 +115,14 @@ def encode(A: IntMatrix, x: SparseSignal, e=None,
     inside the bound."""
     if x.dimension != A.cols:
         raise ValueError(
-            f"signal dimension {x.dimension} != matrix columns {A.cols}")
+            f"signal dimension {as_decimal(x.dimension)} != matrix columns "
+            f"{as_decimal(A.cols)}")
     if e is None:
         e = (0,) * A.rows
     e = exact_rationals(e, "noise")
     if len(e) != A.rows:
-        raise ValueError(f"noise length {len(e)} != matrix rows {A.rows}")
+        raise ValueError(f"noise length {as_decimal(len(e))} != matrix rows "
+                         f"{as_decimal(A.rows)}")
     b = tuple(sum((A.entry(i, j) * v for j, v in zip(x.support, x.values)), e[i])
               for i in range(A.rows))
     return Measurement(b=b, noise=e, noise_bound=noise_bound)
@@ -148,10 +151,11 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     target = b.b if isinstance(b, Measurement) else exact_rationals(b, "measurement")
     m, d = A.rows, A.cols
     if len(target) != m:
-        raise ValueError(f"measurement length {len(target)} != matrix rows {m}")
+        raise ValueError(f"measurement length {as_decimal(len(target))} != matrix "
+                         f"rows {as_decimal(m)}")
     exact_ints((s, amp_bound), "sparsity and amplitude bound")
     if not 0 <= s <= d:
-        raise ValueError(f"sparsity s={s} outside [0, {d}]")
+        raise ValueError(f"sparsity s={as_decimal(s)} outside [0, {as_decimal(d)}]")
     if amp_bound < 1:
         raise ValueError("amplitude bound must be >= 1")
     n_candidates = sum(math.comb(d, r) * (2 * amp_bound) ** r

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from fullrank.attack import attack_params
 from fullrank.cli import build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
 from fullrank.cover import CoverCheck, cover_lower_bound
+from fullrank.intmath import primitive_vector
 from fullrank.linalg import IntMatrix
 from fullrank.recover import decode
 from fullrank.serialize import (
@@ -418,6 +420,24 @@ class TestCoverCommands:
                                       "--k", "1", "--json"])
         assert code == 1
         assert doc["uncovered"] == [-1, -1]
+
+    def test_verify_full_direction_cover(self, tmp_path, capsys):
+        # the benchmark's cover shape at its largest k: every primitive
+        # direction of the m = 2 grid, accepted; without (0, 1) the first
+        # uncovered point is (-12, 0), the 13th scanned
+        grid = itertools.product(range(-12, 13), repeat=2)
+        full = sorted({primitive_vector(x) for x in grid if any(x)})
+        assert len(full) == 184
+        for normals, code, doc in [
+            (full, 0, {"accepted": True, "uncovered": None, "points_checked": 625}),
+            ([n for n in full if n != (0, 1)], 1,
+             {"accepted": False, "uncovered": [-12, 0], "points_checked": 13}),
+        ]:
+            path = tmp_path / "normals.json"
+            path.write_text(json.dumps(normals))
+            argv = ["cover", "verify", "--in", str(path), "--k", "12", "--json"]
+            assert run(argv) == code
+            assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
     def test_bound_command(self, capsys):
         code, doc = run_json(capsys, ["cover", "bound", "--m", "2", "--k", "4",

@@ -141,6 +141,45 @@ class TestVerifyCover:
         assert (check.accepted, check.uncovered, check.points_checked) == \
             cover_scan(m, k, normals)
 
+    # the hypothesis property above rarely draws a cover that is accepted;
+    # every primitive-direction cover is; without one normal it is rejected
+    # at m = 2 and still accepted at m = 3, where each point has many planes
+    @pytest.mark.parametrize("m,k", [(2, k) for k in range(7)] + [(3, k) for k in range(3)])
+    def test_direction_covers_match_point_scan_oracle(self, m, k):
+        full = primitive_classes(m, k)
+        for normals in [full] + [full[:i] + full[i + 1:] for i in range(len(full))]:
+            check = verify_cover(CoverInstance(m, k, tuple(normals)))
+            assert (check.accepted, check.uncovered, check.points_checked) == \
+                cover_scan(m, k, normals)
+        assert verify_cover(CoverInstance(m, k, tuple(full))).accepted == (k > 0)
+
+    @pytest.mark.parametrize("m,k,normals,expected", [
+        # m = 1: one line, held only at 0 by the one normal there is
+        (1, 2, ((3,),), (False, (-2,), 1)),
+        (1, 0, ((1,),), (True, None, 1)),
+        # the grid's only line, which is also its last
+        (2, 0, (), (False, (0, 0), 1)),
+        # x lies on a hyperplane through the origin exactly when -x does, so
+        # the first uncovered point is never past the middle line x_1 = 0:
+        # here every other line is covered, and (0, -3) is the 22nd point
+        (2, 3, tuple(n for n in primitive_classes(2, 3) if n != (1, 0)),
+         (False, (0, -3), 22)),
+        # on the line x_1 = -1, (3, 1) would hold x_2 = 3, outside [-1, 1]:
+        # it holds nothing there, so the line is short of (-1, 0)
+        (2, 1, ((1, 1), (1, -1), (3, 1)), (False, (-1, 0), 2)),
+        # (1, 0) has n_2 = 0 and holds all of the line x_1 = 0
+        (2, 1, ((1, 1), (1, -1), (0, 1), (1, 0)), (True, None, 9)),
+        (2, 1, ((1, 1), (1, -1), (0, 1)), (False, (0, -1), 4)),
+        # (1, -1, 0) holds the lines x_1 = x_2 and (1, 1, 0) those with
+        # x_1 = -x_2; the line (-1, 0) is held only at x_3 = 0
+        (3, 1, ((1, -1, 0), (1, 1, 0), (0, 0, 1)), (False, (-1, 0, -1), 4)),
+    ], ids=["m1", "m1-origin", "one-line", "middle-line", "quotient-outside",
+            "line-held", "line-not-held", "m3-lines-held"])
+    def test_pinned_lines(self, m, k, normals, expected):
+        check = verify_cover(CoverInstance(m, k, normals))
+        assert (check.accepted, check.uncovered, check.points_checked) == expected
+        assert cover_scan(m, k, CoverInstance(m, k, normals).normals) == expected
+
     def test_normals_stored_primitive(self):
         inst = CoverInstance(2, 1, ((-2, 4), (0, -3)))
         assert inst.normals == ((1, -2), (0, 1))

@@ -26,6 +26,7 @@ from fullrank import (
     construct,
     construct_scaled,
     construct_vandermonde,
+    construct_width,
     decode,
     det_exact,
     dirichlet_scale,
@@ -256,3 +257,34 @@ def test_refusal_of_count_past_int_str_limit(call, required, text):
     message = str(exc.value)
     assert text in message and "10000000" in message and "\n" not in message
     assert "set_int_max_str_digits" not in message
+
+
+BIG = 10 ** 5000  # past Python's 4,300-digit int-to-str limit
+
+
+# one row per refusal site that writes an argument: each is refused with
+# its own range message, the argument written as the power of ten it reaches
+@pytest.mark.parametrize("call,text", [
+    (lambda: decode(A, (0, 0), BIG, 1), "sparsity s=at least 10^5000 outside [0, 5]"),
+    (lambda: encode(A, SparseSignal(BIG, (), ())),
+     "signal dimension at least 10^5000 != matrix columns 5"),
+    (lambda: construct_width(2, 3, BIG), "d=at least 10^5000 exceeds"),
+    (lambda: construct_width(2, 3, -BIG), "need d > m (got d=at most -10^5000, m=2)"),
+    (lambda: find_collision(A, AttackConfig(BIG, 1, 2)),
+     "t=at least 10^5000 exceeds row count 2"),
+    (lambda: find_collision(A, AttackConfig(1, 1, BIG)),
+     "min_agree=at least 10^5000 outside [2, 5]"),
+    (lambda: ConstructionParams(m=2, k=BIG, d=3, variant="vandermonde"),
+     "vandermonde prime must be odd in [at least 10^5000, at least 10^5000], got d=3"),
+    (lambda: find_prime_in(BIG, BIG), "no prime in [at least 10^5000, at least 10^5000]"),
+    (lambda: max_width(-BIG, 3), "(got m=at most -10^5000, k=3)"),
+    (lambda: construct_vandermonde(BIG, 3), "needs k >= m (got m=at least 10^5000, k=3)"),
+    (lambda: dirichlet_scale(BIG, 7, 2), "column index at least 10^5000 outside [1, 7]"),
+], ids=["decode-s", "encode-dimension", "width-d-above", "width-d-below", "attack-t",
+        "attack-min-agree", "params-window", "prime-window", "window-m",
+        "vandermonde-m", "dirichlet-j"])
+def test_range_refusal_of_argument_past_int_str_limit(call, text):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert not isinstance(exc.value, BudgetExceededError)
+    assert text in str(exc.value) and "\n" not in str(exc.value)
