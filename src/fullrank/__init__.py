@@ -49,6 +49,7 @@ from .verify import (
     CertificateCheck,
     DegeneracyCertificate,
     VerificationReport,
+    geometric_structure,
     verify_certificate,
     verify_exhaustive,
     verify_sampled,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, product
 from operator import mul
 
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, iroot, primitive_vector
 from .linalg import IntMatrix, combination_vector
 
@@ -32,10 +32,11 @@ class CoverInstance:
         if self.m < 1 or self.k < 0:
             raise ValueError("need m >= 1 and k >= 0")
         norm = []
-        for n in self.normals:
+        for i, n in enumerate(self.normals):
             n = exact_ints(n, "normal")
             if len(n) != self.m:
-                raise ValueError(f"normal {n} has length {len(n)}, expected {self.m}")
+                raise ValueError(f"normal {i} has length {len(n)}, "
+                                 f"expected {as_decimal(self.m)}")
             norm.append(primitive_vector(n))  # raises on the zero vector
         object.__setattr__(self, "normals", tuple(norm))
 
@@ -54,7 +55,8 @@ def cover_lower_bound(m: int, k: int) -> int:
     than the integer root of k^m - 1; no floating point near the boundary.
     """
     if m < 2 or k < m:
-        raise ValueError(f"bound needs k >= m >= 2 (got m={m}, k={k})")
+        raise ValueError(f"bound needs k >= m >= 2 (got m={as_decimal(m)}, "
+                         f"k={as_decimal(k)})")
     r_ceil = iroot(k ** m - 1, m - 1) + 1
     return -(-r_ceil // (2 * m - 2))
 
@@ -124,7 +126,8 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
         return 1, ((1,) + (0,) * (m - 1),)
     if not ((m == 2 and k <= 4) or (m == 3 and k <= 1)):
         raise ValueError(f"exact cover search supports only k = 0, m = 2 with "
-                         f"k <= 4 and m = 3 with k <= 1 (got m={m}, k={k})")
+                         f"k <= 4 and m = 3 with k <= 1 (got m={as_decimal(m)}, "
+                         f"k={as_decimal(k)})")
 
     dirs = sorted({primitive_vector(x) for x in product(range(-k, k + 1), repeat=m)
                    if any(x)})

@@ -7,6 +7,7 @@ unbounded-precision integers; nothing here touches floating point.
 
 from dataclasses import dataclass
 
+from .errors import as_decimal
 from .intmath import exact_ints, is_prime
 
 
@@ -34,13 +35,15 @@ class IntMatrix:
         object.__setattr__(self, "entries", exact_ints(self.entries, "matrix entries"))
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
+                f"expected {as_decimal(self.rows * self.cols)} entries, "
+                f"got {len(self.entries)}"
             )
         if self.entry_bound is None and self.modulus is None:
             return
         largest = self.max_abs_entry()
         if self.entry_bound is not None and largest > self.entry_bound:
-            raise ValueError(f"entry bound {self.entry_bound} violated (found |{largest}|)")
+            raise ValueError(f"entry bound {as_decimal(self.entry_bound)} violated "
+                             f"(found |{as_decimal(largest)}|)")
         if self.modulus is not None:
             p = self.modulus
             if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -138,7 +141,7 @@ def select_columns(A: IntMatrix, cols) -> IntMatrix:
         raise ValueError("duplicate column index")
     for c in cols:
         if not 0 <= c < A.cols:
-            raise ValueError(f"column index {c} out of range [0, {A.cols})")
+            raise ValueError(f"column index {as_decimal(c)} out of range [0, {A.cols})")
     if not cols:
         raise ValueError("need at least one column")
     entries = tuple(

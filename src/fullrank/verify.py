@@ -1,10 +1,20 @@
 """Verification that all (or sampled) maximal minors are nonzero, plus
 validation of degeneracy certificates.
 
-The exhaustive sweep builds column sets one column at a time and carries
-every maximal minor of the columns taken so far; appending a column
-extends them by a Laplace expansion along the new column. After m-1
-columns they are the signed cofactors of an integer normal to the
+Both checks first try a proof from the constructions' algebra. Say A
+carries an odd prime modulus p, d <= p, and every column c is a
+geometric progression mod p: c_0 != 0 and c_i = c_0 * r^i (mod p), with
+ratios r pairwise distinct mod p. Then every m x m minor is
+(prod c_0) * prod_{a<b} (r_b - r_a) mod p, a unit times a Vandermonde
+determinant on distinct nodes, so it is nonzero mod p and hence over the
+integers. geometric_structure checks this in O(m*d) exact integer steps
+and needs the modulus alone; both families and their column subsets
+qualify. When it proves A, the reports are what the sweep would return.
+
+Otherwise the exhaustive sweep builds column sets one column at a time
+and carries every maximal minor of the columns taken so far; appending a
+column extends them by a Laplace expansion along the new column. After
+m-1 columns they are the signed cofactors of an integer normal to the
 hyperplane the columns span, so a completing column gives a vanishing
 minor exactly when its dot product with that normal is 0. Work per
 extension grows like 2^m and pays because every prefix is shared by its
@@ -89,18 +99,49 @@ def _columns(A: IntMatrix) -> list[tuple[int, ...]]:
     return [A.column(j) for j in range(A.cols)]
 
 
+def geometric_structure(
+        A: IntMatrix) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """(p, heads, ratios) when A's columns prove every maximal minor
+    nonzero mod its modulus p, else None.
+
+    Proved means: d <= p, every head c_0 (row 0) is nonzero mod p, and,
+    from m = 2 on, every column is c_0 * (1, r, r^2, ...) mod p with
+    r = c_1 / c_0 and the ratios pairwise distinct mod p; ratios is empty
+    at m = 1, where a minor is its entry. Then each minor is the product
+    of its heads times a Vandermonde determinant on distinct nodes, a unit
+    mod p. O(m*d) exact integer steps; a matrix without a modulus is
+    never proved.
+    """
+    p, heads = A.modulus, A.row(0)
+    if p is None or A.cols > p or not all(c % p for c in heads):
+        return None
+    if A.rows == 1:
+        return p, heads, ()
+    ratios = tuple(c1 * pow(c0, -1, p) % p for c0, c1 in zip(heads, A.row(1)))
+    if len(set(ratios)) < len(ratios):
+        return None
+    for i in range(2, A.rows):
+        if any((a * r - b) % p for a, r, b in zip(A.row(i - 1), ratios, A.row(i))):
+            return None
+    return p, heads, ratios
+
+
 def verify_exhaustive(A: IntMatrix,
                       budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Check every m-subset of columns; failures come in lexicographic order.
 
-    Refuses when C(d, m) exceeds the budget. Column prefixes are walked
-    depth first, so each (m-1)-prefix's normal is computed once and shared
-    by all of its completions.
+    Refuses when C(d, m) exceeds the budget. A matrix that
+    geometric_structure proves has no failures, and its report counts
+    the C(d, m) minors proved, in O(m*d). Any other is swept: column
+    prefixes are walked depth first, so each (m-1)-prefix's normal is
+    computed once and shared by all of its completions.
     """
     m, d = A.rows, A.cols
     cols = _columns(A)
     total = math.comb(d, m)
     check_budget(total, budget, "exhaustive minor sweep")
+    if geometric_structure(A):
+        return VerificationReport(total_checked=total, mode="exhaustive")
     plans = _laplace_plans(m)
     failures = []
 
@@ -125,7 +166,9 @@ def verify_sampled(A: IntMatrix, trials: int, seed: int,
     """Check `trials` column m-subsets drawn from a seeded generator.
 
     Subsets may repeat; equal seeds give identical reports. Refuses, before
-    drawing anything, when trials exceeds the budget.
+    drawing anything, when trials exceeds the budget. A matrix that
+    geometric_structure proves has no failing subset to draw, so nothing
+    is drawn and the report is the one a draw would give.
     """
     exact_ints((trials, seed), "trials and seed")
     if trials < 1:
@@ -133,12 +176,13 @@ def verify_sampled(A: IntMatrix, trials: int, seed: int,
     check_budget(trials, budget, "sampled minor check")
     m, d = A.rows, A.cols
     cols = _columns(A)
-    rng = random.Random(seed)
     failures = set()
-    for _ in range(trials):
-        combo = tuple(sorted(rng.sample(range(d), m)))
-        if det_exact([cols[j] for j in combo]) == 0:
-            failures.add(combo)
+    if not geometric_structure(A):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            combo = tuple(sorted(rng.sample(range(d), m)))
+            if det_exact([cols[j] for j in combo]) == 0:
+                failures.add(combo)
     return VerificationReport(
         total_checked=trials,
         failures=sorted(failures),

@@ -18,7 +18,7 @@ from fullrank.cli import build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
 from fullrank.cover import CoverCheck, cover_lower_bound
 from fullrank.intmath import primitive_vector
-from fullrank.linalg import IntMatrix
+from fullrank.linalg import IntMatrix, select_columns
 from fullrank.recover import decode
 from fullrank.serialize import (
     cover_check_to_dict,
@@ -30,7 +30,7 @@ from fullrank.serialize import (
     rational_from_str,
     rational_to_str,
 )
-from oracles import floor_exp, floor_sqrt_ln
+from oracles import all_minors_nonzero, floor_exp, floor_sqrt_ln
 
 
 def run_json(capsys, argv):
@@ -276,6 +276,39 @@ class TestVerifyCommand:
 
     def test_budget_refusal_exit_2(self, mat_path):
         assert run(["verify", "--in", mat_path, "--budget", "5"]) == 2
+
+    @staticmethod
+    def vandermonde_subset():
+        """18 of the 19 columns of the 4-row power-residue family mod 19."""
+        A, _ = construct_vandermonde(4, 17)
+        return select_columns(A, [j for j in range(19) if j != 6])
+
+    @pytest.mark.parametrize("mode", [[], ["--trials", "200", "--seed", "5"]],
+                             ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
+    def test_proof_output_is_the_sweeps(self, tmp_path, capsys, mode, fmt):
+        # with its modulus the file is proved from its columns' algebra;
+        # with "modulus": null it is swept (or drawn): the same bytes out
+        doc = matrix_to_dict(self.vandermonde_subset())
+        results = []
+        for modulus in (doc["modulus"], None):
+            path = tmp_path / f"v{modulus}.json"
+            path.write_text(json.dumps({**doc, "modulus": modulus}))
+            code = run(["verify", "--in", str(path)] + mode + fmt)
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and "failures" in results[0][1]
+
+    def test_copied_column_with_modulus_lists_failures(self, tmp_path, capsys):
+        rows = self.vandermonde_subset().to_rows()
+        for r in rows:
+            r[1] = r[0]
+        path = tmp_path / "copy.json"
+        path.write_text(json.dumps(matrix_to_dict(IntMatrix.from_rows(rows, modulus=19))))
+        code, doc = run_json(capsys, ["verify", "--in", str(path), "--json"])
+        assert code == 1
+        assert doc["failures"] == [list(f) for f in all_minors_nonzero(rows)]
+        assert doc["failures"][0] == [0, 1, 2, 3]
 
     def test_seed_without_trials_exit_2(self, mat_path, capsys):
         assert run(["verify", "--in", mat_path, "--seed", "5", "--json"]) == 2

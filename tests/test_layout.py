@@ -27,6 +27,7 @@ from fullrank import (
     construct_scaled,
     construct_vandermonde,
     construct_width,
+    cover_lower_bound,
     decode,
     det_exact,
     dirichlet_scale,
@@ -280,9 +281,20 @@ BIG = 10 ** 5000  # past Python's 4,300-digit int-to-str limit
     (lambda: max_width(-BIG, 3), "(got m=at most -10^5000, k=3)"),
     (lambda: construct_vandermonde(BIG, 3), "needs k >= m (got m=at least 10^5000, k=3)"),
     (lambda: dirichlet_scale(BIG, 7, 2), "column index at least 10^5000 outside [1, 7]"),
+    (lambda: cover_lower_bound(BIG, 3), "(got m=at least 10^5000, k=3)"),
+    (lambda: min_cover_bruteforce(2, BIG), "(got m=2, k=at least 10^5000)"),
+    # a normal is named by its index, so a long one is not written out
+    (lambda: CoverInstance(2, 1, ((1, 0), (BIG,))), "normal 1 has length 1, expected 2"),
+    (lambda: CoverInstance(BIG, 1, ((1,),)),
+     "normal 0 has length 1, expected at least 10^5000"),
+    (lambda: select_columns(A, (BIG,)), "column index at least 10^5000 out of range [0, 5)"),
+    (lambda: IntMatrix(1, 2, (BIG, 1), entry_bound=1),
+     "entry bound 1 violated (found |at least 10^5000|)"),
+    (lambda: IntMatrix(BIG, 1, ()), "expected at least 10^5000 entries, got 0"),
 ], ids=["decode-s", "encode-dimension", "width-d-above", "width-d-below", "attack-t",
         "attack-min-agree", "params-window", "prime-window", "window-m",
-        "vandermonde-m", "dirichlet-j"])
+        "vandermonde-m", "dirichlet-j", "cover-bound-m", "cover-min-k",
+        "cover-normal", "cover-m", "select-column", "entry-bound", "entry-count"])
 def test_range_refusal_of_argument_past_int_str_limit(call, text):
     with pytest.raises(ValueError) as exc:
         call()

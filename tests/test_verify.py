@@ -3,14 +3,23 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullrank.attack import AttackConfig, find_collision
-from fullrank.construct import construct_vandermonde
+from fullrank.construct import construct_scaled, construct_vandermonde
 from fullrank.errors import BudgetExceededError
-from fullrank.linalg import IntMatrix, combination_vector, det_exact
+from fullrank.linalg import (
+    IntMatrix,
+    centered_residue,
+    combination_vector,
+    det_exact,
+    select_columns,
+)
 from fullrank.verify import (
     CertificateCheck,
     DegeneracyCertificate,
+    VerificationReport,
+    geometric_structure,
     verify_certificate,
     verify_exhaustive,
     verify_sampled,
@@ -156,6 +165,126 @@ class TestVerifySampled:
             draw = random.Random(seed)
             drawn = {tuple(sorted(draw.sample(range(d), m))) for _ in range(8)}
             assert report.failures == sorted(drawn & set(all_minors_nonzero(rows)))
+
+
+def family_members():
+    """Every (matrix, params) of both families for m = 2..5, k <= 39."""
+    for m in range(2, 6):
+        for k in range(1, 40):
+            for build in (construct_vandermonde, construct_scaled):
+                try:
+                    yield build(m, k)
+                except ValueError:  # k outside the family's range
+                    pass
+
+
+FAMILY = list(family_members())
+
+
+def unannotated(A):
+    """A without its modulus: never proved, so always swept or drawn."""
+    return IntMatrix(A.rows, A.cols, A.entries)
+
+
+class TestGeometricStructure:
+    def test_every_family_member_proved(self):
+        assert len(FAMILY) == 266
+        for A, params in FAMILY:
+            d = params.d
+            scalings = params.scalings or (1,) * d
+            assert geometric_structure(A) == (
+                d, tuple(centered_residue(l, d) for l in scalings),
+                tuple(j % d for j in range(1, d + 1)))
+            report = verify_exhaustive(A)
+            assert report == VerificationReport(math.comb(d, A.rows), [], "exhaustive")
+            if report.total_checked <= 20_000:  # the sweep agrees
+                assert verify_exhaustive(unannotated(A)) == report
+
+    def test_column_subsets_proved(self):
+        A, _ = construct_vandermonde(4, 17)
+        sub = select_columns(A, (17, 3, 0, 9, 4, 12))
+        assert geometric_structure(sub) is not None
+        assert verify_exhaustive(sub) == verify_exhaustive(unannotated(sub))
+
+    def test_more_columns_than_modulus_never_proved(self):
+        # d = 6 > p = 5: at m >= 2 two ratios must agree mod 5, and m = 1
+        # is refused by the same d <= p rule
+        geometric = IntMatrix.from_rows(
+            [[1, 1, 1, 1, 1, 2], [0, 1, 2, -2, -1, 2]], modulus=5)
+        assert geometric_structure(geometric) is None
+        assert verify_exhaustive(geometric).failures == [(1, 5)]
+        heads = IntMatrix.from_rows([[1, 1, 2, 2, -1, -2]], modulus=5)
+        assert geometric_structure(heads) is None
+        assert verify_exhaustive(heads).failures == []
+
+    def test_ratio_zero_column_proved(self):
+        # (l, 0, ..., 0) is a geometric column of ratio 0
+        A = IntMatrix.from_rows([[2, 1, 1], [0, 1, 2], [0, 1, -1]], modulus=5)
+        assert geometric_structure(A) == (5, (2, 1, 1), (0, 1, 2))
+        assert verify_exhaustive(A) == verify_exhaustive(unannotated(A))
+
+    def test_one_row(self):
+        A = IntMatrix.from_rows([[1, -2, 2]], modulus=5)
+        assert geometric_structure(A) == (5, (1, -2, 2), ())
+        assert verify_exhaustive(A) == VerificationReport(3, [], "exhaustive")
+        zero = IntMatrix.from_rows([[1, 0, 2]], modulus=5)
+        assert geometric_structure(zero) is None
+        assert verify_exhaustive(zero).failures == [(1,)]
+
+    def test_zero_head_not_proved(self):
+        A = IntMatrix.from_rows([[1, 0, 1], [1, 1, 2]], modulus=5)
+        assert geometric_structure(A) is None
+        assert verify_exhaustive(A).failures == all_minors_nonzero(A.to_rows()) == []
+
+    def test_no_modulus_never_proved(self):
+        for A, _ in FAMILY[:40]:
+            assert geometric_structure(unannotated(A)) is None
+
+    def test_copied_column_falls_back_and_lists_failures(self):
+        A, params = construct_vandermonde(3, 6)  # 3 x 7, mod 7
+        rows = A.to_rows()
+        for r in rows:
+            r[1] = r[0]
+        copy = IntMatrix.from_rows(rows, modulus=params.d)
+        assert geometric_structure(copy) is None
+        failures = verify_exhaustive(copy).failures
+        assert failures == all_minors_nonzero(rows) and failures[0] == (0, 1, 2)
+
+    def test_budget_refusal_comes_before_the_proof(self):
+        A, _ = construct_vandermonde(4, 17)  # C(19, 4) = 3876 minors
+        assert geometric_structure(A) is not None
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_exhaustive(A, budget=3875)
+        assert (exc.value.required, exc.value.budget) == (3876, 3875)
+        with pytest.raises(BudgetExceededError):
+            verify_sampled(A, trials=11, seed=0, budget=10)
+        with pytest.raises(ValueError):
+            verify_sampled(A, trials=0, seed=0)
+
+    @pytest.mark.parametrize("trials,seed", [(1, 0), (30, 7), (500, 801)])
+    def test_sampled_report_is_the_draws(self, trials, seed):
+        for A, _ in FAMILY[::25]:
+            report = verify_sampled(A, trials, seed)
+            assert report == verify_sampled(unannotated(A), trials, seed)
+            assert (report.total_checked, report.seed, report.trials) == (trials, seed, trials)
+
+    # members small enough for the permutation-expansion oracle
+    SMALL = [(A, p) for A, p in FAMILY if A.cols <= 13 and A.rows <= 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_entry_mutants(self, data):
+        A, params = data.draw(st.sampled_from(self.SMALL))
+        half = (params.d - 1) // 2
+        entries = list(A.entries)
+        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(
+            st.integers(-half, half))
+        mutant = IntMatrix(A.rows, A.cols, tuple(entries), modulus=params.d)
+        oracle = all_minors_nonzero(mutant.to_rows())
+        if geometric_structure(mutant) is not None:
+            assert oracle == []
+        assert verify_exhaustive(mutant) == VerificationReport(
+            math.comb(A.cols, A.rows), oracle, "exhaustive")
 
 
 class TestVerifyCertificate:
