@@ -245,8 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-bound", default=recover_mod.HALF)
 
     p = command(rsub, "decode", cmd_recover_decode,
-                "sup-norm decoder: every minimizer, by a pruned search; --budget "
-                "counts the whole candidate space", [matrix_in], budget=True,
+                "sup-norm decoder: every minimizer. On a proved matrix with "
+                "2s <= m and no rounding tie at 1/2, the signal is read off "
+                "the syndromes mod p and kept after an exact check proves it "
+                "the unique minimizer; otherwise, or on a miss, a pruned "
+                "search; --budget counts the whole candidate space",
+                [matrix_in], budget=True,
                 out="decoded signal JSON path")
     p.add_argument("--measurement", required=True, help="measurement JSON path")
     p.add_argument("--s", type=int, required=True, help="sparsity")

@@ -54,6 +54,7 @@ def cover_lower_bound(m: int, k: int) -> int:
     ceil(k^(m/(m-1))) is the smallest r with r^(m-1) >= k^m, one more
     than the integer root of k^m - 1; no floating point near the boundary.
     """
+    exact_ints((m, k), "cover m and k")
     if m < 2 or k < m:
         raise ValueError(f"bound needs k >= m >= 2 (got m={as_decimal(m)}, "
                          f"k={as_decimal(k)})")

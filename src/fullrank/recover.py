@@ -2,22 +2,33 @@
 
 Measurements are exact rationals (b = Ax + e with Fraction arithmetic)
 and the decoder returns every minimizer of the sup-norm residual over
-all candidate sparse integer vectors: a branch-and-bound search skips
-only subtrees that cannot tie the best, and the minimizers keep the
-order of a lexicographic walk over the whole space. When every m
-columns of A are linearly independent, any nonzero (2s)-sparse integer
-difference z satisfies ||Az||_inf >= 1, so with 2s <= m and noise below
-1/2 the true signal is the unique minimizer.
+all candidate sparse integer vectors. When every m columns of A are
+linearly independent, any nonzero (2s)-sparse integer difference z
+satisfies ||Az||_inf >= 1, so with 2s <= m and noise below 1/2 the true
+signal is the unique minimizer.
+
+Inside that guarantee the decoder first reads the signal off its
+syndromes: when verify.geometric_structure proves A, A mod p is the
+parity-check matrix of a generalized Reed-Solomon code, y mod p (y the
+nearest integer vector to b) is a syndrome, and Berlekamp-Massey finds
+the error locator (Massey 1969; MacWilliams-Sloane ch. 10-12). The
+answer is kept only after an exact check Ax = y over the integers, which
+with 2s <= m and no rounding tie proves it the unique minimizer. Every
+other case, and every syndrome miss, runs a branch-and-bound search that
+skips only subtrees that cannot tie the best, and lists the minimizers
+in the order of a lexicographic walk over the whole space.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from functools import reduce
+from operator import mul, sub
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, exact_rationals
-from .linalg import IntMatrix
+from .linalg import IntMatrix, centered_residue
+from .verify import geometric_structure
 
 HALF = Fraction(1, 2)
 
@@ -133,20 +144,34 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     """Sup-norm decoder over integer vectors with at most s nonzeros, each
     in [-amp_bound, amp_bound]; returns every minimizer.
 
-    Searches depth first over (column, nonzero value) pairs with columns
-    increasing, carrying the integer residual row by row, from y = 0 as
-    the first incumbent. A column is skipped, with every later one, once
-    some row's |residual| exceeds the best so far by more than the most
-    the columns still allowed from there on can move that row; the test
-    is strict, so every tie survives. Ties are reported, never broken
-    silently: inside the guarantee regime they cannot occur, so an
-    ambiguity is diagnostic.
+    candidates, and the budget, count the whole space,
+    sum_{r<=s} C(d, r) (2 amp_bound)^r, and the refusal comes before any
+    decoding, so it never depends on b.
 
-    The minimizers come in the order of a lexicographic walk over the
-    s-subsets S of the columns and the value tuples on each, which meets
-    a vector at the first S containing its support. candidates, and the
-    budget, count the whole space, sum_{r<=s} C(d, r) (2 amp_bound)^r, so
-    a refusal never depends on b.
+    The syndrome step (_syndrome_decode) applies when
+    verify.geometric_structure proves A, 2s <= m and no b_i lies halfway
+    between two integers. Let y be the nearest integer vector to b. When
+    the step returns an s-sparse x in range with Ax = y exactly, x is the
+    unique minimizer and the residual is ||b - y||_inf: every integer
+    vector Ax' is at least as far from b as y in every row, and as that
+    distance is below 1/2, a residual equal to x's forces Ax' = y. Then
+    x - x' has at most 2s <= m nonzeros, and any min(m, d) columns of a
+    proved matrix are independent mod p (each is a unit times a
+    Vandermonde column on distinct nodes), so x' = x. This rests on the
+    exact check and that argument, never on how x was found. Any miss
+    runs the search below, unchanged.
+
+    The search goes depth first over (column, nonzero value) pairs with
+    columns increasing, carrying the integer residual row by row, from
+    y = 0 as the first incumbent. A column is skipped, with every later
+    one, once some row's |residual| exceeds the best so far by more than
+    the most the columns still allowed from there on can move that row;
+    the test is strict, so every tie survives. Ties are reported, never
+    broken silently: inside the guarantee regime they cannot occur, so an
+    ambiguity is diagnostic. The minimizers come in the order of a
+    lexicographic walk over the s-subsets S of the columns and the value
+    tuples on each, which meets a vector at the first S containing its
+    support.
     """
     target = b.b if isinstance(b, Measurement) else exact_rationals(b, "measurement")
     m, d = A.rows, A.cols
@@ -161,6 +186,10 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     n_candidates = sum(math.comb(d, r) * (2 * amp_bound) ** r
                        for r in range(s + 1))
     check_budget(n_candidates, budget, "decoder enumeration")
+    hit = _syndrome_decode(A, target, s, amp_bound)
+    if hit:
+        x, residual = hit
+        return DecodeResult((x,), residual, True, n_candidates)
 
     # clear denominators once so the search is pure integer arithmetic
     denom = math.lcm(*(t.denominator for t in target))
@@ -209,6 +238,83 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
         sparsity_in_guarantee=2 * s <= m,
         candidates=n_candidates,
     )
+
+
+def _syndrome_decode(A: IntMatrix, target, s: int,
+                     amp_bound: int) -> tuple[SparseSignal, Fraction] | None:
+    """(x, ||b - y||_inf) for the x that the syndromes of y, the nearest
+    integer vector to b, decode to, when x passes every check decode's
+    uniqueness argument needs; None on any miss.
+
+    Applies when 2s <= m, no b_i lies halfway between two integers and
+    geometric_structure gives (p, heads h, ratios r): then
+    S_i = y_i mod p = sum_j h_j x_j r_j^i. Berlekamp-Massey on all m
+    syndromes gives the shortest recurrence (c, L), and the support is the
+    columns whose ratio is a root of the locator z^L c(1/z). The ratio-0
+    column (h, 0, ..., 0) adds to S_0 alone, so it raises L but not the
+    degree of c, and it is found as the root 0. The L x L Vandermonde
+    system on the first L syndromes gives h_j x_j (the ratios are
+    distinct, so it is never singular); dividing by h_j and lifting to
+    the centered residue gives x_j. x is kept only when L <= s, exactly
+    L columns are roots, every x_j is nonzero with |x_j| <= amp_bound,
+    and Ax = y over the integers.
+    """
+    m = A.rows
+    if 2 * s > m or any(t.denominator == 2 for t in target):
+        return None
+    structure = geometric_structure(A)
+    if structure is None:
+        return None
+    p, heads, ratios = structure
+    y = [(2 * t.numerator + t.denominator) // (2 * t.denominator) for t in target]
+    syndromes = [v % p for v in y]
+    c, L = _berlekamp_massey(syndromes, p)
+    if L > s:
+        return None
+    locator = (c + [0] * L)[:L + 1]  # z^L c(1/z), highest power first
+    support = [j for j, r in enumerate(ratios)
+               if not reduce(lambda v, a: (v * r + a) % p, locator, 0)]
+    if len(support) != L:
+        return None
+    values = []
+    for j in support:
+        # q(z) = prod_{k != j} (z - r_k), lowest power first, vanishes at
+        # every other support ratio, so sum_i q_i S_i = h_j x_j q(r_j)
+        q = [1]
+        for k in support:
+            if k != j:
+                q = [(a - ratios[k] * b) % p for a, b in zip([0] + q, q + [0])]
+        unit = heads[j] * math.prod(ratios[j] - ratios[k] for k in support if k != j)
+        values.append(centered_residue(sum(map(mul, q, syndromes)) * pow(unit, -1, p), p))
+    if not all(0 < abs(v) <= amp_bound for v in values):
+        return None
+    if any(sum(A.entry(i, j) * v for j, v in zip(support, values)) != y[i]
+           for i in range(m)):
+        return None
+    return (SparseSignal(A.cols, tuple(support), tuple(values)),
+            max(abs(t - v) for t, v in zip(target, y)))
+
+
+def _berlekamp_massey(seq, p: int) -> tuple[list[int], int]:
+    """Shortest linear recurrence generating seq mod p (Massey 1969):
+    (c, L) with c[0] = 1, deg c <= L and sum_k c[k] seq[n - k] = 0 mod p
+    for L <= n < len(seq)."""
+    c, prev = [1], [1]
+    L, shift, prev_delta = 0, 1, 1
+    for n in range(len(seq)):
+        delta = sum(a * seq[n - k] for k, a in enumerate(c[:n + 1])) % p
+        if not delta:
+            shift += 1
+            continue
+        coef = delta * pow(prev_delta, -1, p)
+        old, c = c, c + [0] * (len(prev) + shift - len(c))
+        for k, a in enumerate(prev, shift):
+            c[k] = (c[k] - coef * a) % p
+        if 2 * L <= n:
+            L, prev, prev_delta, shift = n + 1 - L, old, delta, 1
+        else:
+            shift += 1
+    return c, L
 
 
 def _visit_key(x: SparseSignal, s: int):

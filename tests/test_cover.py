@@ -74,14 +74,18 @@ class TestCoverLowerBound:
         # k=4, m=2: 16/2 = 8 exactly; a float ceiling could give 9
         assert cover_lower_bound(2, 4) == 8
 
-    @pytest.mark.parametrize("call", [
-        lambda: cover_lower_bound(2, 3.5),  # was 7.0, a float ceiling
-        lambda: cover_lower_bound(2.0, 4),
-        lambda: max_width(2, 3.5),  # was 6.0, a float floor
-        lambda: cover_lower_bound(2, True),
-    ], ids=["lower-k-float", "lower-m-float", "max-width-k-float", "lower-k-bool"])
-    def test_refuses_non_int_arguments(self, call):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("call,message", [
+        (lambda: cover_lower_bound(2, 3.5), "cover m and k: 3.5 is not"),
+        (lambda: cover_lower_bound(2.0, 4), "cover m and k: 2.0 is not"),
+        (lambda: max_width(2, 3.5), "m and k: 3.5 is not"),  # was 6.0, a float floor
+        (lambda: cover_lower_bound(2, True), "cover m and k: True is not"),
+        (lambda: cover_lower_bound(2.0, 3), "cover m and k: 2.0 is not"),
+    ], ids=["lower-k-float", "lower-m-float", "max-width-k-float", "lower-k-bool",
+            "lower-m-float-k3"])
+    def test_refuses_non_int_arguments(self, call, message):
+        # each argument is named by the bound's own check, not by a helper
+        # fed a value derived from it (k^m - 1 = 11.25 or 8.0)
+        with pytest.raises(ValueError, match=message):
             call()
 
 

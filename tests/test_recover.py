@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fullrank.construct import construct, construct_vandermonde
+from fullrank.construct import construct, construct_scaled, construct_vandermonde
 from fullrank.errors import BudgetExceededError
-from fullrank.linalg import IntMatrix
+from fullrank.linalg import IntMatrix, select_columns
 from fullrank.recover import (
     Measurement,
     SparseSignal,
+    _syndrome_decode,
     decode,
     encode,
     guarantee_holds,
@@ -20,6 +21,7 @@ from fullrank.recover import (
 from oracles import decode_first_seen
 
 F = Fraction
+HALF = F(1, 2)
 
 
 @pytest.fixture
@@ -237,6 +239,93 @@ class TestDecode:
         assert not meas.in_guarantee
         result = decode(vand23, meas, s=1, amp_bound=2)
         assert result.minimizers  # no correctness claim, just the minimizers
+
+
+def without_modulus(A):
+    return IntMatrix(A.rows, A.cols, A.entries)
+
+
+# every full family with d <= 13 for m = 2..6 and small k; each holds the
+# ratio-0 column (l, 0, ..., 0) of j = d
+FAMILY = ([construct_vandermonde(m, k)[0] for m in range(2, 7) for k in range(m, m + 3)]
+          + [construct_scaled(m, k)[0] for m, k in ((2, 3), (2, 4), (2, 5), (3, 7), (3, 8))])
+
+
+class TestSyndromeStep:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_first_seen_scan_inside_guarantee(self, data):
+        # family members and their column subsets, any order, signals with
+        # at most s <= m/2 nonzeros (x = 0 and s = 0 included), noise below
+        # 1/2: the decode equals the oracle's, and when 2 amp < p it is the
+        # syndrome step's, which returns the planted signal
+        A = data.draw(st.sampled_from(FAMILY))
+        if data.draw(st.booleans()):
+            A = select_columns(A, data.draw(st.lists(
+                st.sampled_from(range(A.cols)), min_size=1, unique=True)))
+        m, d = A.rows, A.cols
+        s, amp = data.draw(st.integers(0, min(m // 2, d))), data.draw(st.integers(1, 3))
+        assume(math.comb(d, s) * (2 * amp + 1) ** s <= 6000)  # oracle's time
+        support = sorted(data.draw(st.lists(st.sampled_from(range(d)), max_size=s,
+                                            unique=True)))
+        values = [data.draw(st.integers(1, amp)) * data.draw(st.sampled_from((-1, 1)))
+                  for _ in support]
+        x = SparseSignal(d, support, values)
+        e = data.draw(st.lists(st.fractions(-HALF, HALF, max_denominator=12).filter(
+            lambda t: abs(t) < HALF), min_size=m, max_size=m))
+        meas = encode(A, x, e)
+        result = decode(A, meas, s=s, amp_bound=amp)
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
+        assert [tuple(y.to_dense()) for y in result.minimizers] == dense
+        assert result.residual == residual
+        assert result.candidates == met
+        assert result.minimizers == (x,)
+        if 2 * amp < A.modulus:
+            assert _syndrome_decode(A, meas.b, s, amp) == (x, meas.noise_inf)
+
+    @pytest.mark.parametrize("support,values", [
+        ((6,), (2,)), ((2, 6), (-1, 3)), ((0, 6), (3, -3)), ((0, 5), (1, 1))])
+    def test_ratio_0_column(self, support, values):
+        # construct(4, 6, 7) is the whole power-residue family mod 7, ratios
+        # (1, ..., 6, 0); column 6 is (1, 0, 0, 0) and enters S_0 alone
+        A = construct(4, 6, 7)
+        x = SparseSignal(7, support, values)
+        meas = encode(A, x, (F(1, 3), F(-2, 5), 0, F(1, 7)))
+        assert _syndrome_decode(A, meas.b, 2, 3) == (x, F(2, 5))
+        result = decode(A, meas, s=2, amp_bound=3)
+        assert result == decode(without_modulus(A), meas, s=2, amp_bound=3)
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, 2, 3)
+        assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
+                result.candidates) == (dense, residual, met)
+
+    @pytest.mark.parametrize("matrix,support,values,noise,s,amp", [
+        # construct(4, 6, 7): p = 7, column 0 is all ones
+        ("plain", (1, 4), (2, -1), (F(1, 3), 0, 0, 0), 2, 3),
+        ("full", (1,), (2,), (F(1, 3), 0, 0, 0), 3, 3),  # 2s > m
+        ("full", (0,), (2,), (-HALF,) * 4, 2, 3),  # ties 2 e_0 with e_0
+        ("full", (0, 2, 4), (1, -1, 1), (0,) * 4, 2, 1),  # locator degree 3 > s
+        ("full", (2,), (3,), (F(1, 4), 0, 0, 0), 1, 2),  # 3 outside [-2, 2]
+        ("full", (3,), (4,), (0,) * 4, 1, 4),  # 4 lifts to -3 mod 7
+        ("full", (2, 4), (7, 1), (0,) * 4, 2, 7),  # 7 = 0 mod 7
+        ("copy", (2,), (1,), (F(1, 3), 0, 0, 0), 2, 3),  # columns 0 and 1 equal
+    ], ids=["no-modulus", "2s-above-m", "tie", "not-s-sparse", "value-out-of-range",
+            "amp-wraps", "value-0-mod-p", "copied-column"])
+    def test_miss_returns_the_search(self, matrix, support, values, noise, s, amp):
+        A = construct(4, 6, 7)
+        if matrix == "plain":
+            A = without_modulus(A)
+        elif matrix == "copy":
+            rows = A.to_rows()
+            for row in rows:
+                row[1] = row[0]
+            A = IntMatrix.from_rows(rows, modulus=7)
+        meas = encode(A, SparseSignal(7, support, values), noise)
+        assert _syndrome_decode(A, meas.b, s, amp) is None
+        result = decode(A, meas, s=s, amp_bound=amp)
+        assert result == decode(without_modulus(A), meas, s=s, amp_bound=amp)
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
+        assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
+                result.candidates) == (dense, residual, met)
 
 
 class TestSeparation:
