@@ -5,11 +5,17 @@ vanishes on at least min_agree >= m columns certifies a degenerate m x m
 submatrix; it is the difference of two vectors in {0..L}^t whose
 combinations agree on those columns. find_collision scans each such
 difference once, under a budget passed like every other scan's.
+
+The scan stops once the smaller vector's first coordinate is nonzero,
+since no pair left can be visited. It keeps the combinations of the
+leading t - 1 rows in a table filled as the scan first meets them, at
+most (L + 1)^(t - 1) vectors of d ints, and walks the last coefficient
+along a line, one vector addition and one count of zeros per difference.
 """
 
 from dataclasses import dataclass
-from itertools import product
-from operator import sub
+from itertools import product, repeat
+from operator import add, mul, sub
 
 from .construct import LARGE_M, width_regime
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
@@ -82,6 +88,13 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
     (coefficients c, first agreeing columns) is the one the full pair scan
     returns. The budget counts differences, ((2 lam + 1)^t - 1) / 2.
     Returns None only after exhausting every difference.
+
+    The scan ends at the first small with small_0 != 0. Every large it
+    pairs with is zero where small is not, so large_0 = 0 < small_0 and
+    large < small: all of its pairs are skipped, and so are those of
+    every later small, as product yields all smalls with small_0 = 0
+    first. The pairs themselves are walked as _agreeing_pairs says, and
+    the certificate's columns come from one combination_vector call.
     """
     if cfg.t > A.rows:
         raise ValueError(f"t={as_decimal(cfg.t)} exceeds row count {as_decimal(A.rows)}")
@@ -91,18 +104,64 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
                          f"and column counts")
     check_budget(((2 * cfg.lam + 1) ** cfg.t - 1) // 2, budget,
                  "coefficient difference scan")
-    span = range(cfg.lam + 1)
-    for small in product(span, repeat=cfg.t):
-        for large in product(*[span if a == 0 else (0,) for a in small]):
-            if large <= small:
+    rows = [A.row(i) for i in range(cfg.t)]
+    hit = next(_agreeing_pairs(rows, cfg.lam, cfg.min_agree), None)
+    if hit is None:
+        return None
+    small, large = hit
+    coeffs = tuple(map(sub, large, small))
+    agree = [j for j, x in enumerate(combination_vector(A, coeffs)) if x == 0]
+    return DegeneracyCertificate(t=cfg.t, coeffs=coeffs,
+                                 columns=tuple(agree[: cfg.min_agree]))
+
+
+def _agreeing_pairs(rows, lam: int, min_agree: int):
+    """The visited pairs (small, large) with small_0 = 0 whose combinations
+    of rows agree on >= min_agree coordinates, in find_collision's order.
+
+    For a fixed small, large runs over lines: its prefix p = large_{<t}
+    in lexicographic order, then x = large_{t-1} upward from 0, or x = 0
+    alone when small_{t-1} != 0. A line with p < small_{<t} holds only
+    pairs with large < small and is skipped whole. If p = small_{<t}, both
+    are zero, and x = 0 gives large <= small, so it is skipped. Along a
+    line E = head[p] + x * row_{t-1} - comb(small) is the combination of
+    large - small, so it moves by row_{t-1} per step, and the pair agrees
+    on E's zeros: one pass to add, one to count.
+
+    head[p], the combination of the leading t - 1 rows with coefficients
+    p, is built the first time p is met, from head[p - e_i] (i the last
+    nonzero coordinate of p) plus row i. The first small is zero and meets
+    every p in lexicographic order, so head[p - e_i] is already there, and
+    every later small finds the table full. An early exit leaves only what
+    the scan met. The table holds at most (lam + 1)^(t - 1) vectors of d
+    ints, one (the zero vector) at t = 1; a line adds O(d), and product
+    copies each range(lam + 1) it is given into a tuple.
+    """
+    last = rows[-1]
+    span = range(lam + 1)
+    head = {(0,) * (len(rows) - 1): [0] * len(last)}
+    for small in product((0,), *[span] * (len(rows) - 1)):
+        prefix, s = small[:-1], small[-1]
+        comb = head[prefix]
+        if s:
+            comb = list(map(add, comb, map(mul, repeat(s), last)))
+        for p in product(*[span if a == 0 else (0,) for a in prefix]):
+            if p < prefix:
                 continue
-            coeffs = tuple(map(sub, large, small))
-            agree = [j for j, x in enumerate(combination_vector(A, coeffs))
-                     if x == 0]
-            if len(agree) >= cfg.min_agree:
-                return DegeneracyCertificate(
-                    t=cfg.t,
-                    coeffs=coeffs,
-                    columns=tuple(agree[: cfg.min_agree]),
-                )
-    return None
+            if p not in head:
+                i = max(j for j, a in enumerate(p) if a)
+                head[p] = list(map(add, head[p[:i] + (p[i] - 1,) + p[i + 1:]],
+                                   rows[i]))
+            # p = prefix: both are zero, x = 0 gives large <= small, and the
+            # line goes on only if s = 0, where E starts at zero
+            if p == prefix:
+                e = [0] * len(last)
+            else:
+                e = list(map(sub, head[p], comb))
+                if e.count(0) >= min_agree:
+                    yield small, p + (0,)
+            if s == 0:
+                for x in range(1, lam + 1):
+                    e = list(map(add, e, last))
+                    if e.count(0) >= min_agree:
+                        yield small, p + (x,)

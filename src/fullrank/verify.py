@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
 
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints
 from .linalg import IntMatrix, combination_vector, det_exact
 
@@ -200,7 +200,7 @@ def verify_certificate(A: IntMatrix, cert: DegeneracyCertificate) -> Certificate
     """
     m, d = A.rows, A.cols
     if not 1 <= cert.t <= m:
-        return CertificateCheck(False, f"t={cert.t} outside [1, {m}]")
+        return CertificateCheck(False, f"t={as_decimal(cert.t)} outside [1, {m}]")
     if len(cert.coeffs) != cert.t:
         return CertificateCheck(
             False, f"{len(cert.coeffs)} coefficients for t={cert.t} rows")
@@ -217,6 +217,6 @@ def verify_certificate(A: IntMatrix, cert: DegeneracyCertificate) -> Certificate
     for j in cols:
         if combination[j]:
             return CertificateCheck(False, f"combination does not vanish at "
-                                           f"column {j} (value {combination[j]})")
+                                           f"column {j} (value {as_decimal(combination[j])})")
     # (c, 0, ..., 0) is a nonzero left-kernel vector of the cols[:m] submatrix: singular
     return CertificateCheck(True, "ok")

@@ -4,7 +4,9 @@ Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
 decimal exponentials and logarithms, a decoder that revisits
-candidates, and a point-by-point grid cover check.
+candidates, a point-by-point grid cover check, and two collision scans:
+one over every pair of coefficient vectors and one over every
+difference, each recomputing its row combinations.
 """
 
 import decimal
@@ -12,6 +14,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 
 
 def perm_det(rows) -> int:
@@ -143,3 +146,46 @@ def cover_scan(m: int, k: int, normals):
         if not covered:
             return False, x, checked
     return True, None, len(span) ** m
+
+
+def collision_pair_scan(rows, t, lam, min_agree):
+    """Scan every pair (a, b) of vectors in {0..lam}^t with a < b
+    lexicographically, in that order, comparing their combinations.
+    Returns (coefficients b - a, first min_agree agreeing columns) of the
+    first pair agreeing on >= min_agree columns, else None."""
+    d = len(rows[0])
+    vecs = list(itertools.product(range(lam + 1), repeat=t))
+    combs = [
+        tuple(sum(v[i] * rows[i][j] for i in range(t)) for j in range(d))
+        for v in vecs
+    ]
+    for ia in range(len(vecs)):
+        for ib in range(ia + 1, len(vecs)):
+            agree = [j for j in range(d) if combs[ia][j] == combs[ib][j]]
+            if len(agree) >= min_agree:
+                coeffs = tuple(b - a for a, b in zip(vecs[ia], vecs[ib]))
+                return coeffs, tuple(agree[:min_agree])
+    return None
+
+
+def collision_difference_scan(rows, t, lam, min_agree):
+    """The collision scan as one visit per difference: every nonzero c
+    once, as the pair (max(0, -c), max(0, c)), with a fresh combination of
+    the first t rows for each. The loop is kept as it was before the scan
+    tabulated its combinations; returns what collision_pair_scan does."""
+
+    def combination_vector(rows, coeffs):
+        return [sum(c * row[j] for c, row in zip(coeffs, rows))
+                for j in range(len(rows[0]))]
+
+    span = range(lam + 1)
+    for small in itertools.product(span, repeat=t):
+        for large in itertools.product(*[span if a == 0 else (0,) for a in small]):
+            if large <= small:
+                continue
+            coeffs = tuple(map(sub, large, small))
+            agree = [j for j, x in enumerate(combination_vector(rows, coeffs))
+                     if x == 0]
+            if len(agree) >= min_agree:
+                return coeffs, tuple(agree[:min_agree])
+    return None

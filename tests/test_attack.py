@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,29 +14,11 @@ from fullrank.attack import (
     combination_vector,
     find_collision,
 )
-from fullrank.construct import construct_vandermonde
+from fullrank.construct import construct_scaled, construct_vandermonde
 from fullrank.errors import BudgetExceededError
 from fullrank.linalg import IntMatrix
 from fullrank.verify import verify_certificate
-from oracles import perm_det
-
-
-def collision_oracle(rows, t, lam, min_agree):
-    """Scan every pair (a, b) of vectors in {0..lam}^t with a < b
-    lexicographically, in that order, comparing their combinations."""
-    d = len(rows[0])
-    vecs = list(itertools.product(range(lam + 1), repeat=t))
-    combs = [
-        tuple(sum(v[i] * rows[i][j] for i in range(t)) for j in range(d))
-        for v in vecs
-    ]
-    for ia in range(len(vecs)):
-        for ib in range(ia + 1, len(vecs)):
-            agree = [j for j in range(d) if combs[ia][j] == combs[ib][j]]
-            if len(agree) >= min_agree:
-                coeffs = tuple(b - a for a, b in zip(vecs[ia], vecs[ib]))
-                return coeffs, tuple(agree[:min_agree])
-    return None
+from oracles import collision_difference_scan, collision_pair_scan, perm_det
 
 
 class TestAttackParams:
@@ -178,7 +162,7 @@ class TestFindCollision:
                 rows = [list(flat[:d]), list(flat[d:])]
                 A = IntMatrix.from_rows(rows)
                 cert = find_collision(A, AttackConfig(t=2, lam=1, min_agree=2))
-                expected = collision_oracle(rows, 2, 1, 2)
+                expected = collision_pair_scan(rows, 2, 1, 2)
                 if expected is None:
                     assert cert is None
                 else:
@@ -191,7 +175,7 @@ class TestFindCollision:
             rows = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(2)]
             A = IntMatrix.from_rows(rows)
             cert = find_collision(A, AttackConfig(t=2, lam=1, min_agree=2))
-            expected = collision_oracle(rows, 2, 1, 2)
+            expected = collision_pair_scan(rows, 2, 1, 2)
             assert (cert is None) == (expected is None)
             if cert is not None:
                 assert (cert.coeffs, cert.columns) == expected
@@ -210,7 +194,7 @@ class TestFindCollision:
             rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
             cert = find_collision(IntMatrix.from_rows(rows),
                                   AttackConfig(t=t, lam=lam, min_agree=min_agree))
-            expected = collision_oracle(rows, t, lam, min_agree)
+            expected = collision_pair_scan(rows, t, lam, min_agree)
             assert (None if cert is None else (cert.coeffs, cert.columns)) == expected
             hits += expected is not None
         assert 0 < hits < 300  # both outcomes exercised
@@ -240,7 +224,7 @@ class TestFindCollision:
         cert = find_collision(IntMatrix.from_rows(rows),
                               AttackConfig(t=3, lam=2, min_agree=3))
         assert (cert.coeffs, cert.columns) == ((2, 1, -2), (0, 2, 3))
-        assert collision_oracle(rows, 3, 2, 3) == ((2, 1, -2), (0, 2, 3))
+        assert collision_pair_scan(rows, 3, 2, 3) == ((2, 1, -2), (0, 2, 3))
 
     def test_min_agree_below_rows_refused(self):
         # fewer than m agreeing columns witness no m x m minor: on this
@@ -248,6 +232,108 @@ class TestFindCollision:
         A, _ = construct_vandermonde(2, 3)
         with pytest.raises(ValueError, match="min_agree=1 outside"):
             find_collision(A, AttackConfig(t=2, lam=1, min_agree=1))
+
+
+def scan_result(rows, t, lam, min_agree):
+    cert = find_collision(IntMatrix.from_rows(rows), AttackConfig(t, lam, min_agree))
+    return None if cert is None else (cert.coeffs, cert.columns)
+
+
+class TestScanAgainstReferences:
+    """find_collision returns what both reference scans return: every pair
+    of vectors, and every difference with its combination recomputed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_both_references(self, data):
+        m = data.draw(st.integers(1, 5))
+        d = data.draw(st.integers(m, m + 10))
+        t = data.draw(st.integers(1, m))
+        # lam <= 5, capped so that the pair scan's (lam+1)^(2t)/2 pairs stay
+        # in test time: lam = 5 up to t = 3, 2 at t = 4, 1 at t = 5
+        lam = data.draw(st.integers(1, max(l for l in range(1, 6)
+                                           if (2 * l + 1) ** t <= 11 ** 3)))
+        min_agree = data.draw(st.integers(m, d))
+        rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                                  min_size=m, max_size=m))
+        got = scan_result(rows, t, lam, min_agree)
+        assert got == collision_difference_scan(rows, t, lam, min_agree)
+        assert got == collision_pair_scan(rows, t, lam, min_agree)
+
+    @pytest.mark.parametrize("variant,m,k,keep,t,lam", [
+        ("vandermonde", 4, 30, 18, 3, 3),
+        ("vandermonde", 5, 20, 14, 3, 3),
+        ("scaled", 2, 40, 120, 2, 8),
+    ])
+    def test_full_scans_on_family_subsets(self, variant, m, k, keep, t, lam):
+        # seeded column subsets of the constructions: every minor is
+        # nonzero, so each scan runs to the end and returns None
+        full = (construct_scaled if variant == "scaled" else construct_vandermonde)(m, k)[0]
+        rng = random.Random(m * 1000 + k)
+        for _ in range(3):
+            cols = sorted(rng.sample(range(full.cols), keep))
+            rows = [[row[j] for j in cols] for row in full.to_rows()]
+            assert scan_result(rows, t, lam, m) is None
+            assert collision_difference_scan(rows, t, lam, m) is None
+            assert collision_pair_scan(rows, t, lam, m) is None
+
+    @pytest.mark.parametrize("lam,coeffs,plane", [
+        # 12 x - 11 y = 0 on (11 u, 12 u)
+        (12, (12, -11), [(11, 12)]),
+        # 5 x - 4 y + 3 z = 0 on u (4, 5, 0) + v (0, 3, 4)
+        (5, (5, -4, 3), [(4, 5, 0), (0, 3, 4)]),
+    ])
+    def test_late_planted_hit(self, lam, coeffs, plane):
+        # the only difference that vanishes on the planted columns has
+        # |c_i| near lam, so the scan meets it late; the random columns
+        # are too large for a small difference to vanish on any of them
+        t = len(coeffs)
+        rng = random.Random(lam)
+        planted = []
+        for _ in range(t):
+            u = [rng.randint(1, 9) for _ in plane]
+            planted.append([sum(a * b[i] for a, b in zip(u, plane)) for i in range(t)])
+        cols = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(t)] for _ in range(6)]
+        cols[1:1] = planted[:1]
+        cols[5:5] = planted[1:]
+        rows = [list(r) for r in zip(*cols)]
+        expected = (coeffs, tuple(j for j, c in enumerate(cols) if c in planted))
+        assert collision_pair_scan(rows, t, lam, t) == expected
+        assert collision_difference_scan(rows, t, lam, t) == expected
+        assert scan_result(rows, t, lam, t) == expected
+
+
+class TestScanMemory:
+    """The scan keeps O(d) per line and tabulates only the leading t - 1
+    rows, lazily: no table of lam + 1 combinations is ever built."""
+
+    BOUND = 256 * 1024
+
+    @pytest.mark.parametrize("t,lam,rows,min_agree,expected", [
+        # t = 1: a full scan of 2*10^4 differences (49 zeros, 50 needed),
+        # and a hit at the first (49 needed)
+        (1, 20_000, [[0] * 49 + [7]], 50, None),
+        (1, 20_000, [[0] * 49 + [7]], 49, ((1,), tuple(range(49)))),
+        # t = 2 at the largest lam the default budget admits: the first
+        # line's first difference (0, 1) vanishes at columns 0 and 1
+        (2, 2235, [list(range(1000, 1100)), [0, 0] + list(range(1000, 1098))], 2,
+         ((0, 1), (0, 1))),
+    ], ids=["t1-full-scan", "t1-first-difference", "t2-first-line"])
+    def test_peak_far_below_a_table_of_lam_plus_one_vectors(self, t, lam, rows,
+                                                          min_agree, expected):
+        A = IntMatrix.from_rows(rows)
+        cfg = AttackConfig(t, lam, min_agree)
+        tracemalloc.start()
+        try:
+            cert = find_collision(A, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (None if cert is None else (cert.coeffs, cert.columns)) == expected
+        assert peak <= self.BOUND
+        # the table this bound rules out: lam + 1 lists of d ints, counting
+        # the lists alone
+        assert (lam + 1) * sys.getsizeof([0] * A.cols) >= 4 * self.BOUND
 
 
 class TestConfigValidation:

@@ -18,6 +18,7 @@ from fullrank import (
     BudgetExceededError,
     ConstructionParams,
     CoverInstance,
+    DegeneracyCertificate,
     IntMatrix,
     Measurement,
     SparseSignal,
@@ -39,6 +40,7 @@ from fullrank import (
     min_cover_bruteforce,
     scale_matrix,
     select_columns,
+    verify_certificate,
     verify_cover,
     verify_exhaustive,
     verify_sampled,
@@ -300,3 +302,15 @@ def test_range_refusal_of_argument_past_int_str_limit(call, text):
         call()
     assert not isinstance(exc.value, BudgetExceededError)
     assert text in str(exc.value) and "\n" not in str(exc.value)
+
+
+# a certificate past the limit is rejected with its own reason, the
+# integer written as the power of ten it reaches
+@pytest.mark.parametrize("cert,text", [
+    (DegeneracyCertificate(BIG, (1,), (0, 1)), "t=at least 10^5000 outside [1, 2]"),
+    (DegeneracyCertificate(1, (BIG,), (0, 1)),
+     "combination does not vanish at column 0 (value at least 10^5000)"),
+], ids=["certificate-t", "certificate-value"])
+def test_certificate_rejection_past_int_str_limit(cert, text):
+    check = verify_certificate(A, cert)
+    assert not check.accepted and check.reason == text
