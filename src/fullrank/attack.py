@@ -7,10 +7,11 @@ combinations agree on those columns. find_collision scans each such
 difference once, under a budget passed like every other scan's.
 
 The scan stops once the smaller vector's first coordinate is nonzero,
-since no pair left can be visited. It keeps the combinations of the
-leading t - 1 rows in a table filled as the scan first meets them, at
-most (L + 1)^(t - 1) vectors of d ints, and walks the last coefficient
-along a line, one vector addition and one count of zeros per difference.
+since no pair left can be visited. It tabulates the combinations of the
+leading t - 1 rows as it first meets them, at most (L + 1)^(t - 1)
+vectors of d ints, and walks the last coefficient along a line, one
+vector addition and one count of zeros per difference; a hit's
+certificate columns are the zeros of that vector.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from operator import add, mul, sub
 from .construct import LARGE_M, width_regime
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, iroot
-from .linalg import IntMatrix, combination_vector
+from .linalg import IntMatrix
 from .verify import DegeneracyCertificate
 
 
@@ -93,8 +94,8 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
     pairs with is zero where small is not, so large_0 = 0 < small_0 and
     large < small: all of its pairs are skipped, and so are those of
     every later small, as product yields all smalls with small_0 = 0
-    first. The pairs themselves are walked as _agreeing_pairs says, and
-    the certificate's columns come from one combination_vector call.
+    first. The pairs are walked as _agreeing_pairs says; the certificate's
+    columns are the first zeros of the combination the scan holds.
     """
     if cfg.t > A.rows:
         raise ValueError(f"t={as_decimal(cfg.t)} exceeds row count {as_decimal(A.rows)}")
@@ -108,15 +109,14 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
     hit = next(_agreeing_pairs(rows, cfg.lam, cfg.min_agree), None)
     if hit is None:
         return None
-    small, large = hit
-    coeffs = tuple(map(sub, large, small))
-    agree = [j for j, x in enumerate(combination_vector(A, coeffs)) if x == 0]
-    return DegeneracyCertificate(t=cfg.t, coeffs=coeffs,
-                                 columns=tuple(agree[: cfg.min_agree]))
+    small, large, e = hit
+    agree = tuple(j for j, x in enumerate(e) if not x)
+    return DegeneracyCertificate(t=cfg.t, coeffs=tuple(map(sub, large, small)),
+                                 columns=agree[: cfg.min_agree])
 
 
 def _agreeing_pairs(rows, lam: int, min_agree: int):
-    """The visited pairs (small, large) with small_0 = 0 whose combinations
+    """The visited pairs (small, large, E) with small_0 = 0 whose combinations
     of rows agree on >= min_agree coordinates, in find_collision's order.
 
     For a fixed small, large runs over lines: its prefix p = large_{<t}
@@ -126,7 +126,7 @@ def _agreeing_pairs(rows, lam: int, min_agree: int):
     are zero, and x = 0 gives large <= small, so it is skipped. Along a
     line E = head[p] + x * row_{t-1} - comb(small) is the combination of
     large - small, so it moves by row_{t-1} per step, and the pair agrees
-    on E's zeros: one pass to add, one to count.
+    on E's zeros, and E is yielded with it: one pass to add, one to count.
 
     head[p], the combination of the leading t - 1 rows with coefficients
     p, is built the first time p is met, from head[p - e_i] (i the last
@@ -159,9 +159,9 @@ def _agreeing_pairs(rows, lam: int, min_agree: int):
             else:
                 e = list(map(sub, head[p], comb))
                 if e.count(0) >= min_agree:
-                    yield small, p + (0,)
+                    yield small, p + (0,), e
             if s == 0:
                 for x in range(1, lam + 1):
                     e = list(map(add, e, last))
                     if e.count(0) >= min_agree:
-                        yield small, p + (x,)
+                        yield small, p + (x,), e

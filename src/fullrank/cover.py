@@ -20,8 +20,8 @@ from .linalg import IntMatrix, combination_vector
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """Grid parameters and hyperplane normals, stored primitive and
-    sign-normalized (gcd 1, first nonzero coordinate positive)."""
+    """Grid parameters and hyperplane normals, each a nonzero integer
+    vector of length m, kept as given."""
 
     m: int
     k: int
@@ -31,14 +31,14 @@ class CoverInstance:
         exact_ints((self.m, self.k), "cover m and k")
         if self.m < 1 or self.k < 0:
             raise ValueError("need m >= 1 and k >= 0")
-        norm = []
-        for i, n in enumerate(self.normals):
-            n = exact_ints(n, "normal")
+        normals = tuple(exact_ints(n, "normal") for n in self.normals)
+        for i, n in enumerate(normals):
             if len(n) != self.m:
                 raise ValueError(f"normal {i} has length {len(n)}, "
                                  f"expected {as_decimal(self.m)}")
-            norm.append(primitive_vector(n))  # raises on the zero vector
-        object.__setattr__(self, "normals", tuple(norm))
+            if not any(n):
+                raise ValueError(f"normal {i} is zero")
+        object.__setattr__(self, "normals", normals)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from fullrank.attack import (
     AttackConfig,
+    _agreeing_pairs,
     attack_config,
     attack_params,
-    combination_vector,
     find_collision,
 )
 from fullrank.construct import construct_scaled, construct_vandermonde
 from fullrank.errors import BudgetExceededError
-from fullrank.linalg import IntMatrix
+from fullrank.linalg import IntMatrix, combination_vector
 from fullrank.verify import verify_certificate
 from oracles import collision_difference_scan, collision_pair_scan, perm_det
 
@@ -239,26 +239,58 @@ def scan_result(rows, t, lam, min_agree):
     return None if cert is None else (cert.coeffs, cert.columns)
 
 
+@st.composite
+def scan_cases(draw):
+    """(rows, t, lam, min_agree) for a scan of an m x d matrix."""
+    m = draw(st.integers(1, 5))
+    d = draw(st.integers(m, m + 10))
+    t = draw(st.integers(1, m))
+    # lam <= 5, capped so that the pair scan's (lam+1)^(2t)/2 pairs stay
+    # in test time: lam = 5 up to t = 3, 2 at t = 4, 1 at t = 5
+    lam = draw(st.integers(1, max(l for l in range(1, 6)
+                                  if (2 * l + 1) ** t <= 11 ** 3)))
+    min_agree = draw(st.integers(m, d))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                         min_size=m, max_size=m))
+    return rows, t, lam, min_agree
+
+
 class TestScanAgainstReferences:
     """find_collision returns what both reference scans return: every pair
     of vectors, and every difference with its combination recomputed."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_matches_both_references(self, data):
-        m = data.draw(st.integers(1, 5))
-        d = data.draw(st.integers(m, m + 10))
-        t = data.draw(st.integers(1, m))
-        # lam <= 5, capped so that the pair scan's (lam+1)^(2t)/2 pairs stay
-        # in test time: lam = 5 up to t = 3, 2 at t = 4, 1 at t = 5
-        lam = data.draw(st.integers(1, max(l for l in range(1, 6)
-                                           if (2 * l + 1) ** t <= 11 ** 3)))
-        min_agree = data.draw(st.integers(m, d))
-        rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
-                                  min_size=m, max_size=m))
-        got = scan_result(rows, t, lam, min_agree)
-        assert got == collision_difference_scan(rows, t, lam, min_agree)
-        assert got == collision_pair_scan(rows, t, lam, min_agree)
+    @given(scan_cases())
+    def test_matches_both_references(self, case):
+        got = scan_result(*case)
+        assert got == collision_difference_scan(*case)
+        assert got == collision_pair_scan(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_every_pair_carries_its_combination(self, case):
+        # the vector yielded with a pair is the one its certificate's
+        # columns are read from: it must be the combination of the
+        # difference, recomputed here from the matrix
+        rows, t, lam, min_agree = case
+        A = IntMatrix.from_rows(rows)
+        for small, large, e in _agreeing_pairs(rows[:t], lam, min_agree):
+            coeffs = tuple(b - a for a, b in zip(small, large))
+            assert tuple(e) == combination_vector(A, coeffs)
+            assert e.count(0) >= min_agree
+
+    def test_first_difference_hit_at_d_160(self):
+        # the first difference visited is e_{t-1}, which vanishes where
+        # row t - 1 does: five planted zeros, the first three certified
+        rng = random.Random(160)
+        rows = [[rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) for _ in range(160)]
+                for _ in range(3)]
+        zeros = sorted(rng.sample(range(160), 5))
+        for j in zeros:
+            rows[2][j] = 0
+        expected = collision_pair_scan(rows, 3, 3, 3)
+        assert expected == ((0, 0, 1), tuple(zeros[:3]))
+        assert scan_result(rows, 3, 3, 3) == expected
 
     @pytest.mark.parametrize("variant,m,k,keep,t,lam", [
         ("vandermonde", 4, 30, 18, 3, 3),

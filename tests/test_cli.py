@@ -164,7 +164,7 @@ class TestResultDocuments:
 
     def test_cover_dimension_from_first_normal(self):
         inst = cover_from_obj([[2, 0], [1, -1]], k=3)
-        assert (inst.m, inst.k, inst.normals) == (2, 3, ((1, 0), (1, -1)))
+        assert (inst.m, inst.k, inst.normals) == (2, 3, ((2, 0), (1, -1)))
         assert cover_from_obj([], k=1, m=3).normals == ()
 
     def test_empty_cover_needs_dimension(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,14 +148,20 @@ class TestVerifyCover:
 
     # the hypothesis property above rarely draws a cover that is accepted;
     # every primitive-direction cover is; without one normal it is rejected
-    # at m = 2 and still accepted at m = 3, where each point has many planes
+    # at m = 2 and still accepted at m = 3, where each point has many planes.
+    # g n names the hyperplane n does for any integer g != 0, so each cover
+    # with every normal times its own random multiple gets the same check
     @pytest.mark.parametrize("m,k", [(2, k) for k in range(7)] + [(3, k) for k in range(3)])
     def test_direction_covers_match_point_scan_oracle(self, m, k):
+        rng = random.Random(m * 100 + k)
         full = primitive_classes(m, k)
         for normals in [full] + [full[:i] + full[i + 1:] for i in range(len(full))]:
             check = verify_cover(CoverInstance(m, k, tuple(normals)))
             assert (check.accepted, check.uncovered, check.points_checked) == \
                 cover_scan(m, k, normals)
+            g = [rng.choice((-1, 1)) * rng.randint(1, 7) for _ in normals]
+            scaled = tuple(tuple(g_n * a for a in n) for g_n, n in zip(g, normals))
+            assert verify_cover(CoverInstance(m, k, scaled)) == check
         assert verify_cover(CoverInstance(m, k, tuple(full))).accepted == (k > 0)
 
     @pytest.mark.parametrize("m,k,normals,expected", [
@@ -184,13 +191,15 @@ class TestVerifyCover:
         assert (check.accepted, check.uncovered, check.points_checked) == expected
         assert cover_scan(m, k, CoverInstance(m, k, normals).normals) == expected
 
-    def test_normals_stored_primitive(self):
+    def test_normals_kept_as_given(self):
         inst = CoverInstance(2, 1, ((-2, 4), (0, -3)))
-        assert inst.normals == ((1, -2), (0, 1))
+        assert inst.normals == ((-2, 4), (0, -3))
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^normal 0 is zero$"):
             CoverInstance(2, 1, ((0, 0),))
+        with pytest.raises(ValueError, match="^normal 2 is zero$"):
+            CoverInstance(3, 1, ((1, 0, 0), (0, 2, -1), (0, 0, 0)))
 
 
 class TestColumnsOnHyperplane:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fullrank.linalg import (
     IntMatrix,
@@ -118,6 +118,24 @@ class TestDetExact:
             assert det_exact(cols) == det
             assert rows == before  # the input is copied, never changed
 
+
+@st.composite
+def int_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-50, 50), min_size=rows * cols,
+                            max_size=rows * cols))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+class TestColumn:
+    @given(int_matrices())
+    @example(IntMatrix(1, 7, (3, -1, 4, 1, -5, 9, 2)))
+    @example(IntMatrix(5, 1, (2, -7, 1, 8, -2)))
+    def test_matches_entries(self, A):
+        for j in range(A.cols):
+            assert A.column(j) == tuple(A.entry(i, j) for i in range(A.rows))
+
+
 class TestSelectColumns:
     def setup_method(self):
         self.A = IntMatrix.from_rows(
@@ -193,6 +211,4 @@ class TestCombinationVector:
 
     def test_one_function_behind_every_name(self):
         import fullrank
-        from fullrank import attack
-        assert attack.combination_vector is combination_vector
         assert fullrank.combination_vector is combination_vector
