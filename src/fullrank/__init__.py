@@ -16,7 +16,6 @@ from .construct import (
     construct_scaled,
     construct_vandermonde,
     construct_width,
-    dirichlet_scale,
     find_prime_in,
     max_width,
 )

@@ -11,10 +11,10 @@ distinct nodes mod d times unit column scalings, so no minor vanishes mod d.
 * column-rescaled ("scaled"): d in [k^(m/(m-1))/2, k^(m/(m-1))), each l_j
   a unit chosen by a simultaneous-approximation search so that the
   column's residues shrink below the entry bound. The search returns what
-  a scan of every l in 1..d-1 would, but visits far fewer: the quality is
-  symmetric under l -> d-l, and row 0 (j^0 = 1) bounds it below by l.
-  Dirichlet's theorem caps each column's scan at d // floor(d^(1/m))
-  tries, and a family needing more than DEFAULT_BUDGET tries is refused.
+  a scan of every l in 1..d-1 would, in one pass over a box of at most
+  d*Q pairs (l, a), Q = d // floor(d^(1/m)): by Dirichlet's theorem it
+  holds each column's best l and row-1 residue a, and each pair names one
+  column. A family whose d*Q exceeds DEFAULT_BUDGET is refused.
 
 _window states each window once, in integer form, and _family_prime
 takes its smallest prime; the IntMatrix the builder returns enforces the
@@ -38,7 +38,7 @@ SMALL_M = "small_m"  # 2 <= m < ln k
 
 @dataclass(frozen=True)
 class ScaleSearchResult:
-    """Outcome of the per-column multiplier search.
+    """One column's outcome of the scaled family's multiplier search.
 
     quality is max_i || multiplier * j^(i-1) / d ||, the worst distance to
     an integer over the column's power residues; within_threshold reports
@@ -150,51 +150,44 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
             ConstructionParams(m=m, k=k, d=d, variant=VANDERMONDE))
 
 
-def dirichlet_scale(j: int, d: int, m: int) -> ScaleSearchResult:
-    """Best column multiplier for column j of the scaled construction.
+def _multipliers(d: int, m: int) -> list[tuple[int, int]]:
+    """(multiplier, d * quality) of each column j = 1..d of the scaled family.
 
-    Minimizes, over l = 1..d-1,
-        q(l) = max_{i=1..m} || l * j^(i-1) / d ||,
-    where ||.|| is distance to the nearest integer; the smallest l
-    attaining the minimum wins. Every q(l) is a multiple of 1/d, so the
-    search compares the integers d*q(l). Two facts prune the scan without
-    changing its answer: q(d-l) = q(l), so l > d/2 never beats its mirror
-    d-l < l; and row 0 is j^0 = 1, so d*q(l) >= l for l <= d/2, and the
-    scan stops once l reaches the best value found. It takes at most
-    d // N tries, N = floor(d^(1/m)): by Dirichlet's box argument two of
-    the d points l (j^0, ..., j^(m-1)) / d mod 1, l = 0..d-1, share one
-    of the N^m < d boxes of side 1/N, so their difference has d*q < d/N.
-    The d^(-1/m) threshold check is the integer comparison
-    (d*q)^m <= d^(m-1).
+    The best l in 1..d-1 minimizes q(l) = max_{i=1..m} || l j^(i-1) / d ||,
+    the smallest l winning ties; each d*q(l) is an integer. As q(d-l) = q(l),
+    l <= d/2, where row 0 (j^0 = 1) gives d*q(l) >= l and row 1 gives
+    d*q(l) >= |a|, a the centered residue of l*j. With N = floor(d^(1/m)),
+    two of the points l (j^0, ..., j^(m-1)) / d mod 1, l = 0..d-1, share one
+    of the N^m < d boxes of side 1/N (Dirichlet), so the optimum has
+    l* <= d*q* <= Q = d // N and |a*| <= d*q* <= Q. So one pass over the box
+    1 <= l <= min(Q, d//2), |a| <= min(Q, (d-1)//2), at most d*Q pairs, finds
+    every column's optimum: a pair names exactly one column, j = a/l mod d,
+    whose later residues follow from r -> r*j mod d, and running l upward
+    while keeping only a strictly smaller d*q keeps the smallest l.
     """
-    exact_ints((j, d, m), "column, prime and row count")
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if not is_prime(d):
-        raise ValueError("d must be prime")
-    if not 1 <= j <= d:
-        raise ValueError(f"column index {as_decimal(j)} outside [1, {as_decimal(d)}]")
-    powers = [pow(j, i, d) for i in range(m)]
-    best_l = None
-    best_q = d  # d * q(l), an integer in [0, d/2]; d is above every value
-    for l in range(1, d // 2 + 1):
-        if l >= best_q:
-            break
-        worst = 0
-        for r in powers:
-            lr = (l * r) % d
-            dist = lr if lr * 2 <= d else d - lr
-            if dist > worst:
-                worst = dist
-                if worst >= best_q:
-                    break
-        if worst < best_q:
-            best_l, best_q = l, worst
-    return ScaleSearchResult(
-        multiplier=best_l,
-        quality=Fraction(best_q, d),
-        within_threshold=best_q ** m <= d ** (m - 1),
-    )
+    cap = d // iroot(d, m)
+    top = min(cap, (d - 1) // 2)
+    best = [d] * d  # d * q of column j mod d so far; d is above every value
+    mult = [0] * d
+    for l in range(1, min(cap, d // 2) + 1):
+        inv = pow(l, -1, d)
+        for a in range(-top, top + 1):
+            j = a * inv % d
+            b = best[j]
+            if l >= b or abs(a) >= b:
+                continue
+            worst = max(l, abs(a))
+            r = a
+            for _ in range(m - 2):
+                r = r * j % d
+                dist = r if 2 * r <= d else d - r
+                if dist > worst:
+                    worst = dist
+                    if worst >= b:
+                        break
+            if worst < b:
+                best[j], mult[j] = worst, l
+    return [(mult[j % d], best[j % d]) for j in range(1, d + 1)]
 
 
 def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
@@ -209,11 +202,14 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
             f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for "
             f"m={as_decimal(m)}, k={as_decimal(k)}")
     d = _family_prime(m, k, SCALED)
-    tries = d // iroot(d, m)  # per column, at most (see dirichlet_scale)
+    tries = d // iroot(d, m)  # Q: the search's box has at most d x Q pairs
     check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search needs up to "
                  f"{as_decimal(d)} x {as_decimal(tries)} = {as_decimal(d * tries)} "
                  f"tries", fixed=True)
-    reports = tuple(dirichlet_scale(j, d, m) for j in range(1, d + 1))
+    reports = tuple(
+        ScaleSearchResult(multiplier=l, quality=Fraction(q, d),
+                          within_threshold=q ** m <= d ** (m - 1))
+        for l, q in _multipliers(d, m))
     scalings = tuple(r.multiplier for r in reports)
     return _power_residues(m, k, d, scalings), ConstructionParams(
         m=m, k=k, d=d, variant=SCALED, scalings=scalings, scale_reports=reports)

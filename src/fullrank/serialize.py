@@ -172,5 +172,5 @@ def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deep
             raise ValueError(f"{path}: {exc}") from exc

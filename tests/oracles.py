@@ -3,10 +3,10 @@
 Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
-decimal exponentials and logarithms, a decoder that revisits
-candidates, a point-by-point grid cover check, and two collision scans:
-one over every pair of coefficient vectors and one over every
-difference, each recomputing its row combinations.
+decimal exponentials and logarithms, a per-column multiplier scan, a
+decoder that revisits candidates, a point-by-point grid cover check, and
+two collision scans: one over every pair of coefficient vectors and one
+over every difference, each recomputing its row combinations.
 """
 
 import decimal
@@ -79,6 +79,25 @@ def best_multiplier_exhaustive(j: int, d: int, m: int):
         if best_q is None or q < best_q:
             best_l, best_q = l, q
     return best_l, best_q, best_q ** m * d <= 1
+
+
+def scan_multiplier(j: int, d: int, m: int):
+    """(multiplier, d * quality) of column j by a scan of that column
+    alone: q(d-l) = q(l), so l <= d/2, and row 0 gives d*q(l) >= l, so the
+    scan stops once l reaches the best value found; the smallest l of least
+    d*q(l) wins."""
+    powers = [pow(j, i, d) for i in range(m)]
+    best_l, best_q = None, d
+    for l in range(1, d // 2 + 1):
+        if l >= best_q:
+            break
+        worst = 0
+        for r in powers:
+            lr = (l * r) % d
+            worst = max(worst, lr if lr * 2 <= d else d - lr)
+        if worst < best_q:
+            best_l, best_q = l, worst
+    return best_l, best_q
 
 
 def floor_exp(m: int) -> int:

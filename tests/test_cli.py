@@ -653,18 +653,27 @@ class TestStrictInputs:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("empty", ["mat.json", "meas.json"])
-    def test_empty_file_named(self, tmp_path, monkeypatch, capsys, empty):
+    @pytest.mark.parametrize("empty,content,message", [
+        pytest.param(name, content, message, id=name + suffix)
+        for content, message, suffix in [
+            ("", "Expecting value", ""),
+            # was a RecursionError traceback and exit 1
+            ("[" * 100_000, "maximum recursion depth exceeded", "-nested"),
+        ]
+        for name in ("mat.json", "meas.json")
+    ])
+    def test_empty_file_named(self, tmp_path, monkeypatch, capsys, empty,
+                              content, message):
         # the error did not say which of the two input files was not JSON
         monkeypatch.chdir(tmp_path)
         (tmp_path / "mat.json").write_text(
             json.dumps(matrix_to_dict(construct_vandermonde(2, 3)[0])))
         (tmp_path / "meas.json").write_text(json.dumps({"b": ["1", "0"]}))
-        (tmp_path / empty).write_text("")
+        (tmp_path / empty).write_text(content)
         assert run(DECODE) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"error: {empty}: Expecting value")
+        assert err.startswith(f"error: {empty}: {message}")
 
     @pytest.mark.parametrize("files,argv,line", [
         ({"mat.json": [1, 2]}, ["verify", "--in", "mat.json"],

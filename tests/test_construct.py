@@ -8,11 +8,11 @@ from fullrank.construct import (
     SCALED,
     VANDERMONDE,
     ConstructionParams,
+    _multipliers,
     _window,
     construct,
     construct_scaled,
     construct_vandermonde,
-    dirichlet_scale,
     find_prime_in,
     max_width,
 )
@@ -23,6 +23,7 @@ from oracles import (
     all_minors_nonzero,
     best_multiplier_exhaustive,
     power_residue_rows,
+    scan_multiplier,
     trial_prime,
 )
 
@@ -157,8 +158,8 @@ class TestSizeLimit:
         assert "2 x 6 = 12 entries" in str(exc.value)
 
     def test_scaled_limit_is_m_times_window_start(self, monkeypatch):
-        # m=2, k=8: the window is [32, 63], d = 37 and each column's scan
-        # takes at most 37 // isqrt(37) = 6 tries
+        # m=2, k=8: the window is [32, 63], d = 37 and the multiplier
+        # search's box holds at most 37 x (37 // isqrt(37)) = 222 pairs
         monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 222)
         assert construct_scaled(2, 8)[1].d == 37
         monkeypatch.setattr(construct_mod, "DEFAULT_BUDGET", 221)
@@ -175,7 +176,7 @@ class TestSizeLimit:
         # d * (d // isqrt(d)): 9.94M tries at k = 304, 10.5M at k = 310;
         # the refusal comes before any column is searched
         searched = []
-        monkeypatch.setattr(construct_mod, "dirichlet_scale",
+        monkeypatch.setattr(construct_mod, "_multipliers",
                             lambda *args: searched.append(args))
         for k in (310, 600):
             with pytest.raises(BudgetExceededError) as exc:
@@ -217,6 +218,9 @@ class TestVandermonde:
 
 
 class TestDirichletScale:
+    """The one pass over the (l, a) box against the per-column scan and
+    the exhaustive Fraction search."""
+
     @pytest.mark.parametrize(
         "j,d,m,exp_l,exp_q",
         [
@@ -226,38 +230,58 @@ class TestDirichletScale:
         ],
     )
     def test_spot_values(self, j, d, m, exp_l, exp_q):
-        rep = dirichlet_scale(j, d, m)
-        assert rep.multiplier == exp_l
-        assert rep.quality == exp_q
-        assert rep.within_threshold
+        assert _multipliers(d, m)[j - 1] == (exp_l, d * exp_q)
 
     def test_matches_fraction_oracle(self):
-        # every column, j = d included; d = 2 and 3 are the edge primes of
-        # the pruned scan's range 1..d//2
-        for d in (2, 3, 7, 13, 19, 53, 101):
+        # every column, j = d included; d = 3 is the edge prime of the
+        # box's range l <= d//2
+        for d in (3, 7, 13, 19, 53, 101):
             for m in (2, 3, 4):
+                got = _multipliers(d, m)
                 for j in range(1, d + 1):
-                    rep = dirichlet_scale(j, d, m)
-                    l, q, met = best_multiplier_exhaustive(j, d, m)
-                    assert (rep.multiplier, rep.quality) == (l, q)
-                    assert rep.within_threshold == met
+                    l, q, _ = best_multiplier_exhaustive(j, d, m)
+                    assert got[j - 1] == (l, d * q)
 
     def test_dirichlet_bounds_the_scan(self):
-        # d * quality < d / floor(d^(1/m)): the bound the multiplier
-        # search's work limit counts, d // N tries per column
-        for d in filter(trial_prime, range(300)):
+        # the pass equals the per-column scan, and d * quality <= Q =
+        # d // floor(d^(1/m)): the bound that puts every optimum in the box
+        for d in filter(trial_prime, range(3, 300)):
             for m in range(2, 6):
-                tries = d // iroot(d, m)
-                for j in range(1, d + 1):
-                    assert d * dirichlet_scale(j, d, m).quality <= tries
+                got = _multipliers(d, m)
+                assert got == [scan_multiplier(j, d, m) for j in range(1, d + 1)]
+                assert max(q for _, q in got) <= d // iroot(d, m)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            dirichlet_scale(0, 7, 2)
-        with pytest.raises(ValueError):
-            dirichlet_scale(1, 8, 2)
-        with pytest.raises(ValueError):
-            dirichlet_scale(1, 7, 1)
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_families_match_scan(self, m):
+        # every scaled family whose window starts below 200, one per prime
+        seen = set()
+        for k in itertools.count(2):
+            lo, hi = _window(m, k, SCALED)
+            if lo >= 200:
+                break
+            if lo <= k + 1 or find_prime_in(lo, hi) in seen:
+                continue
+            _, params = construct_scaled(m, k)
+            d = params.d
+            seen.add(d)
+            got = [(r.multiplier, r.quality, r.within_threshold)
+                   for r in params.scale_reports]
+            expected = []
+            for j in range(1, d + 1):
+                l, q = scan_multiplier(j, d, m)
+                expected.append((l, Fraction(q, d), q ** m <= d ** (m - 1)))
+            assert got == expected, (m, k)
+        assert seen
+
+    @pytest.mark.parametrize("m,k,d", [(4, 11, 13), (5, 20, 23), (6, 37, 41)])
+    def test_box_of_whole_range(self, m, k, d):
+        # floor(d^(1/m)) = 1, so Q = d and only |a| <= (d-1)/2 and
+        # l <= d//2 bound the box
+        _, params = construct_scaled(m, k)
+        assert params.d == d and iroot(d, m) == 1
+        for j, rep in enumerate(params.scale_reports, 1):
+            assert (rep.multiplier, rep.quality, rep.within_threshold) == \
+                best_multiplier_exhaustive(j, d, m)
 
 
 class TestConstructScaled:

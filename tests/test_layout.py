@@ -31,7 +31,6 @@ from fullrank import (
     cover_lower_bound,
     decode,
     det_exact,
-    dirichlet_scale,
     encode,
     find_collision,
     find_prime_in,
@@ -166,9 +165,6 @@ INT_FIELDS = [
     ("verify_sampled.seed", 1, lambda x: verify_sampled(A, 5, x)),
     ("verify_sampled.budget", 5, lambda x: verify_sampled(A, 5, 1, x)),
     ("verify_exhaustive.budget", 10, lambda x: verify_exhaustive(A, x)),
-    ("dirichlet_scale.j", 2, lambda x: dirichlet_scale(x, 7, 2)),
-    ("dirichlet_scale.d", 7, lambda x: dirichlet_scale(2, x, 2)),
-    ("dirichlet_scale.m", 2, lambda x: dirichlet_scale(2, 7, x)),
     ("min_cover_bruteforce.m", 2, lambda x: min_cover_bruteforce(x, 1)),
     ("min_cover_bruteforce.k", 1, lambda x: min_cover_bruteforce(2, x)),
     ("construct.d", 4, lambda x: construct(2, 3, x)),
@@ -282,7 +278,6 @@ BIG = 10 ** 5000  # past Python's 4,300-digit int-to-str limit
     (lambda: find_prime_in(BIG, BIG), "no prime in [at least 10^5000, at least 10^5000]"),
     (lambda: max_width(-BIG, 3), "(got m=at most -10^5000, k=3)"),
     (lambda: construct_vandermonde(BIG, 3), "needs k >= m (got m=at least 10^5000, k=3)"),
-    (lambda: dirichlet_scale(BIG, 7, 2), "column index at least 10^5000 outside [1, 7]"),
     (lambda: cover_lower_bound(BIG, 3), "(got m=at least 10^5000, k=3)"),
     (lambda: min_cover_bruteforce(2, BIG), "(got m=2, k=at least 10^5000)"),
     # a normal is named by its index, so a long one is not written out
@@ -295,7 +290,7 @@ BIG = 10 ** 5000  # past Python's 4,300-digit int-to-str limit
     (lambda: IntMatrix(BIG, 1, ()), "expected at least 10^5000 entries, got 0"),
 ], ids=["decode-s", "encode-dimension", "width-d-above", "width-d-below", "attack-t",
         "attack-min-agree", "params-window", "prime-window", "window-m",
-        "vandermonde-m", "dirichlet-j", "cover-bound-m", "cover-min-k",
+        "vandermonde-m", "cover-bound-m", "cover-min-k",
         "cover-normal", "cover-m", "select-column", "entry-bound", "entry-count"])
 def test_range_refusal_of_argument_past_int_str_limit(call, text):
     with pytest.raises(ValueError) as exc:
