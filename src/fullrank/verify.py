@@ -20,6 +20,21 @@ minor exactly when its dot product with that normal is 0. Work per
 extension grows like 2^m and pays because every prefix is shared by its
 completions. A sampled trial shares nothing and is one linalg.det_exact
 on its columns.
+
+The completions of a prefix are tested together, in one big-integer
+product. Each dot product n . col_j is a minor, so by Hadamard's bound
+|n . col_j| <= (k sqrt(m))^m, with k the largest |entry|. Take the
+smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m; then every
+|n . col_j| < 2^(w-1), strictly. Pack each row once, Q_i =
+sum_j A[i][j] 2^(wj), and let H = sum_j 2^(w-1) 2^(wj). Then field j of
+H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, in [1, 2^w), so no
+field carries into the next, and completion j fails exactly when its
+field is 2^(w-1). In the little-endian bytes of that sum the failures
+are the matches of that field's bytes, found by a byte search from the
+first completing column. A match counts only on a field boundary, so the
+failures come in column order, as one dot product per completion would
+list them. Memory is O(m*d): one packed integer per row, and the sum of
+the prefix in hand.
 """
 
 import math
@@ -99,6 +114,31 @@ def _columns(A: IntMatrix) -> list[tuple[int, ...]]:
     return [A.column(j) for j in range(A.cols)]
 
 
+def _field_bytes(k: int, m: int) -> int:
+    """Bytes per field: the smallest whole-byte width w with
+    2^(2(w-1)) > (k^2 m)^m, so that every m x m minor of entries bounded
+    by k, at most (k sqrt(m))^m by Hadamard, is strictly below 2^(w-1)."""
+    # 2^(2(w-1)) > B exactly when 2(w-1) >= B.bit_length()
+    w = (((k * k * m) ** m).bit_length() + 1) // 2 + 1
+    return (w + 7) // 8
+
+
+def _packed_rows(A: IntMatrix, nb: int) -> tuple[list[int], int]:
+    """Each row i as Q_i = sum_j A[i][j] 2^(wj), w = 8 nb, and the bias
+    H = sum_j 2^(w-1) 2^(wj). A row is read once, as the bytes of its
+    biased fields 2^(w-1) + A[i][j], each in [0, 2^w) since
+    |A[i][j]| < 2^(w-1), less H: linear time, and no d field objects held."""
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
+    packed = []
+    for i in range(A.rows):
+        fields = bytearray()
+        for a in A.row(i):
+            fields += (half + a).to_bytes(nb, "little")
+        packed.append(int.from_bytes(fields, "little") - bias)
+    return packed, bias
+
+
 def geometric_structure(
         A: IntMatrix) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """(p, heads, ratios) when A's columns prove every maximal minor
@@ -133,8 +173,16 @@ def verify_exhaustive(A: IntMatrix,
     Refuses when C(d, m) exceeds the budget. A matrix that
     geometric_structure proves has no failures, and its report counts
     the C(d, m) minors proved, in O(m*d). Any other is swept: column
-    prefixes are walked depth first, so each (m-1)-prefix's normal is
+    prefixes are walked depth first, so each (m-1)-prefix's normal n is
     computed once and shared by all of its completions.
+
+    A prefix's completions are tested at once (see the module notes):
+    with w the smallest multiple of 8 with 2^(2(w-1)) > (k^2 m)^m, field j
+    of raw, the little-endian bytes of H + sum_i n_i Q_i, is exactly
+    2^(w-1) + n . col_j. Completion j fails exactly when that field is
+    bytes(w/8 - 1) + b"\x80"; raw.find looks for it from the first
+    completing column on, and a match at byte offset pos names column
+    pos / (w/8) only when it falls on a field boundary.
     """
     m, d = A.rows, A.cols
     cols = _columns(A)
@@ -142,6 +190,10 @@ def verify_exhaustive(A: IntMatrix,
     check_budget(total, budget, "exhaustive minor sweep")
     if geometric_structure(A):
         return VerificationReport(total_checked=total, mode="exhaustive")
+    nb = _field_bytes(A.max_abs_entry(), m)
+    size = d * nb
+    packed, bias = _packed_rows(A, nb)
+    zero = bytes(nb - 1) + b"\x80"  # the field 2^(w-1): n . col_j == 0
     plans = _laplace_plans(m)
     failures = []
 
@@ -150,8 +202,13 @@ def verify_exhaustive(A: IntMatrix,
         start = prefix[-1] + 1 if prefix else 0
         if t == m - 1:
             normal = [sign * minors[k] for sign, _, k in plans[t][0]]
-            failures.extend(prefix + (j,) for j in range(start, d)
-                            if not sum(map(mul, normal, cols[j])))
+            raw = sum(map(mul, normal, packed), bias).to_bytes(size, "little")
+            pos = raw.find(zero, start * nb)
+            while pos >= 0:
+                j, off = divmod(pos, nb)
+                if not off:
+                    failures.append(prefix + (j,))
+                pos = raw.find(zero, (j + 1) * nb)
             return
         for j in range(start, d - m + t + 1):
             walk(prefix + (j,), _extend(minors, cols[j], plans[t]))

@@ -3,10 +3,11 @@
 Deliberately naive and kept separate from the library's code paths:
 permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
-decimal exponentials and logarithms, a per-column multiplier scan, a
-decoder that revisits candidates, a point-by-point grid cover check, and
-two collision scans: one over every pair of coefficient vectors and one
-over every difference, each recomputing its row combinations.
+decimal exponentials and logarithms, a minor sweep with one dot product
+per completion, a per-column multiplier scan, a decoder that revisits
+candidates, a point-by-point grid cover check, and two collision scans:
+one over every pair of coefficient vectors and one over every
+difference, each recomputing its row combinations.
 """
 
 import decimal
@@ -14,7 +15,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 
 def perm_det(rows) -> int:
@@ -67,6 +68,42 @@ def all_minors_nonzero(rows, modulus=None) -> list[tuple[int, ...]]:
         if (det % modulus == 0) if modulus else (det == 0):
             bad.append(combo)
     return bad
+
+
+def prefix_sweep(rows) -> list[tuple[int, ...]]:
+    """The exhaustive minor sweep with one dot product per completion:
+    column prefixes walked depth first, every maximal minor of a prefix
+    extended by Laplace expansion along the new column, and at m-1 columns
+    each later column tested against the prefix's cofactor normal. The
+    walk is kept as it was before the sweep packed its completions into
+    one integer; returns what all_minors_nonzero does, in the same order."""
+    m, d = len(rows), len(rows[0])
+    cols = [tuple(r[j] for r in rows) for j in range(d)]
+    plans = []
+    for t in range(m):
+        index = {sub: i for i, sub in enumerate(itertools.combinations(range(m), t))}
+        plans.append([
+            [((-1) ** (p + t), r, index[sub[:p] + sub[p + 1:]])
+             for p, r in enumerate(sub)]
+            for sub in itertools.combinations(range(m), t + 1)
+        ])
+    failures = []
+
+    def walk(prefix, minors):
+        t = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if t == m - 1:
+            normal = [sign * minors[k] for sign, _, k in plans[t][0]]
+            failures.extend(prefix + (j,) for j in range(start, d)
+                            if not sum(map(mul, normal, cols[j])))
+            return
+        for j in range(start, d - m + t + 1):
+            col = cols[j]
+            walk(prefix + (j,), [sum(sign * col[r] * minors[k] for sign, r, k in terms)
+                                 for terms in plans[t]])
+
+    walk((), [1])
+    return failures
 
 
 def best_multiplier_exhaustive(j: int, d: int, m: int):

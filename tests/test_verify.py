@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from fullrank.verify import (
     verify_exhaustive,
     verify_sampled,
 )
-from oracles import all_minors_nonzero
+from oracles import all_minors_nonzero, perm_det, prefix_sweep
 
 
 @pytest.fixture
@@ -118,6 +120,129 @@ class TestVerifyExhaustive:
             got = verify_exhaustive(A).failures
             assert got == all_minors_nonzero(rows)
             assert got == all_minors_nonzero(rows, modulus=params.d)
+
+
+def sylvester(m):
+    """The m x m Sylvester Hadamard matrix, m a power of two: entries +-1,
+    |det| = m^(m/2), Hadamard's bound (k sqrt(m))^m at k = 1."""
+    H = [[1]]
+    while len(H) < m:
+        H = [r + r for r in H] + [r + [-x for x in r] for r in H]
+    return H
+
+
+class TestPackedSweep:
+    """The sweep tests a prefix's completions in one packed integer; its
+    failures must be the reference walk's, one dot product per completion,
+    order included."""
+
+    @staticmethod
+    def check(rows):
+        report = verify_exhaustive(IntMatrix.from_rows(rows))
+        assert report.total_checked == math.comb(len(rows[0]), len(rows))
+        assert report.failures == prefix_sweep(rows)
+        return report.failures
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_walk(self, data):
+        m = data.draw(st.integers(1, 5))
+        d = data.draw(st.integers(m, m + 12))
+        rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                                  min_size=m, max_size=m))
+        self.check(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_entries_past_eight_bytes(self, data):
+        # |entries| near 10^30 need fields of more than 64 bits; offsets
+        # this small make equal, opposite and zero columns common
+        m = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(m, m + 6))
+        entry = st.builds(lambda base, off: base + off,
+                          st.sampled_from([-10 ** 30, 0, 10 ** 30]), st.integers(-2, 2))
+        rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                  min_size=m, max_size=m))
+        self.check(rows)
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[0]], [(0,)]),
+        ([[5]], []),
+        ([[3, 0, -1, 0, 7]], [(1,), (3,)]),
+        ([[10 ** 30, -(10 ** 30), 0]], [(2,)]),
+        # 16-bit fields a8 00 | 80 80 | 00 80: the zero field's bytes 00 80
+        # first match across the boundary of fields 0 and 1, which is no hit
+        ([[-32600, 128, 0]], [(2,)]),
+        ([[1, 2], [2, 4]], [(0, 1)]),
+        ([[1, 2, 3], [0, 1, 4], [5, 6, 0]], []),
+        ([[0] * 3], [(0,), (1,), (2,)]),
+        ([[0] * 4] * 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        ([[0] * 4] * 4, [(0, 1, 2, 3)]),
+    ], ids=["1x1-zero", "1x1", "1x5", "1x3-large", "1x3-straddle", "2x2-singular",
+            "3x3", "zero-1x3", "zero-2x4", "zero-4x4"])
+    def test_one_row_square_and_zero(self, rows, expected):
+        assert self.check(rows) == expected == all_minors_nonzero(rows)
+
+    def test_width_is_strict_at_a_byte_boundary(self):
+        # k = 8, m = 2: the minors reach +-128 = (8 sqrt 2)^2, Hadamard's
+        # bound, and 128^2 = 2^(2(8-1)), so 8-bit fields would hold 128 and
+        # -128 with nothing to spare; the strict test takes 16
+        rows = [[8, -8, 8, 8, -8], [8, 8, -8, 8, 8]]
+        minors = [perm_det([[r[a], r[b]] for r in rows])
+                  for a in range(5) for b in range(a + 1, 5)]
+        assert max(minors) == 128 and min(minors) == -128
+        assert self.check(rows) == [(0, 3), (1, 2), (1, 4), (2, 4)]
+        assert all_minors_nonzero(rows) == [(0, 3), (1, 2), (1, 4), (2, 4)]
+
+    @pytest.mark.parametrize("m,copied", [(4, 0), (4, 3), (8, 5)])
+    def test_sylvester_hadamard_with_a_repeated_column(self, m, copied):
+        # every minor is +-m^(m/2), the bound, or 0: an m-subset fails
+        # exactly when it holds both copies of the repeated column
+        rows = [r + [r[copied]] for r in sylvester(m)]
+        assert abs(det_exact(sylvester(m))) == m ** (m // 2)
+        expected = [c for c in combinations(range(m + 1), m) if {copied, m} <= set(c)]
+        assert self.check(rows) == expected
+        assert len(expected) == m - 1
+
+
+def copied_pair(d):
+    """2 x d: columns (1, j - d/2), pairwise independent, with column 17
+    copied into column d - 1, so the one failing minor is (17, d - 1)."""
+    rows = [[1] * d, [j - d // 2 for j in range(d)]]
+    rows[1][d - 1] = rows[1][17]
+    return rows, [(17, d - 1)]
+
+
+def one_row(d):
+    """1 x d with one entry in a thousand zero, and those its failures."""
+    return [[j % 1000 - 500 for j in range(d)]], [(j,) for j in range(500, d, 1000)]
+
+
+class TestSweepMemory:
+    """The sweep holds O(m*d): one packed integer per row and the sum of
+    the prefix in hand. No table of packed suffixes, one per starting
+    column and O(d^2) in all, is ever built."""
+
+    PER_ENTRY = 128  # bytes allowed per matrix entry
+
+    @pytest.mark.parametrize("rows,expected", [copied_pair(4000), one_row(200_000)],
+                             ids=["2x4000", "1x200000"])
+    def test_peak_far_below_a_table_of_suffixes(self, rows, expected):
+        A = IntMatrix.from_rows(rows)
+        bound = self.PER_ENTRY * A.rows * A.cols
+        tracemalloc.start()
+        try:
+            failures = verify_exhaustive(A).failures
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures == expected
+        assert peak <= bound
+        # the table this bound rules out: for each row and each start s,
+        # the fields of columns s..d-1, counting one byte a field, the
+        # least any width takes
+        d = A.cols
+        assert A.rows * d * (d + 1) // 2 >= 4 * bound
 
 
 class TestVerifySampled:
