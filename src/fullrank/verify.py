@@ -33,8 +33,9 @@ field is 2^(w-1). In the little-endian bytes of that sum the failures
 are the matches of that field's bytes, found by a byte search from the
 first completing column. A match counts only on a field boundary, so the
 failures come in column order, as one dot product per completion would
-list them. Memory is O(m*d): one packed integer per row, and the sum of
-the prefix in hand.
+list them. Memory is O(m*d): A is read by rows, as IntMatrix stores it,
+with one packed integer per row and the sum of the prefix in hand; the
+Laplace terms hold the rows themselves, so the sweep copies no column.
 """
 
 import math
@@ -84,34 +85,30 @@ class CertificateCheck:
     reason: str
 
 
-def _laplace_plans(m: int) -> list:
+def _laplace_plans(rows: list[tuple[int, ...]]) -> list:
     """plans[t] expands the minors of t columns into those of t+1 columns.
 
     The minors of t columns are listed by their row t-subset, in
     combinations order. plans[t] holds, for each row (t+1)-subset, the
-    Laplace terms along the new last column: (sign, row, index of the
-    t-subset left when that row is removed).
+    Laplace terms along the new last column: (sign, A's row r, index of
+    the t-subset left when row r is removed). A term reads its entry of
+    the new column j as row[j].
     """
+    m = len(rows)
     plans = []
     for t in range(m):
         index = {sub: i for i, sub in enumerate(combinations(range(m), t))}
         plans.append([
-            [((-1) ** (p + t), r, index[sub[:p] + sub[p + 1:]])
+            [((-1) ** (p + t), rows[r], index[sub[:p] + sub[p + 1:]])
              for p, r in enumerate(sub)]
             for sub in combinations(range(m), t + 1)
         ])
     return plans
 
 
-def _extend(minors: list[int], col, plan) -> list[int]:
-    return [sum(sign * col[r] * minors[k] for sign, r, k in terms)
-            for terms in plan]
-
-
-def _columns(A: IntMatrix) -> list[tuple[int, ...]]:
+def _check_shape(A: IntMatrix) -> None:
     if A.cols < A.rows:
         raise ValueError(f"matrix has fewer columns ({A.cols}) than rows ({A.rows})")
-    return [A.column(j) for j in range(A.cols)]
 
 
 def _field_bytes(k: int, m: int) -> int:
@@ -123,17 +120,17 @@ def _field_bytes(k: int, m: int) -> int:
     return (w + 7) // 8
 
 
-def _packed_rows(A: IntMatrix, nb: int) -> tuple[list[int], int]:
-    """Each row i as Q_i = sum_j A[i][j] 2^(wj), w = 8 nb, and the bias
+def _packed_rows(rows: list[tuple[int, ...]], nb: int) -> tuple[list[int], int]:
+    """Each row i of A as Q_i = sum_j A[i][j] 2^(wj), w = 8 nb, and the bias
     H = sum_j 2^(w-1) 2^(wj). A row is read once, as the bytes of its
     biased fields 2^(w-1) + A[i][j], each in [0, 2^w) since
     |A[i][j]| < 2^(w-1), less H: linear time, and no d field objects held."""
     half = 1 << (8 * nb - 1)
-    bias = int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
+    bias = int.from_bytes(half.to_bytes(nb, "little") * len(rows[0]), "little")
     packed = []
-    for i in range(A.rows):
+    for row in rows:
         fields = bytearray()
-        for a in A.row(i):
+        for a in row:
             fields += (half + a).to_bytes(nb, "little")
         packed.append(int.from_bytes(fields, "little") - bias)
     return packed, bias
@@ -184,17 +181,18 @@ def verify_exhaustive(A: IntMatrix,
     completing column on, and a match at byte offset pos names column
     pos / (w/8) only when it falls on a field boundary.
     """
+    _check_shape(A)
     m, d = A.rows, A.cols
-    cols = _columns(A)
     total = math.comb(d, m)
     check_budget(total, budget, "exhaustive minor sweep")
     if geometric_structure(A):
         return VerificationReport(total_checked=total, mode="exhaustive")
     nb = _field_bytes(A.max_abs_entry(), m)
     size = d * nb
-    packed, bias = _packed_rows(A, nb)
+    rows = [A.row(i) for i in range(m)]
+    packed, bias = _packed_rows(rows, nb)
     zero = bytes(nb - 1) + b"\x80"  # the field 2^(w-1): n . col_j == 0
-    plans = _laplace_plans(m)
+    plans = _laplace_plans(rows)
     failures = []
 
     def walk(prefix, minors):
@@ -211,7 +209,8 @@ def verify_exhaustive(A: IntMatrix,
                 pos = raw.find(zero, (j + 1) * nb)
             return
         for j in range(start, d - m + t + 1):
-            walk(prefix + (j,), _extend(minors, cols[j], plans[t]))
+            walk(prefix + (j,), [sum(sign * row[j] * minors[k] for sign, row, k in terms)
+                                 for terms in plans[t]])
 
     walk((), [1])
     return VerificationReport(total_checked=total, failures=failures,
@@ -231,14 +230,14 @@ def verify_sampled(A: IntMatrix, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     check_budget(trials, budget, "sampled minor check")
+    _check_shape(A)
     m, d = A.rows, A.cols
-    cols = _columns(A)
     failures = set()
     if not geometric_structure(A):
         rng = random.Random(seed)
         for _ in range(trials):
             combo = tuple(sorted(rng.sample(range(d), m)))
-            if det_exact([cols[j] for j in combo]) == 0:
+            if det_exact([A.column(j) for j in combo]) == 0:
                 failures.add(combo)
     return VerificationReport(
         total_checked=trials,

@@ -246,6 +246,16 @@ class TestVerifyCommand:
         assert out == "" and err.count("error:") == 1
         assert "unrecognized arguments: --exhaustive" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--trials", "5"]],
+                             ids=["exhaustive", "sampled"])
+    def test_thin_matrix_exit_2(self, tmp_path, capsys, extra):
+        thin = tmp_path / "thin.json"
+        thin.write_text(json.dumps(matrix_to_dict(
+            IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]]))))
+        assert run(["verify", "--in", str(thin)] + extra) == 2
+        assert capsys.readouterr() == (
+            "", "error: matrix has fewer columns (2) than rows (3)\n")
+
     def test_degenerate_matrix_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -639,6 +649,9 @@ class TestStrictInputs:
         # a 1-row matrix has no default --t or --lambda
         ({"mat.json": matrix_to_dict(IntMatrix.from_rows([[1, 2, 3]]))},
          ["attack", "--in", "mat.json"]),
+        # a decimal exponent this large ran past a 30 s timeout
+        ({}, ENCODE + ["--noise=1e100000000,0"]),
+        ({"meas.json": {"b": ["1e100000000", "0"]}}, DECODE),
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys,
                                     files, argv):

@@ -144,9 +144,14 @@ class TestExactNumbers:
     def test_rationals(self):
         assert exact_rationals([3, Fraction(3, 10), "3/10", "0.3", "-2"], "r") == (
             3, Fraction(3, 10), Fraction(3, 10), Fraction(3, 10), -2)
+        assert exact_rationals(["1e3", "2.5e-3"], "r") == (1000, Fraction(1, 400))
 
+    # a decimal exponent past 4,300 would build 10**exponent first: seconds
+    # for 1e10000000, and a number no integer literal within the limit writes
     @pytest.mark.parametrize("bad", [[0.1], [True], ["1/0"], ["abc"], [None],
-                                     [[1]], 3, "12", {"1": 0}])
+                                     [[1]], 3, "12", {"1": 0},
+                                     ["1e100000000"], ["1e-100000000"],
+                                     ["1E4301"], ["1e-4301"]])
     def test_rationals_refuse(self, bad):
         with pytest.raises(ValueError, match="what"):
             exact_rationals(bad, "what")

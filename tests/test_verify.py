@@ -67,8 +67,14 @@ class TestVerifyExhaustive:
         assert exc.value.budget == 5
 
     def test_wide_matrix_required(self):
-        with pytest.raises(ValueError):
-            verify_exhaustive(IntMatrix.from_rows([[1], [1]]))
+        # both checks share one shape check, made before either reads an entry
+        for rows, message in [([[1], [1]], "fewer columns (1) than rows (2)"),
+                              ([[1, 2], [3, 4], [5, 6]], "fewer columns (2) than rows (3)")]:
+            thin = IntMatrix.from_rows(rows)
+            for check in verify_exhaustive, lambda A: verify_sampled(A, trials=5, seed=0):
+                with pytest.raises(ValueError) as exc:
+                    check(thin)
+                assert str(exc.value) == "matrix has " + message
 
     def test_matches_oracle_on_random_matrices(self):
         rng = random.Random(21)
@@ -219,11 +225,13 @@ def one_row(d):
 
 
 class TestSweepMemory:
-    """The sweep holds O(m*d): one packed integer per row and the sum of
-    the prefix in hand. No table of packed suffixes, one per starting
-    column and O(d^2) in all, is ever built."""
+    """The sweep holds O(m*d): it reads A's rows where they are, with one
+    packed integer per row and the sum of the prefix in hand. No list of
+    column tuples is built (that alone took about 64 bytes an entry at
+    1 x 200,000), and no table of packed suffixes, one per starting column
+    and O(d^2) in all."""
 
-    PER_ENTRY = 128  # bytes allowed per matrix entry
+    PER_ENTRY = 32  # bytes allowed per matrix entry
 
     @pytest.mark.parametrize("rows,expected", [copied_pair(4000), one_row(200_000)],
                              ids=["2x4000", "1x200000"])
