@@ -230,6 +230,8 @@ def max_width(m: int, k: int) -> int:
     """Largest column count the constructions guarantee: max(k+1, k^(m/(m-1))/2),
     floored to an integer, computed exactly."""
     _window(m, k, VANDERMONDE)  # refuses m and k as every family does
+    if k.bit_length() < m:  # k < 2^(m-1), so k^(m/(m-1)) < 2k: no k^m needed
+        return k + 1
     return max(k + 1, iroot(k ** m, m - 1) // 2)
 
 

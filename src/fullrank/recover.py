@@ -13,12 +13,16 @@ parity-check matrix of a generalized Reed-Solomon code, y mod p (y the
 nearest integer vector to b) is a syndrome, and Berlekamp-Massey finds
 the error locator (Massey 1969; MacWilliams-Sloane ch. 10-12). The
 answer is kept only after an exact check Ax = y over the integers, which
-with 2s <= m and no rounding tie proves it the unique minimizer. Every
+with 2s <= m and no rounding tie proves it the unique minimizer. At
+rounding ties (b_i halfway between two integers) every rounding of b is
+decoded the same way, and the hits are the minimizers at residual 1/2,
+provided 2 amp_bound < p and there are at most _MAX_TIES tie rows. Every
 other case, and every syndrome miss, runs a branch-and-bound search that
 skips only subtrees that cannot tie the best, and lists the minimizers
 in the order of a lexicographic walk over the whole space.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +35,15 @@ from .linalg import IntMatrix, centered_residue
 from .verify import geometric_structure
 
 HALF = Fraction(1, 2)
+
+# Python's default int-to-str limit is 4,300 digits. An integer past it has
+# more than _LONG_BITS bits, so only those are compared with 10^4300.
+_LONG = 10 ** 4300
+_LONG_BITS = _LONG.bit_length() - 1
+
+# The syndrome step decodes every rounding of b through its tie rows, 2^|T|
+# of them for |T| tie rows, up to this many; past it the search runs.
+_MAX_TIES = 12
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,14 @@ class Measurement:
         if bound <= 0:
             raise ValueError("noise bound must be positive")
         object.__setattr__(self, "noise_bound", bound)
+        # a number past Python's int-to-str limit can be neither written to
+        # a file nor read from one, so the type refuses it as the files do
+        for what, values in (("noise", self.noise), ("noise bound", (bound,)),
+                             ("measurement", self.b)):
+            if any(n.bit_length() > _LONG_BITS and abs(n) >= _LONG
+                   for q in values for n in (q.numerator, q.denominator)):
+                raise ValueError(f"{what}: an entry has a numerator or denominator "
+                                 f"of more than 4300 digits")
 
     @property
     def noise_inf(self) -> Fraction:
@@ -149,8 +170,8 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     decoding, so it never depends on b.
 
     The syndrome step (_syndrome_decode) applies when
-    verify.geometric_structure proves A, 2s <= m and no b_i lies halfway
-    between two integers. Let y be the nearest integer vector to b. When
+    verify.geometric_structure proves A and 2s <= m. With no b_i halfway
+    between two integers, let y be the nearest integer vector to b. When
     the step returns an s-sparse x in range with Ax = y exactly, x is the
     unique minimizer and the residual is ||b - y||_inf: every integer
     vector Ax' is at least as far from b as y in every row, and as that
@@ -158,8 +179,12 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     x - x' has at most 2s <= m nonzeros, and any min(m, d) columns of a
     proved matrix are independent mod p (each is a unit times a
     Vandermonde column on distinct nodes), so x' = x. This rests on the
-    exact check and that argument, never on how x was found. Any miss
-    runs the search below, unchanged.
+    exact check and that argument, never on how x was found. With tie
+    rows the step decodes every rounding of b through them and returns
+    the hits at residual 1/2, which are then every minimizer (see
+    _syndrome_decode); it needs 2 amp_bound < p and at most _MAX_TIES tie
+    rows. Any miss, including a tie whose roundings give no hit, runs the
+    search below, unchanged.
 
     The search goes depth first over (column, nonzero value) pairs with
     columns increasing, carrying the integer residual row by row, from
@@ -188,8 +213,8 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     check_budget(n_candidates, budget, "decoder enumeration")
     hit = _syndrome_decode(A, target, s, amp_bound)
     if hit:
-        x, residual = hit
-        return DecodeResult((x,), residual, True, n_candidates)
+        minimizers, residual = hit
+        return DecodeResult(minimizers, residual, True, n_candidates)
 
     # clear denominators once so the search is pure integer arithmetic
     denom = math.lcm(*(t.denominator for t in target))
@@ -240,14 +265,49 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     )
 
 
-def _syndrome_decode(A: IntMatrix, target, s: int,
-                     amp_bound: int) -> tuple[SparseSignal, Fraction] | None:
-    """(x, ||b - y||_inf) for the x that the syndromes of y, the nearest
-    integer vector to b, decode to, when x passes every check decode's
-    uniqueness argument needs; None on any miss.
+def _syndrome_decode(A: IntMatrix, target, s: int, amp_bound: int
+                     ) -> tuple[tuple[SparseSignal, ...], Fraction] | None:
+    """(every minimizer in the search's order, the residual) when the
+    syndromes prove them, for decode's argument; None on any miss.
 
-    Applies when 2s <= m, no b_i lies halfway between two integers and
-    geometric_structure gives (p, heads h, ratios r): then
+    Applies when 2s <= m and geometric_structure gives (p, heads, ratios).
+    With no tie row (b_i halfway between two integers) there is one nearest
+    integer vector y to b, and its hit, if _syndrome_hit finds one, is the
+    unique minimizer at residual ||b - y||_inf. With tie rows T, at most
+    _MAX_TIES of them and 2 amp_bound < p, every y whose row i is a nearest
+    integer of b_i (one choice off T, two on it) is decoded, and the hits
+    are the minimizers at residual 1/2: no integer vector is nearer to b,
+    and one reaches 1/2 exactly when it is such a y. Each y has at most one
+    s-sparse preimage x', as 2s <= m, and x' mod p keeps the support of x'
+    when 2 amp_bound < p, so Berlekamp-Massey finds it whenever it exists.
+    With no hit the minimum is above 1/2 and the search finds it.
+    """
+    if 2 * s > A.rows:
+        return None
+    ties = sum(t.denominator == 2 for t in target)
+    if ties > _MAX_TIES:
+        return None
+    structure = geometric_structure(A)
+    if structure is None or (ties and 2 * amp_bound >= structure[0]):
+        return None
+    # the nearest integer of each b_i, ties rounded down; a tie's other is v + 1
+    low = [-((t.denominator - 2 * t.numerator) // (2 * t.denominator)) for t in target]
+    roundings = itertools.product(*((v, v + 1) if t.denominator == 2 else (v,)
+                                    for t, v in zip(target, low)))
+    hits = [x for y in roundings
+            if (x := _syndrome_hit(A, structure, y, s, amp_bound)) is not None]
+    if not hits:
+        return None
+    hits.sort(key=lambda x: _visit_key(x, s))
+    return tuple(hits), max(abs(t - v) for t, v in zip(target, low))
+
+
+def _syndrome_hit(A: IntMatrix, structure, y, s: int,
+                  amp_bound: int) -> SparseSignal | None:
+    """The s-sparse x with entries in [-amp_bound, amp_bound] and Ax = y
+    that the syndromes of the integer vector y decode to; None on any miss.
+
+    With structure = (p, heads h, ratios r) from geometric_structure,
     S_i = y_i mod p = sum_j h_j x_j r_j^i. Berlekamp-Massey on all m
     syndromes gives the shortest recurrence (c, L), and the support is the
     columns whose ratio is a root of the locator z^L c(1/z). The ratio-0
@@ -259,14 +319,7 @@ def _syndrome_decode(A: IntMatrix, target, s: int,
     L columns are roots, every x_j is nonzero with |x_j| <= amp_bound,
     and Ax = y over the integers.
     """
-    m = A.rows
-    if 2 * s > m or any(t.denominator == 2 for t in target):
-        return None
-    structure = geometric_structure(A)
-    if structure is None:
-        return None
     p, heads, ratios = structure
-    y = [(2 * t.numerator + t.denominator) // (2 * t.denominator) for t in target]
     syndromes = [v % p for v in y]
     c, L = _berlekamp_massey(syndromes, p)
     if L > s:
@@ -289,10 +342,9 @@ def _syndrome_decode(A: IntMatrix, target, s: int,
     if not all(0 < abs(v) <= amp_bound for v in values):
         return None
     if any(sum(A.entry(i, j) * v for j, v in zip(support, values)) != y[i]
-           for i in range(m)):
+           for i in range(A.rows)):
         return None
-    return (SparseSignal(A.cols, tuple(support), tuple(values)),
-            max(abs(t - v) for t, v in zip(target, y)))
+    return SparseSignal(A.cols, tuple(support), tuple(values))
 
 
 def _berlekamp_massey(seq, p: int) -> tuple[list[int], int]:

@@ -431,6 +431,30 @@ class TestRecoverCommands:
         assert capsys.readouterr().out == (
             "ambiguous: 2 minimizers at residual 0/1\n")
 
+    def test_ambiguous_tie_decode_exit_1(self, tmp_path, capsys):
+        # noise -1/2 on every row of construct(6, 12, 11), whose column 0 is
+        # all ones: x ties with x moved one step toward zero there, and the
+        # same answer comes from the roundings' syndromes and, on the file
+        # without its modulus, from the search
+        mat = tmp_path / "r.json"
+        assert run(["construct", "--m", "6", "--k", "12", "--d", "11",
+                    "--out", str(mat)]) == 0
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({**json.loads(mat.read_text()), "modulus": None}))
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"d": 11, "support": [0, 4, 9], "values": [2, -2, 1]}))
+        meas = tmp_path / "meas.json"
+        assert run(["recover", "encode", "--in", str(mat), "--signal", str(sig),
+                    "--noise=" + ",".join(["-1/2"] * 6), "--out", str(meas)]) == 0
+        capsys.readouterr()
+        for path in (mat, plain):
+            assert run(["recover", "decode", "--in", str(path), "--measurement",
+                        str(meas), "--s", "3", "--amp-bound", "3", "--json"]) == 1
+            assert capsys.readouterr().out == (
+                '{"minimizers": [{"d": 11, "support": [0, 4, 9], "values": [1, -2, 1]}, '
+                '{"d": 11, "support": [0, 4, 9], "values": [2, -2, 1]}], '
+                '"residual": "1/2", "ambiguous": true, "sparsity_in_guarantee": true}\n')
+
     def test_encode_without_noise_is_exact(self, mat_path, tmp_path, capsys):
         sig = tmp_path / "sig.json"
         sig.write_text(json.dumps({"d": 5, "support": [2], "values": [2]}))
@@ -735,6 +759,31 @@ class TestStrictInputs:
         assert run([a.replace("HUGE", huge) for a in argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option,field", [
+        ("--noise=1e4300,0", "noise"),
+        ("--noise=1e-4300,0", "noise"),
+        ("--noise-bound=1e4300", "noise bound"),
+    ])
+    def test_encode_past_int_str_limit_exit_2(self, mat_path, tmp_path, capsys,
+                                              option, field):
+        # b = Ax + e could be neither written nor read back: the error was
+        # Python's own "Exceeds the limit (4300 digits)" text
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps(SIGNAL))
+        assert run(["recover", "encode", "--in", mat_path, "--signal", str(sig),
+                    option]) == 2
+        assert capsys.readouterr() == ("", f"error: {field}: an entry has a numerator "
+                                           f"or denominator of more than 4300 digits\n")
+
+    def test_encode_at_int_str_limit_reads_back(self, mat_path, tmp_path, capsys):
+        sig, meas = tmp_path / "sig.json", tmp_path / "meas.json"
+        sig.write_text(json.dumps(SIGNAL))
+        assert run(["recover", "encode", "--in", mat_path, "--signal", str(sig),
+                    "--noise=1e4299,0", "--out", str(meas)]) == 0
+        assert run(["recover", "decode", "--in", mat_path, "--measurement", str(meas),
+                    "--s", "1", "--amp-bound", "1"]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
 
 class TestBudgetRefusals:

@@ -352,6 +352,12 @@ class TestConstruct:
         assert max_width(2, 5) == 12  # floor(25/2)
         assert max_width(3, 2) == 3   # max(k+1, floor(sqrt(8))/2 = 1)
 
+    def test_max_width_equals_the_root_formula(self):
+        # below 2^(m-1) max_width returns k + 1 without building k^m; on the
+        # whole grid it is max(k + 1, floor(k^(m/(m-1))) // 2)
+        assert all(max_width(m, k) == max(k + 1, iroot(k ** m, m - 1) // 2)
+                   for m in range(2, 40) for k in range(1, 3000))
+
     @pytest.mark.parametrize("m,k", [(1, 3), (2, 0)])
     def test_max_width_refuses_out_of_range(self, m, k):
         with pytest.raises(ValueError, match="need m >= 2 and k >= 1"):

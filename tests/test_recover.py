@@ -10,6 +10,7 @@ from fullrank.construct import construct, construct_scaled, construct_vandermond
 from fullrank.errors import BudgetExceededError
 from fullrank.linalg import IntMatrix, select_columns
 from fullrank.recover import (
+    _MAX_TIES,
     Measurement,
     SparseSignal,
     _syndrome_decode,
@@ -93,6 +94,20 @@ class TestEncode:
     def test_bound_and_length_refused(self, vand23, call, message):
         with pytest.raises(ValueError, match=message):
             call(vand23)
+
+    @pytest.mark.parametrize("b,noise,bound,field", [
+        ((10 ** 4300, 0), (), HALF, "measurement"),
+        ((F(1, 10 ** 4300), 0), (), HALF, "measurement"),
+        ((0, 0), (0, -10 ** 4300), HALF, "noise"),
+        ((0, 0), (), 10 ** 4300, "noise bound"),
+    ], ids=["b-numerator", "b-denominator", "noise", "bound"])
+    def test_refuses_more_than_4300_digits(self, b, noise, bound, field):
+        # no file could hold such a number, so the type refuses it too
+        with pytest.raises(ValueError, match=f"^{field}: an entry has a numerator "
+                                             f"or denominator of more than 4300 digits$"):
+            Measurement(b, noise, bound)
+        edge = 10 ** 4300 - 1  # 4,300 nines
+        assert Measurement((edge, F(-1, edge)), (edge, 0), edge).b == (edge, F(-1, edge))
 
     def test_decimal_strings_parse_exactly(self, vand23):
         x = SparseSignal(5, (2,), (2,))
@@ -281,7 +296,7 @@ class TestSyndromeStep:
         assert result.candidates == met
         assert result.minimizers == (x,)
         if 2 * amp < A.modulus:
-            assert _syndrome_decode(A, meas.b, s, amp) == (x, meas.noise_inf)
+            assert _syndrome_decode(A, meas.b, s, amp) == ((x,), meas.noise_inf)
 
     @pytest.mark.parametrize("support,values", [
         ((6,), (2,)), ((2, 6), (-1, 3)), ((0, 6), (3, -3)), ((0, 5), (1, 1))])
@@ -291,7 +306,7 @@ class TestSyndromeStep:
         A = construct(4, 6, 7)
         x = SparseSignal(7, support, values)
         meas = encode(A, x, (F(1, 3), F(-2, 5), 0, F(1, 7)))
-        assert _syndrome_decode(A, meas.b, 2, 3) == (x, F(2, 5))
+        assert _syndrome_decode(A, meas.b, 2, 3) == ((x,), F(2, 5))
         result = decode(A, meas, s=2, amp_bound=3)
         assert result == decode(without_modulus(A), meas, s=2, amp_bound=3)
         dense, residual, met = decode_first_seen(A.to_rows(), meas.b, 2, 3)
@@ -302,14 +317,16 @@ class TestSyndromeStep:
         # construct(4, 6, 7): p = 7, column 0 is all ones
         ("plain", (1, 4), (2, -1), (F(1, 3), 0, 0, 0), 2, 3),
         ("full", (1,), (2,), (F(1, 3), 0, 0, 0), 3, 3),  # 2s > m
-        ("full", (0,), (2,), (-HALF,) * 4, 2, 3),  # ties 2 e_0 with e_0
+        # at a tie with 2 amp >= p, 4 e_0 (4 = -3 mod 7) would be missed
+        ("full", (0,), (4,), (-HALF,) * 4, 1, 4),
+        ("full", (1,), (2,), (HALF, F(3, 4), 0, 0), 2, 3),  # no rounding hits
         ("full", (0, 2, 4), (1, -1, 1), (0,) * 4, 2, 1),  # locator degree 3 > s
         ("full", (2,), (3,), (F(1, 4), 0, 0, 0), 1, 2),  # 3 outside [-2, 2]
         ("full", (3,), (4,), (0,) * 4, 1, 4),  # 4 lifts to -3 mod 7
         ("full", (2, 4), (7, 1), (0,) * 4, 2, 7),  # 7 = 0 mod 7
         ("copy", (2,), (1,), (F(1, 3), 0, 0, 0), 2, 3),  # columns 0 and 1 equal
-    ], ids=["no-modulus", "2s-above-m", "tie", "not-s-sparse", "value-out-of-range",
-            "amp-wraps", "value-0-mod-p", "copied-column"])
+    ], ids=["no-modulus", "2s-above-m", "tie-amp-wraps", "tie-no-hit", "not-s-sparse",
+            "value-out-of-range", "amp-wraps", "value-0-mod-p", "copied-column"])
     def test_miss_returns_the_search(self, matrix, support, values, noise, s, amp):
         A = construct(4, 6, 7)
         if matrix == "plain":
@@ -326,6 +343,82 @@ class TestSyndromeStep:
         dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
         assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
                 result.candidates) == (dense, residual, met)
+
+    @pytest.mark.parametrize("support,values,noise,s,amp,minimizers", [
+        # construct(4, 6, 7): column 0 is all ones, column 6 is (1, 0, 0, 0)
+        ((0,), (2,), (-HALF,) * 4, 2, 3,
+         [((0,), (1,)), ((0,), (2,)), ((0, 6), (1, 1)), ((0, 6), (2, -1))]),
+        ((0,), (1,), (-HALF,) * 4, 1, 3, [((), ()), ((0,), (1,)), ((6,), (1,))]),
+        ((2, 5), (-1, 3), (F(1, 3), HALF, 0, -HALF), 2, 3, [((2, 5), (-1, 3))]),
+    ], ids=["tie", "zero-among-hits", "mixed-rows"])
+    def test_tie_roundings_hit(self, support, values, noise, s, amp, minimizers):
+        # every rounding of b through its tie rows is decoded: the hits are
+        # the minimizers at residual 1/2, in the search's order
+        A = construct(4, 6, 7)
+        meas = encode(A, SparseSignal(7, support, values), noise)
+        hits, residual = _syndrome_decode(A, meas.b, s, amp)
+        assert [(x.support, x.values) for x in hits] == minimizers
+        assert residual == HALF
+        result = decode(A, meas, s=s, amp_bound=amp)
+        assert result == decode(without_modulus(A), meas, s=s, amp_bound=amp)
+        assert (result.minimizers, result.residual) == (hits, HALF)
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
+        assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
+                result.candidates) == (dense, residual, met)
+
+    @pytest.mark.parametrize("ties", [_MAX_TIES, _MAX_TIES + 1])
+    def test_ties_up_to_the_cap(self, ties):
+        # on a proved (cap + 1)-row matrix with column 0 all ones, e_0 under
+        # noise -1/2 on `ties` rows: up to the cap the roundings are decoded,
+        # past it the search runs, and both give the same answer
+        A = construct_vandermonde(_MAX_TIES + 1, _MAX_TIES + 1)[0]
+        m, d = A.rows, A.cols
+        meas = encode(A, SparseSignal(d, (0,), (1,)), [-HALF] * ties + [0] * (m - ties))
+        hit = _syndrome_decode(A, meas.b, 1, 1)
+        result = decode(A, meas, s=1, amp_bound=1)
+        assert result == decode(without_modulus(A), meas, s=1, amp_bound=1)
+        assert result.residual == HALF and SparseSignal(d, (0,), (1,)) in result.minimizers
+        if ties > _MAX_TIES:
+            assert hit is None
+        else:
+            assert hit == (result.minimizers, HALF)
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, 1, 1)
+        assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
+                result.candidates) == (dense, residual, met)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ties_match_first_seen_scan(self, data):
+        # family members and their column subsets, a planted signal with at
+        # most s <= m/2 nonzeros, noise of +-1/2 on a nonempty set of tie
+        # rows and anything in [-1, 1] elsewhere, some rows pushed past 1/2:
+        # the decode equals the oracle's and the search's, and when no row is
+        # past 1/2 and 2 amp < p the roundings hold the planted signal, so
+        # the tie step answers
+        A = data.draw(st.sampled_from(FAMILY))
+        if data.draw(st.booleans()):
+            A = select_columns(A, data.draw(st.lists(
+                st.sampled_from(range(A.cols)), min_size=1, unique=True)))
+        m, d = A.rows, A.cols
+        s, amp = data.draw(st.integers(0, min(m // 2, d))), data.draw(st.integers(1, 3))
+        assume(math.comb(d, s) * (2 * amp + 1) ** s <= 6000)  # oracle's time
+        support = sorted(data.draw(st.lists(st.sampled_from(range(d)), max_size=s,
+                                            unique=True)))
+        values = [data.draw(st.integers(1, amp)) * data.draw(st.sampled_from((-1, 1)))
+                  for _ in support]
+        x = SparseSignal(d, support, values)
+        ties = data.draw(st.lists(st.sampled_from(range(m)), min_size=1, unique=True))
+        e = [data.draw(st.sampled_from((-HALF, HALF))) if i in ties
+             else data.draw(st.fractions(-1, 1, max_denominator=12)) for i in range(m)]
+        meas = encode(A, x, e)
+        result = decode(A, meas, s=s, amp_bound=amp)
+        assert result == decode(without_modulus(A), meas, s=s, amp_bound=amp)
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
+        assert [tuple(y.to_dense()) for y in result.minimizers] == dense
+        assert result.residual == residual
+        assert result.candidates == met
+        if meas.noise_inf == HALF and 2 * amp < A.modulus:
+            assert _syndrome_decode(A, meas.b, s, amp) == (result.minimizers, HALF)
 
 
 class TestSeparation:
