@@ -196,8 +196,9 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
     Only meaningful when the target width beats the power-residue family,
     i.e. when the scaled window starts above k+1.
     """
-    lo, _ = _window(m, k, SCALED)
-    if lo <= k + 1:
+    _window(m, k, VANDERMONDE)  # refuses m and k as every family does
+    # k < 2^(m-1): the window's hi < 2k, so lo <= k, refused without k^m
+    if k.bit_length() < m or _window(m, k, SCALED)[0] <= k + 1:
         raise ValueError(
             f"scaled variant needs k^(m/(m-1))/2 > k+1; not met for "
             f"m={as_decimal(m)}, k={as_decimal(k)}")

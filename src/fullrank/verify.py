@@ -24,22 +24,42 @@ on its columns.
 The completions of a prefix are tested together, in one big-integer
 product. Each dot product n . col_j is a minor, so by Hadamard's bound
 |n . col_j| <= (k sqrt(m))^m, with k the largest |entry|. Take the
-smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m; then every
-|n . col_j| < 2^(w-1), strictly. Pack each row once, Q_i =
-sum_j A[i][j] 2^(wj), and let H = sum_j 2^(w-1) 2^(wj). Then field j of
-H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, in [1, 2^w), so no
-field carries into the next, and completion j fails exactly when its
-field is 2^(w-1). In the little-endian bytes of that sum the failures
-are the matches of that field's bytes, found by a byte search from the
-first completing column. A match counts only on a field boundary, so the
-failures come in column order, as one dot product per completion would
-list them. Memory is O(m*d): A is read by rows, as IntMatrix stores it,
-with one packed integer per row and the sum of the prefix in hand; the
-Laplace terms hold the rows themselves, so the sweep copies no column.
+smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m, rounded
+up to 1, 2, 4 or 8 bytes when it is at most 8; then every
+|n . col_j| < 2^(w-1), strictly. Each row is packed once with biased
+fields, P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj). Less H = sum_j 2^(w-1)
+2^(wj) it is Q_i = sum_j A[i][j] 2^(wj), and as every biased field is in
+[1, 2^w), P_i and H shifted right by s fields give Q_i from column s on,
+exactly. Field j of H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, in
+[1, 2^w), so no field carries into the next, and completion j fails
+exactly when its field is 2^(w-1). In the little-endian bytes of that
+sum the failures are the matches of that field's bytes, found by a byte
+search from the first completing column. A match counts only on a field
+boundary, so the failures come in column order, as one dot product per
+completion would list them.
+
+The normals are packed the same way, one level up. The children of an
+(m-2)-prefix, its extensions by a later column j, have normals linear in
+col_j: component p is a signed sum over the rows r != p of A[r][j] times
+an (m-2)-minor of the prefix. So N_p = sum_r (+-minor) Q_r, taken from
+the prefix's next column on, holds component p of every child's normal,
+one field per child: m sums of m-1 products per (m-2)-prefix, where the
+Laplace step took m sums per child. The components are (m-1)-minors,
+below 2^(w-1) too when k >= 1. Adding H and flipping every field's top
+bit (xor H) makes each field the component itself in two's complement,
+read in place through a memoryview cast for 1, 2, 4 or 8 bytes and with
+int.from_bytes for wider fields or on a big-endian host. The children's
+completion tests then run in one loop at their parent. Memory is
+O(m*d): A is read once, into one packed integer per row; the Laplace
+terms of the levels above hold A's rows themselves, so the sweep copies
+no column; and an (m-2)-prefix holds its rows' suffixes, the m normals'
+bytes and one child's sum.
 """
 
 import math
 import random
+import struct
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
@@ -47,6 +67,9 @@ from operator import mul
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints
 from .linalg import IntMatrix, combination_vector, det_exact
+
+# memoryview formats of the signed native ints, by size in bytes
+_FORMATS = {struct.calcsize(f): f for f in "bhiq"}
 
 
 @dataclass
@@ -85,25 +108,46 @@ class CertificateCheck:
     reason: str
 
 
-def _laplace_plans(rows: list[tuple[int, ...]]) -> list:
-    """plans[t] expands the minors of t columns into those of t+1 columns.
+def _laplace_plans(A: IntMatrix) -> tuple[list, list]:
+    """(plans, normals): plans[t], t < m-2, expands the minors of t columns
+    into those of t+1 columns; normals gives the normals of all the
+    children of an (m-2)-prefix at once.
 
     The minors of t columns are listed by their row t-subset, in
     combinations order. plans[t] holds, for each row (t+1)-subset, the
     Laplace terms along the new last column: (sign, A's row r, index of
     the t-subset left when row r is removed). A term reads its entry of
-    the new column j as row[j].
+    the new column j as row[j]. Each row is taken from A once, and only
+    when m > 2, as at m = 2 no level reads it.
+
+    Component p of the normal of m-1 columns is (-1)^(p+m-1) times the
+    minor of every row but p. Along its last column j that is the sum,
+    over rows r != p, of (-1)^(p+q+1) A[r][j] M_pr, with q the place of r
+    among the rows but p and M_pr the minor of the other m-2 rows.
+    normals[p] lists, for each row r, where (-1)^(p+q+1) M_pr sits in
+    signed = minors + their negatives + [0], the 0 standing at r = p.
+    Then sum_r signed[normals[p][r]] Q_r, Q_r the packed row r, holds in
+    field j component p of the normal of the prefix extended by column
+    j. For m >= 2; m 2^(m-1) terms in all, the normals' m^2 included.
     """
-    m = len(rows)
+    m = A.rows
+    rows = [A.row(i) for i in range(m)] if m > 2 else []
     plans = []
-    for t in range(m):
+    for t in range(m - 2):
         index = {sub: i for i, sub in enumerate(combinations(range(m), t))}
         plans.append([
-            [((-1) ** (p + t), rows[r], index[sub[:p] + sub[p + 1:]])
-             for p, r in enumerate(sub)]
+            [((-1) ** (q + t), rows[r], index[sub[:q] + sub[q + 1:]])
+             for q, r in enumerate(sub)]
             for sub in combinations(range(m), t + 1)
         ])
-    return plans
+    index = {sub: i for i, sub in enumerate(combinations(range(m), m - 2))}
+    normals = []
+    for p in range(m):
+        sub = tuple(r for r in range(m) if r != p)
+        ks = [index[sub[:q] + sub[q + 1:]] + ((p + q) % 2 == 0) * len(index)
+              for q in range(m - 1)]
+        normals.append(tuple(ks[:p] + [2 * len(index)] + ks[p:]))
+    return plans, normals
 
 
 def _check_shape(A: IntMatrix) -> None:
@@ -114,26 +158,53 @@ def _check_shape(A: IntMatrix) -> None:
 def _field_bytes(k: int, m: int) -> int:
     """Bytes per field: the smallest whole-byte width w with
     2^(2(w-1)) > (k^2 m)^m, so that every m x m minor of entries bounded
-    by k, at most (k sqrt(m))^m by Hadamard, is strictly below 2^(w-1)."""
+    by k, at most (k sqrt(m))^m by Hadamard, is strictly below 2^(w-1);
+    so is every (m-1) x (m-1) minor when k >= 1, and every minor is 0
+    when k = 0. A width of at most 8 bytes is rounded up to 1, 2, 4 or
+    8, the widths _fields reads in place; a wider field stays strict."""
     # 2^(2(w-1)) > B exactly when 2(w-1) >= B.bit_length()
     w = (((k * k * m) ** m).bit_length() + 1) // 2 + 1
-    return (w + 7) // 8
+    nb = (w + 7) // 8
+    return nb if nb > 8 else 1 << (nb - 1).bit_length()
 
 
-def _packed_rows(rows: list[tuple[int, ...]], nb: int) -> tuple[list[int], int]:
-    """Each row i of A as Q_i = sum_j A[i][j] 2^(wj), w = 8 nb, and the bias
-    H = sum_j 2^(w-1) 2^(wj). A row is read once, as the bytes of its
-    biased fields 2^(w-1) + A[i][j], each in [0, 2^w) since
-    |A[i][j]| < 2^(w-1), less H: linear time, and no d field objects held."""
+def _fields(raw: bytes, nb: int, n: int):
+    """The first n fields of raw, nb little-endian bytes each, as signed
+    ints, read lazily and in place: a memoryview cast for 1, 2, 4 or 8
+    bytes on a little-endian host (cast reads native byte order), else
+    int.from_bytes on each field's bytes."""
+    view = memoryview(raw)
+    if nb in _FORMATS and sys.byteorder == "little":
+        return view.cast(_FORMATS[nb])[:n]
+    return (int.from_bytes(view[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb))
+
+
+def _zero_fields(raw: bytes, pos: int, zero: bytes, nb: int):
+    """The columns whose nb-byte field in raw is zero, in order, from the
+    match at byte pos on (none when pos < 0). A match counts only on a
+    field boundary; the search goes on from the field after it."""
+    while pos >= 0:
+        j, off = divmod(pos, nb)
+        if not off:
+            yield j
+        pos = raw.find(zero, (j + 1) * nb)
+
+
+def _packed_rows(A: IntMatrix, nb: int) -> tuple[list[int], int]:
+    """Each row i of A with its fields biased, P_i = sum_j (2^(w-1) +
+    A[i][j]) 2^(wj), w = 8 nb, and the bias H = sum_j 2^(w-1) 2^(wj).
+    Every field of P_i is in [1, 2^w) since |A[i][j]| < 2^(w-1), so
+    P_i >> ws is exact, and (P_i >> ws) - (H >> ws) is the packed row
+    Q_i = sum_j A[i][j] 2^(wj) from column s on. A is read once, as the
+    bytes of its biased fields: linear time, and no d field objects held."""
     half = 1 << (8 * nb - 1)
-    bias = int.from_bytes(half.to_bytes(nb, "little") * len(rows[0]), "little")
-    packed = []
-    for row in rows:
-        fields = bytearray()
-        for a in row:
-            fields += (half + a).to_bytes(nb, "little")
-        packed.append(int.from_bytes(fields, "little") - bias)
-    return packed, bias
+    fields = bytearray()
+    for a in A.entries:
+        fields += (half + a).to_bytes(nb, "little")
+    size = A.cols * nb
+    view = memoryview(fields)
+    biased = [int.from_bytes(view[i:i + size], "little") for i in range(0, len(fields), size)]
+    return biased, int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
 
 
 def geometric_structure(
@@ -169,17 +240,22 @@ def verify_exhaustive(A: IntMatrix,
 
     Refuses when C(d, m) exceeds the budget. A matrix that
     geometric_structure proves has no failures, and its report counts
-    the C(d, m) minors proved, in O(m*d). Any other is swept: column
-    prefixes are walked depth first, so each (m-1)-prefix's normal n is
-    computed once and shared by all of its completions.
+    the C(d, m) minors proved, in O(m*d). Any other is refused when the
+    sweep's Laplace plan, m 2^(m-1) terms, exceeds the budget (C(d, m)
+    is 1 on a square matrix and bounds nothing there), and else swept:
+    column prefixes are walked depth first, so each (m-1)-prefix's
+    normal n is computed once and shared by all of its completions.
 
     A prefix's completions are tested at once (see the module notes):
-    with w the smallest multiple of 8 with 2^(2(w-1)) > (k^2 m)^m, field j
-    of raw, the little-endian bytes of H + sum_i n_i Q_i, is exactly
-    2^(w-1) + n . col_j. Completion j fails exactly when that field is
-    bytes(w/8 - 1) + b"\x80"; raw.find looks for it from the first
-    completing column on, and a match at byte offset pos names column
-    pos / (w/8) only when it falls on a field boundary.
+    with w/8 the field width in bytes, field j of raw, the little-endian
+    bytes of H + sum_i n_i Q_i, is exactly 2^(w-1) + n . col_j.
+    Completion j fails exactly when that field is bytes(w/8 - 1) +
+    b"\x80"; raw.find looks for it from the first completing column on,
+    and a match at byte offset pos names column pos / (w/8) only when it
+    falls on a field boundary. The (m-1)-prefixes are not walked one by
+    one: each (m-2)-prefix reads all of its children's normals from m
+    packed sums and tests the children in a loop; at m = 1 the normal is
+    (1,) and the test is one product.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -187,30 +263,44 @@ def verify_exhaustive(A: IntMatrix,
     check_budget(total, budget, "exhaustive minor sweep")
     if geometric_structure(A):
         return VerificationReport(total_checked=total, mode="exhaustive")
+    check_budget(m << (m - 1), budget, "the Laplace plan of the exhaustive minor sweep")
     nb = _field_bytes(A.max_abs_entry(), m)
-    size = d * nb
-    rows = [A.row(i) for i in range(m)]
-    packed, bias = _packed_rows(rows, nb)
+    biased, bias = _packed_rows(A, nb)
     zero = bytes(nb - 1) + b"\x80"  # the field 2^(w-1): n . col_j == 0
-    plans = _laplace_plans(rows)
+    if m == 1:  # the normal is (1,): one product
+        raw = biased[0].to_bytes(d * nb, "little")
+        return VerificationReport(total_checked=total, mode="exhaustive", failures=[
+            (j,) for j in _zero_fields(raw, raw.find(zero), zero, nb)])
+    plans, normals = _laplace_plans(A)
     failures = []
 
     def walk(prefix, minors):
         t = len(prefix)
         start = prefix[-1] + 1 if prefix else 0
-        if t == m - 1:
-            normal = [sign * minors[k] for sign, _, k in plans[t][0]]
-            raw = sum(map(mul, normal, packed), bias).to_bytes(size, "little")
-            pos = raw.find(zero, start * nb)
-            while pos >= 0:
-                j, off = divmod(pos, nb)
-                if not off:
-                    failures.append(prefix + (j,))
-                pos = raw.find(zero, (j + 1) * nb)
+        if t < m - 2:
+            for j in range(start, d - m + t + 1):
+                walk(prefix + (j,), [sum(sign * row[j] * minors[k] for sign, row, k in terms)
+                                     for terms in plans[t]])
             return
-        for j in range(start, d - m + t + 1):
-            walk(prefix + (j,), [sum(sign * row[j] * minors[k] for sign, row, k in terms)
-                                 for terms in plans[t]])
+        # the packed rows from column start on, whose field i is column start + i
+        shift = 8 * nb * start
+        hs = bias >> shift
+        qs = [(b >> shift) - hs for b in biased]
+        size = (d - start) * nb
+        # field i of N_p + H is 2^(w-1) + n_p, n_p component p of the normal
+        # of prefix + (start + i,), and H flips each field's top bit: field
+        # i of N_p + H ^ H, read signed, is n_p. The children are
+        # start..d-2, fields 0..d-2-start
+        signed = minors + [-x for x in minors] + [0]
+        fields = [_fields((sum(map(mul, map(signed.__getitem__, ks), qs), hs) ^ hs)
+                          .to_bytes(size, "little"), nb, d - 1 - start)
+                  for ks in normals]
+        for i, u in enumerate(zip(*fields), 1):
+            raw = sum(map(mul, u, qs), hs).to_bytes(size, "little")
+            pos = raw.find(zero, i * nb)
+            if pos >= 0:
+                failures.extend(prefix + (start + i - 1, start + c)
+                                for c in _zero_fields(raw, pos, zero, nb))
 
     walk((), [1])
     return VerificationReport(total_checked=total, failures=failures,

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -286,6 +287,27 @@ class TestVerifyCommand:
 
     def test_budget_refusal_exit_2(self, mat_path):
         assert run(["verify", "--in", mat_path, "--budget", "5"]) == 2
+
+    def test_square_matrix_laplace_plan_refused(self, tmp_path, capsys):
+        # C(24, 24) = 1 minor, but the sweep's Laplace plan has
+        # 24 * 2^23 terms: refused before any is built
+        rng = random.Random(24)
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps(matrix_to_dict(IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(24)] for _ in range(24)]))))
+        assert run(["verify", "--in", str(square)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: the Laplace plan of the exhaustive minor sweep needs 201326592 "
+            "steps, exceeding the budget of 10000000; pass a larger budget to override\n"))
+
+    def test_proved_24_row_construction_accepted(self, tmp_path, capsys):
+        # proved from its columns' algebra, so no Laplace plan is built
+        A, _ = construct_vandermonde(24, 24)
+        path = tmp_path / "v24.json"
+        path.write_text(json.dumps(matrix_to_dict(A)))
+        code, doc = run_json(capsys, ["verify", "--in", str(path), "--json"])
+        assert code == 0
+        assert (doc["total_checked"], doc["failures"]) == (math.comb(A.cols, 24), [])
 
     @staticmethod
     def vandermonde_subset():

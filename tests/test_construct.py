@@ -77,7 +77,8 @@ class TestWindow:
 
     def test_scaled_refused_exactly_below_power_residue_width(self, monkeypatch):
         # the refusal is the real-number test k^(m/(m-1))/2 <= k+1, in its
-        # integer form; the prime step is stubbed, so nothing is built
+        # integer form, with one message; the prime step is stubbed, so
+        # nothing is built. Below 2^(m-1) it is answered without k^m.
         class Built(Exception):
             pass
 
@@ -85,11 +86,17 @@ class TestWindow:
             raise Built
 
         monkeypatch.setattr(construct_mod, "_family_prime", stub)
-        for m in range(2, 9):
-            for k in range(1, 401):
+        for m in range(2, 40):
+            for k in range(1, 3000):
                 refused = k < 3 or k ** m <= (2 * (k + 1)) ** (m - 1)
-                with pytest.raises(ValueError if refused else Built):
+                try:
                     construct_scaled(m, k)
+                except Built:
+                    assert not refused, (m, k)
+                except ValueError as e:
+                    assert refused, (m, k)
+                    assert str(e) == ("scaled variant needs k^(m/(m-1))/2 > k+1; "
+                                      f"not met for m={m}, k={k}")
 
     @staticmethod
     def params(variant, m, k, d, scalings=True):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from fullrank.verify import (
     CertificateCheck,
     DegeneracyCertificate,
     VerificationReport,
+    _field_bytes,
     geometric_structure,
     verify_certificate,
     verify_exhaustive,
@@ -184,8 +186,14 @@ class TestPackedSweep:
         ([[0] * 3], [(0,), (1,), (2,)]),
         ([[0] * 4] * 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
         ([[0] * 4] * 4, [(0, 1, 2, 3)]),
+        ([[0] * 6] * 3, list(combinations(range(6), 3))),
+        ([[0] * 7] * 5, list(combinations(range(7), 5))),
+        # m = 2: the root is the packed level, its children the columns
+        # 0..d-2 with normals (-A[1][j], A[0][j])
+        ([[1, 2, 3, 2, 0, -1], [1, 4, 6, 4, 0, -1]],
+         [(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)]),
     ], ids=["1x1-zero", "1x1", "1x5", "1x3-large", "1x3-straddle", "2x2-singular",
-            "3x3", "zero-1x3", "zero-2x4", "zero-4x4"])
+            "3x3", "zero-1x3", "zero-2x4", "zero-4x4", "zero-3x6", "zero-5x7", "2x6"])
     def test_one_row_square_and_zero(self, rows, expected):
         assert self.check(rows) == expected == all_minors_nonzero(rows)
 
@@ -209,6 +217,61 @@ class TestPackedSweep:
         expected = [c for c in combinations(range(m + 1), m) if {copied, m} <= set(c)]
         assert self.check(rows) == expected
         assert len(expected) == m - 1
+
+
+def with_copies(rng, rows):
+    """rows with a column copied, a zero column and a column of opposite
+    signs appended, so that every packed level has failures to list."""
+    d = len(rows[0])
+    a, b = sorted(rng.sample(range(d), 2))
+    return [r[:b] + [r[a]] + r[b + 1:] + [0, -r[a]] for r in rows]
+
+
+class TestPackedLevel:
+    """Each (m-2)-prefix reads its children's normals from the fields of m
+    packed sums and tests the children in a loop. Compared with the
+    reference walk, order included, at every field width: 1, 2, 4 and 8
+    bytes are read through a memoryview, 3 is rounded up to 4 and 5 to 7
+    up to 8, and a width past 8 bytes is read field by field."""
+
+    @pytest.mark.parametrize("k,raw,nb", [
+        (1, 1, 1), (127, 2, 2), (128, 3, 4), (32767, 4, 4), (32768, 5, 8),
+        (2 ** 23 - 1, 6, 8), (2 ** 27 - 1, 7, 8), (2 ** 31 - 1, 8, 8), (2 ** 31, 9, 9),
+    ])
+    def test_every_field_width(self, k, raw, nb):
+        # at m = 2 the bound needs raw bytes: 2(8 raw - 1) >= (2k^2)^2's bits
+        bits = ((2 * k * k) ** 2).bit_length()
+        assert 2 * (8 * raw - 1) >= bits > 2 * (8 * raw - 9)
+        assert _field_bytes(k, 2) == nb
+        rng = random.Random(k)
+        for m in (2, 3, 4):
+            rows = [[rng.choice([-k, k, rng.randint(-k, k), rng.randint(-2, 2)])
+                     for _ in range(m + 5)] for _ in range(m)]
+            rows[0][0] = k
+            failures = TestPackedSweep.check(with_copies(rng, rows))
+            assert failures
+
+    def test_fields_read_one_by_one_on_a_big_endian_host(self, monkeypatch):
+        # memoryview.cast reads native byte order, so there every width is
+        # read with int.from_bytes
+        monkeypatch.setattr(sys, "byteorder", "big")
+        rng = random.Random(5)
+        for k in (1, 127, 128, 32767, 2 ** 31 - 1):
+            for m in (2, 3):
+                rows = [[rng.randint(-k, k) for _ in range(m + 4)] for _ in range(m)]
+                assert TestPackedSweep.check(with_copies(rng, rows))
+
+    def test_zero_bytes_straddling_a_field_boundary(self):
+        # 32-bit fields (k = 32767, m = 2). Child (0,): the field of column 1
+        # is 2^31 - (32767^2 + 32766^2) = 0x0002fffb, bytes fb ff 02 00, and
+        # that of column 2 is 2^31 + 2^23, bytes 00 00 80 80; the zero
+        # field's bytes 00 00 00 80 first match across their boundary,
+        # which is no hit. Column 3 copies column 0 and does fail.
+        rows = [[32767, 32766, 256, 32767], [32766, -32767, 512, 32766]]
+        assert _field_bytes(32767, 2) == 4
+        assert perm_det([[32767, 32766], [32766, -32767]]) == 0x0002fffb - 2 ** 31
+        assert perm_det([[32767, 256], [32766, 512]]) == 2 ** 23
+        assert TestPackedSweep.check(rows) == [(0, 3)]
 
 
 def copied_pair(d):
