@@ -7,26 +7,28 @@ linearly independent, any nonzero (2s)-sparse integer difference z
 satisfies ||Az||_inf >= 1, so with 2s <= m and noise below 1/2 the true
 signal is the unique minimizer.
 
-Inside that guarantee the decoder first reads the signal off its
-syndromes: when verify.geometric_structure proves A, A mod p is the
-parity-check matrix of a generalized Reed-Solomon code, y mod p (y the
-nearest integer vector to b) is a syndrome, and Berlekamp-Massey finds
-the error locator (Massey 1969; MacWilliams-Sloane ch. 10-12). The
-answer is kept only after an exact check Ax = y over the integers, which
-with 2s <= m and no rounding tie proves it the unique minimizer. At
-rounding ties (b_i halfway between two integers) every rounding of b is
-decoded the same way, and the hits are the minimizers at residual 1/2,
-provided 2 amp_bound < p and there are at most _MAX_TIES tie rows. Every
-other case, and every syndrome miss, runs a branch-and-bound search that
-skips only subtrees that cannot tie the best, and lists the minimizers
-in the order of a lexicographic walk over the whole space.
+The decoder first reads the signal off its syndromes: when
+verify.geometric_structure proves A, A mod p is the parity-check matrix
+of a generalized Reed-Solomon code, y mod p (y the nearest integer
+vector to b) is a syndrome, and Berlekamp-Massey finds the error
+locator (Massey 1969; MacWilliams-Sloane ch. 10-12). The answer is kept
+only after an exact check Ax = y over the integers, which with 2s <= m
+and no rounding tie proves it the unique minimizer. Past 2s <= m every
+set T of at most s - m // 2 columns with nonzero values is enumerated,
+and the rest is decoded the same way (Prange 1962, in the Lee-Brickell
+1988 form), up to _MAX_DECODES decodes. At rounding ties (b_i halfway
+between two integers) every rounding of b is decoded, and the hits are
+the minimizers at residual 1/2. Enumeration and ties need
+2 amp_bound < p, and the step takes at most _MAX_TIES tie rows. Every
+other case, and every syndrome miss, runs a branch-and-bound search
+that skips only subtrees that cannot tie the best, and lists the
+minimizers in the order of a lexicographic walk over the whole space.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import mul, sub
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
@@ -44,6 +46,13 @@ _LONG_BITS = _LONG.bit_length() - 1
 # The syndrome step decodes every rounding of b through its tie rows, 2^|T|
 # of them for |T| tie rows, up to this many; past it the search runs.
 _MAX_TIES = 12
+# Past 2s <= m it decodes, for each rounding, every (T, v) of at most
+# s - m // 2 columns T with nonzero values v, up to this many decodes in
+# all; past it the search runs. Measured against the search on 154 shapes
+# (m 2..8, d 6..31, s - m // 2 in {1, 2}, amp_bound 1..3, noise below 1/2
+# or a tie on every row): no admitted shape loses by more than 1.42x or
+# 0.06 ms a decode up to 51, and at 52 a shape loses 2.4x.
+_MAX_DECODES = 51
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,7 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     decoding, so it never depends on b.
 
     The syndrome step (_syndrome_decode) applies when
-    verify.geometric_structure proves A and 2s <= m. With no b_i halfway
+    verify.geometric_structure proves A. With 2s <= m and no b_i halfway
     between two integers, let y be the nearest integer vector to b. When
     the step returns an s-sparse x in range with Ax = y exactly, x is the
     unique minimizer and the residual is ||b - y||_inf: every integer
@@ -179,12 +188,14 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     x - x' has at most 2s <= m nonzeros, and any min(m, d) columns of a
     proved matrix are independent mod p (each is a unit times a
     Vandermonde column on distinct nodes), so x' = x. This rests on the
-    exact check and that argument, never on how x was found. With tie
-    rows the step decodes every rounding of b through them and returns
-    the hits at residual 1/2, which are then every minimizer (see
-    _syndrome_decode); it needs 2 amp_bound < p and at most _MAX_TIES tie
-    rows. Any miss, including a tie whose roundings give no hit, runs the
-    search below, unchanged.
+    exact check and that argument, never on how x was found. Past
+    2s <= m the step enumerates s - m // 2 columns and decodes the rest,
+    and with tie rows it decodes every rounding of b through them; the
+    hits are then every minimizer (see _syndrome_decode). Both need
+    2 amp_bound < p; the ties are capped at _MAX_TIES rows and the
+    enumeration at _MAX_DECODES decodes. Any miss, including no hit among
+    the roundings or the enumerated columns, runs the search below,
+    unchanged.
 
     The search goes depth first over (column, nonzero value) pairs with
     columns increasing, carrying the integer residual row by row, from
@@ -214,7 +225,7 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
     hit = _syndrome_decode(A, target, s, amp_bound)
     if hit:
         minimizers, residual = hit
-        return DecodeResult(minimizers, residual, True, n_candidates)
+        return DecodeResult(minimizers, residual, 2 * s <= m, n_candidates)
 
     # clear denominators once so the search is pure integer arithmetic
     denom = math.lcm(*(t.denominator for t in target))
@@ -270,103 +281,152 @@ def _syndrome_decode(A: IntMatrix, target, s: int, amp_bound: int
     """(every minimizer in the search's order, the residual) when the
     syndromes prove them, for decode's argument; None on any miss.
 
-    Applies when 2s <= m and geometric_structure gives (p, heads, ratios).
-    With no tie row (b_i halfway between two integers) there is one nearest
-    integer vector y to b, and its hit, if _syndrome_hit finds one, is the
-    unique minimizer at residual ||b - y||_inf. With tie rows T, at most
-    _MAX_TIES of them and 2 amp_bound < p, every y whose row i is a nearest
-    integer of b_i (one choice off T, two on it) is decoded, and the hits
-    are the minimizers at residual 1/2: no integer vector is nearer to b,
-    and one reaches 1/2 exactly when it is such a y. Each y has at most one
-    s-sparse preimage x', as 2s <= m, and x' mod p keeps the support of x'
-    when 2 amp_bound < p, so Berlekamp-Massey finds it whenever it exists.
-    With no hit the minimum is above 1/2 and the search finds it.
+    Applies when geometric_structure gives (p, heads, ratios). Let
+    h = min(s, m // 2) and r = s - h. The roundings of b are the integer
+    vectors y whose row i is a nearest integer of b_i: one choice off the
+    tie rows (b_i halfway between two integers), two on them. For every
+    set T of at most r columns with nonzero values v in [-amp_bound,
+    amp_bound], and every rounding y, the rest y - A_T v is decoded at
+    sparsity h on the columns after T's last (_rest_hits); with |T| < r
+    the rest must be 0. Each hit, v on T plus the rest, has at most s
+    nonzeros, all in range, and A x = y exactly.
+
+    Hits are every minimizer. With no tie row there is one rounding y, at
+    ||b - y||_inf < 1/2, and every other integer vector is more than 1/2
+    from b in some row; with tie rows no integer vector is nearer than 1/2,
+    and one reaches 1/2 exactly when it is a rounding. So once there is a
+    hit, the minimizers are the s-sparse in-range preimages of the
+    roundings. Each one is met exactly once: from T = its first
+    min(r, |support|) columns, as the rest then has at most h nonzeros,
+    all after T. That rest is the only h-sparse preimage of y - A_T v, as
+    any 2h <= m columns of a proved matrix are independent, and
+    Berlekamp-Massey finds it when its values stay nonzero and lift
+    exactly mod p, which 2 amp_bound < p ensures. So with r >= 1 or a tie
+    row the step needs 2 amp_bound < p; at r = 0 with no tie row a hit is
+    the unique minimizer by decode's argument whatever p is. The ties
+    are capped at _MAX_TIES, and with r >= 1 the roundings times the
+    (T, v) at _MAX_DECODES. With no hit and 2 amp_bound < p the minimum
+    is at least 1/2; either way the search finds it.
     """
-    if 2 * s > A.rows:
-        return None
-    ties = sum(t.denominator == 2 for t in target)
-    if ties > _MAX_TIES:
+    m, d = A.rows, A.cols
+    h = min(s, m // 2)
+    r = s - h
+    tie = [t.denominator == 2 for t in target]
+    ties = sum(tie)
+    if ties > _MAX_TIES or r and sum(
+            math.comb(d, t) * (2 * amp_bound) ** t for t in range(r + 1)) << ties > _MAX_DECODES:
         return None
     structure = geometric_structure(A)
-    if structure is None or (ties and 2 * amp_bound >= structure[0]):
+    if structure is None or ((ties or r) and 2 * amp_bound >= structure[0]):
         return None
     # the nearest integer of each b_i, ties rounded down; a tie's other is v + 1
     low = [-((t.denominator - 2 * t.numerator) // (2 * t.denominator)) for t in target]
-    roundings = itertools.product(*((v, v + 1) if t.denominator == 2 else (v,)
-                                    for t, v in zip(target, low)))
-    hits = [x for y in roundings
-            if (x := _syndrome_hit(A, structure, y, s, amp_bound)) is not None]
+    nonzero = [v for v in range(-amp_bound, amp_bound + 1) if v]
+    hits = []
+    for t in range(r + 1):
+        for T in itertools.combinations(range(d), t):
+            for v in itertools.product(nonzero, repeat=t):
+                y = low
+                for j, c in zip(T, v):
+                    y = [a - c * e for a, e in zip(y, A.column(j))]
+                if t < r:  # the rest is 0: y + delta = 0 for some rounding
+                    if all(not a or (a == -1 and split) for a, split in zip(y, tie)):
+                        hits.append(SparseSignal(d, T, v))
+                    continue
+                hits.extend(SparseSignal(d, T + support, v + values)
+                            for support, values in _rest_hits(
+                                A, structure, y, tie, h, amp_bound, T[-1] + 1 if T else 0))
     if not hits:
         return None
     hits.sort(key=lambda x: _visit_key(x, s))
-    return tuple(hits), max(abs(t - v) for t, v in zip(target, low))
+    # max |b_i - low_i|, compared as integer cross products; (n - v q)/q is
+    # in lowest terms when n/q is
+    num, den = 0, 1
+    for t, v in zip(target, low):
+        a = abs(t.numerator - v * t.denominator)
+        if a * den > num * t.denominator:
+            num, den = a, t.denominator
+    return tuple(hits), Fraction(num, den)
 
 
-def _syndrome_hit(A: IntMatrix, structure, y, s: int,
-                  amp_bound: int) -> SparseSignal | None:
-    """The s-sparse x with entries in [-amp_bound, amp_bound] and Ax = y
-    that the syndromes of the integer vector y decode to; None on any miss.
+def _rest_hits(A: IntMatrix, structure, y, tie, h: int, amp_bound: int,
+               first: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(support, values) of every x with at most h nonzeros, all in
+    [-amp_bound, amp_bound] and on columns first.. on, with Ax = y + delta
+    exactly, delta in {0, 1} on the rows where tie holds and 0 elsewhere.
 
-    With structure = (p, heads h, ratios r) from geometric_structure,
-    S_i = y_i mod p = sum_j h_j x_j r_j^i. Berlekamp-Massey on all m
-    syndromes gives the shortest recurrence (c, L), and the support is the
-    columns whose ratio is a root of the locator z^L c(1/z). The ratio-0
-    column (h, 0, ..., 0) adds to S_0 alone, so it raises L but not the
-    degree of c, and it is found as the root 0. The L x L Vandermonde
-    system on the first L syndromes gives h_j x_j (the ratios are
-    distinct, so it is never singular); dividing by h_j and lifting to
-    the centered residue gives x_j. x is kept only when L <= s, exactly
-    L columns are roots, every x_j is nonzero with |x_j| <= amp_bound,
-    and Ax = y over the integers.
+    With structure = (p, heads h, ratios r) from geometric_structure, the
+    syndromes of y' = y + delta are S_i = y'_i mod p = sum_j h_j x_j r_j^i.
+    Berlekamp-Massey runs row by row over the prefix tree of the deltas,
+    so each state is computed once per prefix, and a node whose L passes h
+    is dropped, as L never falls. At each leaf, the support is the columns
+    whose ratio is a root of the locator z^L c(1/z), evaluated at all of
+    them at once by Horner's rule. The ratio-0 column (h, 0, ..., 0) adds
+    to S_0 alone, so it raises L but not the degree of c, and it is found
+    as the root 0. The L x L Vandermonde system on the first L syndromes
+    gives h_j x_j (the ratios are distinct, so it is never singular);
+    dividing by h_j and lifting to the centered residue gives x_j. x is
+    kept only when exactly L columns are roots, every x_j is nonzero with
+    |x_j| <= amp_bound, and Ax = y' over the integers.
     """
     p, heads, ratios = structure
-    syndromes = [v % p for v in y]
-    c, L = _berlekamp_massey(syndromes, p)
-    if L > s:
-        return None
-    locator = (c + [0] * L)[:L + 1]  # z^L c(1/z), highest power first
-    support = [j for j, r in enumerate(ratios)
-               if not reduce(lambda v, a: (v * r + a) % p, locator, 0)]
-    if len(support) != L:
-        return None
-    values = []
-    for j in support:
-        # q(z) = prod_{k != j} (z - r_k), lowest power first, vanishes at
-        # every other support ratio, so sum_i q_i S_i = h_j x_j q(r_j)
-        q = [1]
-        for k in support:
-            if k != j:
-                q = [(a - ratios[k] * b) % p for a, b in zip([0] + q, q + [0])]
-        unit = heads[j] * math.prod(ratios[j] - ratios[k] for k in support if k != j)
-        values.append(centered_residue(sum(map(mul, q, syndromes)) * pow(unit, -1, p), p))
-    if not all(0 < abs(v) <= amp_bound for v in values):
-        return None
-    if any(sum(A.entry(i, j) * v for j, v in zip(support, values)) != y[i]
-           for i in range(A.rows)):
-        return None
-    return SparseSignal(A.cols, tuple(support), tuple(values))
-
-
-def _berlekamp_massey(seq, p: int) -> tuple[list[int], int]:
-    """Shortest linear recurrence generating seq mod p (Massey 1969):
-    (c, L) with c[0] = 1, deg c <= L and sum_k c[k] seq[n - k] = 0 mod p
-    for L <= n < len(seq)."""
-    c, prev = [1], [1]
-    L, shift, prev_delta = 0, 1, 1
-    for n in range(len(seq)):
-        delta = sum(a * seq[n - k] for k, a in enumerate(c[:n + 1])) % p
-        if not delta:
+    m, tail = len(y), ratios[first:]
+    out = []
+    # Berlekamp-Massey (Massey 1969): a pending node feeds syndrome S of row
+    # n to the state of the rows before it, whose syndromes are newest,
+    # newest first. c[0] = 1, deg c <= L and sum_k c[k] S_{i-k} = 0 mod p
+    # for L <= i < n; prev is c before L last rose, prev_delta the
+    # discrepancy that raised it, and shift the rows since.
+    pending = [(0, (y[0] + up) % p, [1], [1], 0, 1, 1, []) for up in range(1 + tie[0])]
+    while pending:
+        n, S, c, prev, L, shift, prev_delta, newest = pending.pop()
+        while True:
+            newest = [S] + newest
+            delta = sum(map(mul, c, newest)) % p
+            if delta:
+                coef = delta * pow(prev_delta, -1, p)
+                new = c + [0] * (len(prev) + shift - len(c))
+                for k, a in enumerate(prev, shift):
+                    new[k] = (new[k] - coef * a) % p
+                if 2 * L <= n:
+                    L, prev, prev_delta, shift = n + 1 - L, c, delta, 0
+                c = new
             shift += 1
+            n += 1
+            if n == m or L > h:
+                break
+            S = y[n] % p
+            if tie[n]:
+                pending.append((n, (S + 1) % p, c, prev, L, shift, prev_delta, newest))
+        if L > h:
             continue
-        coef = delta * pow(prev_delta, -1, p)
-        old, c = c, c + [0] * (len(prev) + shift - len(c))
-        for k, a in enumerate(prev, shift):
-            c[k] = (c[k] - coef * a) % p
-        if 2 * L <= n:
-            L, prev, prev_delta, shift = n + 1 - L, old, delta, 1
-        else:
-            shift += 1
-    return c, L
+        locator = (c + [0] * L)[:L + 1]  # z^L c(1/z), highest power first
+        at = [locator[0]] * len(tail)
+        for a in locator[1:]:
+            at = [v * q + a for v, q in zip(at, tail)]
+        support = [j for j, v in enumerate(at, first) if not v % p]
+        if len(support) != L:
+            continue
+        syndromes = newest[::-1]
+        values = []
+        for j in support:
+            # q(z) = prod_{k != j} (z - r_k), lowest power first, vanishes at
+            # every other support ratio, so sum_i q_i S_i = h_j x_j q(r_j)
+            q = [1]
+            for k in support:
+                if k != j:
+                    q = [(a - ratios[k] * b) % p for a, b in zip([0] + q, q + [0])]
+            unit = heads[j] * math.prod(ratios[j] - ratios[k] for k in support if k != j)
+            values.append(centered_residue(sum(map(mul, q, syndromes)) * pow(unit, -1, p), p))
+        if not all(0 < abs(v) <= amp_bound for v in values):
+            continue
+        image = [0] * m
+        for j, v in zip(support, values):
+            image = [a + v * e for a, e in zip(image, A.column(j))]
+        # y' is y plus the delta that each syndrome shows, 0 or 1 as p >= 3
+        if image == [a + (S - a) % p for a, S in zip(y, syndromes)]:
+            out.append((tuple(support), tuple(values)))
+    return out
 
 
 def _visit_key(x: SparseSignal, s: int):

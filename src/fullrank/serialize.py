@@ -23,7 +23,10 @@ from .verify import DegeneracyCertificate, VerificationReport
 
 
 def rational_to_str(x) -> str:
-    f = exact_rationals((x,), "rational")[0]
+    """"p/q" for x in lowest terms; a value whose type is exactly Fraction
+    (as Measurement and DecodeResult hold) is used as it is, and any other
+    goes through exact_rationals."""
+    f = x if type(x) is Fraction else exact_rationals((x,), "rational")[0]
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -162,9 +165,11 @@ def cover_from_obj(obj, k: int, m: int | None = None) -> CoverInstance:
 
 
 def save_json(path: str, obj: dict) -> None:
+    # json.dump would write once per token: the indented encoder is pure
+    # Python; dumps gives the same text in one string
+    text = json.dumps(obj, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path: str):

@@ -30,6 +30,7 @@ from fullrank.serialize import (
     matrix_to_dict,
     rational_from_str,
     rational_to_str,
+    save_json,
 )
 from oracles import all_minors_nonzero, floor_exp, floor_sqrt_ln
 
@@ -115,6 +116,26 @@ class TestRationalStrings:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ValueError):
             rational_from_str(bad)
+
+    @pytest.mark.parametrize("bad", [0.5, True, None])
+    def test_to_str_checks_all_but_a_fraction(self, bad):
+        # a Fraction is written as it is; anything else keeps the check
+        assert [rational_to_str(x) for x in (Fraction(-3, 6), 2, "0.25")] == [
+            "-1/2", "2/1", "1/4"]
+        with pytest.raises(ValueError, match=f"^rational: {bad!r} is not an exact rational$"):
+            rational_to_str(bad)
+
+
+def test_save_json_writes_what_json_dump_writes(tmp_path):
+    # one string and one write, byte for byte what json.dump(indent=2) and
+    # a newline make
+    A, params = construct_scaled(3, 20)
+    doc = matrix_to_dict(A, params)
+    path = tmp_path / "A.json"
+    save_json(str(path), doc)
+    text = io.StringIO()
+    json.dump(doc, text, indent=2)
+    assert path.read_bytes() == (text.getvalue() + "\n").encode()
 
 
 class TestMatrixJson:

@@ -10,6 +10,7 @@ from fullrank.construct import construct, construct_scaled, construct_vandermond
 from fullrank.errors import BudgetExceededError
 from fullrank.linalg import IntMatrix, select_columns
 from fullrank.recover import (
+    _MAX_DECODES,
     _MAX_TIES,
     Measurement,
     SparseSignal,
@@ -316,7 +317,6 @@ class TestSyndromeStep:
     @pytest.mark.parametrize("matrix,support,values,noise,s,amp", [
         # construct(4, 6, 7): p = 7, column 0 is all ones
         ("plain", (1, 4), (2, -1), (F(1, 3), 0, 0, 0), 2, 3),
-        ("full", (1,), (2,), (F(1, 3), 0, 0, 0), 3, 3),  # 2s > m
         # at a tie with 2 amp >= p, 4 e_0 (4 = -3 mod 7) would be missed
         ("full", (0,), (4,), (-HALF,) * 4, 1, 4),
         ("full", (1,), (2,), (HALF, F(3, 4), 0, 0), 2, 3),  # no rounding hits
@@ -325,10 +325,17 @@ class TestSyndromeStep:
         ("full", (3,), (4,), (0,) * 4, 1, 4),  # 4 lifts to -3 mod 7
         ("full", (2, 4), (7, 1), (0,) * 4, 2, 7),  # 7 = 0 mod 7
         ("copy", (2,), (1,), (F(1, 3), 0, 0, 0), 2, 3),  # columns 0 and 1 equal
-    ], ids=["no-modulus", "2s-above-m", "tie-amp-wraps", "tie-no-hit", "not-s-sparse",
-            "value-out-of-range", "amp-wraps", "value-0-mod-p", "copied-column"])
+        # 2s > m: b is 2 e_2 + e_4 (2 outside [-1, 1]) plus noise, so T = {2}
+        # with v = 1 leaves e_2 + e_4, which holds T's column, and adding v
+        # back passes amp; no in-range vector reaches b within 1/2
+        ("full", (2, 4), (2, 1), (F(1, 3), 0, 0, 0), 3, 1),
+        # 2s > m on construct(2, 2, 3), p = 3: enumerating needs 2 amp < p
+        ("p3", (0,), (2,), (F(1, 4), 0), 2, 2),
+    ], ids=["no-modulus", "tie-amp-wraps", "tie-no-hit", "not-s-sparse",
+            "value-out-of-range", "amp-wraps", "value-0-mod-p", "copied-column",
+            "T-in-rest-past-amp", "enumeration-amp-wraps"])
     def test_miss_returns_the_search(self, matrix, support, values, noise, s, amp):
-        A = construct(4, 6, 7)
+        A = construct(2, 2, 3) if matrix == "p3" else construct(4, 6, 7)
         if matrix == "plain":
             A = without_modulus(A)
         elif matrix == "copy":
@@ -336,7 +343,7 @@ class TestSyndromeStep:
             for row in rows:
                 row[1] = row[0]
             A = IntMatrix.from_rows(rows, modulus=7)
-        meas = encode(A, SparseSignal(7, support, values), noise)
+        meas = encode(A, SparseSignal(A.cols, support, values), noise)
         assert _syndrome_decode(A, meas.b, s, amp) is None
         result = decode(A, meas, s=s, amp_bound=amp)
         assert result == decode(without_modulus(A), meas, s=s, amp_bound=amp)
@@ -363,6 +370,58 @@ class TestSyndromeStep:
         assert result == decode(without_modulus(A), meas, s=s, amp_bound=amp)
         assert (result.minimizers, result.residual) == (hits, HALF)
         dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
+        assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
+                result.candidates) == (dense, residual, met)
+
+    @pytest.mark.parametrize("support,values,noise,amp,minimizers,residual", [
+        # construct(4, 6, 7), s = 3 > m/2: each (T, v) of at most one column
+        # leaves a rest decoded at sparsity 2 on the columns after T
+        ((1,), (2,), (F(1, 3), 0, 0, 0), 3, [((1,), (2,))], F(1, 3)),
+        # T = {j}, j != 2, leaves e_2 - v e_j, which holds T's column, and
+        # adding v back cancels it to 0; x is met once, from T = {2}
+        ((2,), (1,), (0, F(1, 4), 0, F(-1, 3)), 1, [((2,), (1,))], F(1, 3)),
+        # two 3-sparse preimages of y, listed in the search's order
+        ((0, 2, 6), (1, -1, -2), (F(1, 3), 0, F(-1, 4), 0), 2,
+         [((0, 2, 6), (1, -1, -2)), ((0, 3, 5), (-1, 1, -2))], F(1, 3)),
+        # a tie row: both roundings of b_0 are enumerated
+        ((1, 3, 5), (1, -1, 1), (-HALF, 0, F(1, 5), 0), 1, [((1, 3, 5), (1, -1, 1))], HALF),
+        # b_0 = -1/2: with T empty the rest must be 0, which the rounding up
+        # of row 0 reaches; -e_6 = -(1, 0, 0, 0) reaches the rounding down
+        ((), (), (-HALF, 0, F(1, 3), 0), 1, [((), ()), ((6,), (-1,))], HALF),
+    ], ids=["2s-above-m", "T-in-rest-cancels", "ambiguous", "tie", "zero-at-tie"])
+    def test_enumeration_hits(self, support, values, noise, amp, minimizers, residual):
+        # past 2s <= m the hits are every minimizer, in the search's order
+        A = construct(4, 6, 7)
+        meas = encode(A, SparseSignal(7, support, values), noise)
+        hits, got = _syndrome_decode(A, meas.b, 3, amp)
+        assert [(x.support, x.values) for x in hits] == minimizers
+        assert got == residual
+        result = decode(A, meas, s=3, amp_bound=amp)
+        assert result == decode(without_modulus(A), meas, s=3, amp_bound=amp)
+        assert (result.minimizers, result.residual) == (hits, residual)
+        assert not result.sparsity_in_guarantee
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, 3, amp)
+        assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
+                result.candidates) == (dense, residual, met)
+
+    @pytest.mark.parametrize("d", [(_MAX_DECODES - 1) // 2, (_MAX_DECODES + 1) // 2])
+    def test_enumeration_up_to_the_cap(self, d):
+        # d columns of construct(2, 30, 31) at s = 2, amp 1: one column is
+        # enumerated, 1 + 2d decodes; up to the cap the step answers, past
+        # it the search runs, and both give the same answer (x among the
+        # many 2-sparse preimages of y that two rows allow)
+        A = select_columns(construct(2, 30, 31), range(d))
+        x = SparseSignal(d, (3, d - 2), (1, -1))
+        meas = encode(A, x, (F(1, 5), F(-1, 3)))
+        hit = _syndrome_decode(A, meas.b, 2, 1)
+        result = decode(A, meas, s=2, amp_bound=1)
+        assert result == decode(without_modulus(A), meas, s=2, amp_bound=1)
+        assert x in result.minimizers and result.residual == F(1, 3)
+        if 1 + 2 * d > _MAX_DECODES:
+            assert hit is None
+        else:
+            assert hit == (result.minimizers, F(1, 3))
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, 2, 1)
         assert ([tuple(y.to_dense()) for y in result.minimizers], result.residual,
                 result.candidates) == (dense, residual, met)
 
@@ -419,6 +478,51 @@ class TestSyndromeStep:
         assert result.candidates == met
         if meas.noise_inf == HALF and 2 * amp < A.modulus:
             assert _syndrome_decode(A, meas.b, s, amp) == (result.minimizers, HALF)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_enumeration_matches_first_seen_scan(self, data):
+        # family members and their column subsets, m/2 < s <= m/2 + 2, a
+        # planted signal with at most s nonzeros, noise below 1/2, at +-1/2
+        # on some rows or past 1/2: the decode equals the oracle's and the
+        # search's, and when no row is past 1/2, 2 amp < p and the decodes
+        # stay within the cap, the planted signal reaches a rounding of b,
+        # so the enumeration answers
+        A = data.draw(st.sampled_from(FAMILY))
+        if data.draw(st.booleans()):
+            A = select_columns(A, data.draw(st.lists(
+                st.sampled_from(range(A.cols)), min_size=1, unique=True)))
+        m, d = A.rows, A.cols
+        assume(m // 2 < d)
+        s = data.draw(st.integers(m // 2 + 1, min(m // 2 + 2, d)))
+        amp = data.draw(st.integers(1, 3))
+        assume(math.comb(d, s) * (2 * amp + 1) ** s <= 6000)  # oracle's time
+        support = sorted(data.draw(st.lists(st.sampled_from(range(d)), max_size=s,
+                                            unique=True)))
+        values = [data.draw(st.integers(1, amp)) * data.draw(st.sampled_from((-1, 1)))
+                  for _ in support]
+        x = SparseSignal(d, support, values)
+        kind = data.draw(st.sampled_from(("below", "tie", "past")))
+        ties = (data.draw(st.lists(st.sampled_from(range(m)), min_size=1, unique=True))
+                if kind == "tie" else [])
+        rest = (st.fractions(-1, 1, max_denominator=12) if kind == "past" else
+                st.fractions(-HALF, HALF, max_denominator=12).filter(lambda t: abs(t) < HALF))
+        e = [data.draw(st.sampled_from((-HALF, HALF)) if i in ties else rest)
+             for i in range(m)]
+        meas = encode(A, x, e)
+        result = decode(A, meas, s=s, amp_bound=amp)
+        assert result == decode(without_modulus(A), meas, s=s, amp_bound=amp)
+        assert not result.sparsity_in_guarantee
+        dense, residual, met = decode_first_seen(A.to_rows(), meas.b, s, amp)
+        assert [tuple(y.to_dense()) for y in result.minimizers] == dense
+        assert result.residual == residual
+        assert result.candidates == met
+        roundings = 2 ** sum(t.denominator == 2 for t in meas.b)
+        decodes = roundings * sum(math.comb(d, t) * (2 * amp) ** t
+                                  for t in range(s - m // 2 + 1))
+        if meas.noise_inf <= HALF and 2 * amp < A.modulus and decodes <= _MAX_DECODES:
+            assert x in result.minimizers
+            assert _syndrome_decode(A, meas.b, s, amp) == (result.minimizers, result.residual)
 
 
 class TestSeparation:
