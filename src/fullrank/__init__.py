@@ -10,7 +10,6 @@ from .attack import AttackConfig, attack_params, find_collision
 from .construct import (
     BoundsReport,
     ConstructionParams,
-    ScaleSearchResult,
     bounds_report,
     construct,
     construct_scaled,

@@ -37,29 +37,21 @@ SMALL_M = "small_m"  # 2 <= m < ln k
 
 
 @dataclass(frozen=True)
-class ScaleSearchResult:
-    """One column's outcome of the scaled family's multiplier search.
-
-    quality is max_i || multiplier * j^(i-1) / d ||, the worst distance to
-    an integer over the column's power residues; within_threshold reports
-    whether quality <= d^(-1/m), decided exactly as quality_num^m <= d^(m-1).
-    """
-
-    multiplier: int
-    quality: Fraction
-    within_threshold: bool
-
-
-@dataclass(frozen=True)
 class ConstructionParams:
-    """Parameters of a constructed matrix: variant, prime, column scalings."""
+    """Parameters of a constructed matrix: variant, prime, column scalings.
+
+    scale_reports holds the scaled family's (multiplier, d * quality) pairs
+    as _multipliers returns them; d * quality is the column's largest
+    |entry|. It may be None: bench/selftest.py's wrong_construct changes the
+    scalings with dataclasses.replace and drops the pairs that way.
+    """
 
     m: int
     k: int
     d: int
     variant: str
     scalings: tuple[int, ...] | None = None
-    scale_reports: tuple[ScaleSearchResult, ...] | None = None
+    scale_reports: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         if self.variant not in (VANDERMONDE, SCALED):
@@ -207,11 +199,8 @@ def construct_scaled(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:
     check_budget(d * tries, DEFAULT_BUDGET, f"the multiplier search needs up to "
                  f"{as_decimal(d)} x {as_decimal(tries)} = {as_decimal(d * tries)} "
                  f"tries", fixed=True)
-    reports = tuple(
-        ScaleSearchResult(multiplier=l, quality=Fraction(q, d),
-                          within_threshold=q ** m <= d ** (m - 1))
-        for l, q in _multipliers(d, m))
-    scalings = tuple(r.multiplier for r in reports)
+    reports = tuple(_multipliers(d, m))
+    scalings = tuple(l for l, _ in reports)
     return _power_residues(m, k, d, scalings), ConstructionParams(
         m=m, k=k, d=d, variant=SCALED, scalings=scalings, scale_reports=reports)
 

@@ -2,7 +2,7 @@
 counts its steps before it starts and passes the count to check_budget.
 A refusal is then a BudgetExceededError; every refusal is a ValueError."""
 
-from .intmath import exact_ints
+from .intmath import MAX_STR_DIGITS, exact_ints
 
 # Default cap on the steps one exhaustive scan may take: minors, coefficient
 # differences, decoder candidates or grid points; the fixed cap on the
@@ -21,15 +21,16 @@ class BudgetExceededError(ValueError):
 
 
 def as_decimal(n: int) -> str:
-    """n in decimal or, past 4,300 digits (Python's default int-to-str
-    limit), as the power of ten it reaches, found without writing n out.
-    Every integer a refusal message writes goes through here, so a refusal
-    of a huge argument is still the refusal, not Python's conversion error."""
+    """n in decimal or, past MAX_STR_DIGITS digits (Python's default
+    int-to-str limit), as the power of ten it reaches, found without
+    writing n out. Every integer a refusal message writes goes through
+    here, so a refusal of a huge argument is still the refusal, not
+    Python's conversion error."""
     digits = (abs(n).bit_length() - 1) * 30102 // 100000 + 1  # log10 2 > 0.30102
     while abs(n) >= 10 ** digits:
         digits += 1
     bound = f"at most -10^{digits - 1}" if n < 0 else f"at least 10^{digits - 1}"
-    return str(n) if digits <= 4300 else bound
+    return str(n) if digits <= MAX_STR_DIGITS else bound
 
 
 def check_budget(required: int, budget: int, what: str, fixed: bool = False):

@@ -25,30 +25,30 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
-_MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
+MAX_STR_DIGITS = 4300  # Python's default limit on the digits of an int string
 
 
 def _exponent_too_large(s: str) -> bool:
     """Whether the decimal string s has an exponent ("2.5e-3") of magnitude
-    above _MAX_EXPONENT: Fraction would build 10**exponent, slowly, and a
+    above MAX_STR_DIGITS: Fraction would build 10**exponent, slowly, and a
     number no integer literal within the digit limit could write."""
     digits = s.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-    # past _MAX_EXPONENT digits int() itself would refuse the string
-    return digits.isdecimal() and (len(digits) > _MAX_EXPONENT or int(digits) > _MAX_EXPONENT)
+    # past MAX_STR_DIGITS digits int() itself would refuse the string
+    return digits.isdecimal() and (len(digits) > MAX_STR_DIGITS or int(digits) > MAX_STR_DIGITS)
 
 
 def exact_rationals(values, what: str) -> tuple[Fraction, ...]:
     """values as Fractions: each an int (not a bool), a Fraction, or a "p/q"
     or decimal string ("3/10", "-2", "0.3", "2.5e-3"); a float, a bool, any
     other string, a zero denominator or a decimal exponent of magnitude
-    above _MAX_EXPONENT is a ValueError naming what."""
+    above MAX_STR_DIGITS is a ValueError naming what."""
     out = []
     for v in _sequence(values, what):
         if not (type(v) is int or isinstance(v, (Fraction, str))):
             raise ValueError(f"{what}: {v!r} is not an exact rational")
         if isinstance(v, str) and _exponent_too_large(v):
             raise ValueError(f"{what}: {v!r} has a decimal exponent above "
-                             f"{_MAX_EXPONENT} in magnitude")
+                             f"{MAX_STR_DIGITS} in magnitude")
         try:
             out.append(Fraction(v))
         except (ValueError, ZeroDivisionError):

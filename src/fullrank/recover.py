@@ -32,15 +32,15 @@ from fractions import Fraction
 from operator import mul, sub
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
-from .intmath import exact_ints, exact_rationals
+from .intmath import MAX_STR_DIGITS, exact_ints, exact_rationals
 from .linalg import IntMatrix, centered_residue
 from .verify import geometric_structure
 
 HALF = Fraction(1, 2)
 
-# Python's default int-to-str limit is 4,300 digits. An integer past it has
-# more than _LONG_BITS bits, so only those are compared with 10^4300.
-_LONG = 10 ** 4300
+# An integer past Python's int-to-str limit has more than _LONG_BITS bits,
+# so only those are compared with 10^MAX_STR_DIGITS.
+_LONG = 10 ** MAX_STR_DIGITS
 _LONG_BITS = _LONG.bit_length() - 1
 
 # The syndrome step decodes every rounding of b through its tie rows, 2^|T|
@@ -119,7 +119,7 @@ class Measurement:
             if any(n.bit_length() > _LONG_BITS and abs(n) >= _LONG
                    for q in values for n in (q.numerator, q.denominator)):
                 raise ValueError(f"{what}: an entry has a numerator or denominator "
-                                 f"of more than 4300 digits")
+                                 f"of more than {MAX_STR_DIGITS} digits")
 
     @property
     def noise_inf(self) -> Fraction:
@@ -219,8 +219,7 @@ def decode(A: IntMatrix, b, s: int, amp_bound: int,
         raise ValueError(f"sparsity s={as_decimal(s)} outside [0, {as_decimal(d)}]")
     if amp_bound < 1:
         raise ValueError("amplitude bound must be >= 1")
-    n_candidates = sum(math.comb(d, r) * (2 * amp_bound) ** r
-                       for r in range(s + 1))
+    n_candidates = _box_size(d, s, amp_bound)
     check_budget(n_candidates, budget, "decoder enumeration")
     hit = _syndrome_decode(A, target, s, amp_bound)
     if hit:
@@ -287,9 +286,11 @@ def _syndrome_decode(A: IntMatrix, target, s: int, amp_bound: int
     tie rows (b_i halfway between two integers), two on them. For every
     set T of at most r columns with nonzero values v in [-amp_bound,
     amp_bound], and every rounding y, the rest y - A_T v is decoded at
-    sparsity h on the columns after T's last (_rest_hits); with |T| < r
-    the rest must be 0. Each hit, v on T plus the rest, has at most s
-    nonzeros, all in range, and A x = y exactly.
+    sparsity h on the columns after T's last (_rest_hits), or at sparsity
+    0 when |T| < r, as the rest must then be 0: there Berlekamp-Massey
+    drops every rounding with a nonzero syndrome, and the exact check
+    keeps the one, if any, with y - A_T v = 0. Each hit, v on T plus the
+    rest, has at most s nonzeros, all in range, and A x = y exactly.
 
     Hits are every minimizer. With no tie row there is one rounding y, at
     ||b - y||_inf < 1/2, and every other integer vector is more than 1/2
@@ -313,8 +314,7 @@ def _syndrome_decode(A: IntMatrix, target, s: int, amp_bound: int
     r = s - h
     tie = [t.denominator == 2 for t in target]
     ties = sum(tie)
-    if ties > _MAX_TIES or r and sum(
-            math.comb(d, t) * (2 * amp_bound) ** t for t in range(r + 1)) << ties > _MAX_DECODES:
+    if ties > _MAX_TIES or r and _box_size(d, r, amp_bound) << ties > _MAX_DECODES:
         return None
     structure = geometric_structure(A)
     if structure is None or ((ties or r) and 2 * amp_bound >= structure[0]):
@@ -329,13 +329,10 @@ def _syndrome_decode(A: IntMatrix, target, s: int, amp_bound: int
                 y = low
                 for j, c in zip(T, v):
                     y = [a - c * e for a, e in zip(y, A.column(j))]
-                if t < r:  # the rest is 0: y + delta = 0 for some rounding
-                    if all(not a or (a == -1 and split) for a, split in zip(y, tie)):
-                        hits.append(SparseSignal(d, T, v))
-                    continue
                 hits.extend(SparseSignal(d, T + support, v + values)
                             for support, values in _rest_hits(
-                                A, structure, y, tie, h, amp_bound, T[-1] + 1 if T else 0))
+                                A, structure, y, tie, h if t == r else 0, amp_bound,
+                                T[-1] + 1 if T else 0))
     if not hits:
         return None
     hits.sort(key=lambda x: _visit_key(x, s))
@@ -347,6 +344,12 @@ def _syndrome_decode(A: IntMatrix, target, s: int, amp_bound: int
         if a * den > num * t.denominator:
             num, den = a, t.denominator
     return tuple(hits), Fraction(num, den)
+
+
+def _box_size(d: int, s: int, amp_bound: int) -> int:
+    """The number of integer vectors of length d with at most s nonzeros,
+    each in [-amp_bound, amp_bound]: sum_{r<=s} C(d, r) (2 amp_bound)^r."""
+    return sum(math.comb(d, r) * (2 * amp_bound) ** r for r in range(s + 1))
 
 
 def _rest_hits(A: IntMatrix, structure, y, tie, h: int, amp_bound: int,

@@ -96,14 +96,14 @@ def test_criterion_3_entry_bound_tightness():
     for k in range(5, 13):
         A, params = construct_scaled(m, k)
         d = params.d
-        for j, rep in enumerate(params.scale_reports):
+        for j, (l, q) in enumerate(params.scale_reports):
             total += 1
-            if rep.within_threshold:
+            if q ** m <= d ** (m - 1):
                 flagged += 1
                 for a in A.column(j):
                     assert abs(a) ** m <= d ** (m - 1), (k, j, a)
             else:
-                exceptions.append((k, j + 1, rep.multiplier, str(rep.quality)))
+                exceptions.append((k, j + 1, l, str(Fraction(q, d))))
     for exc in exceptions:
         print(f"  threshold exception (k, column, multiplier, quality): {exc}")
     print(f"\n[PASS] criterion 3: {flagged}/{total} columns met the "

@@ -268,27 +268,26 @@ class TestDirichletScale:
                 break
             if lo <= k + 1 or find_prime_in(lo, hi) in seen:
                 continue
-            _, params = construct_scaled(m, k)
+            A, params = construct_scaled(m, k)
             d = params.d
             seen.add(d)
-            got = [(r.multiplier, r.quality, r.within_threshold)
-                   for r in params.scale_reports]
-            expected = []
-            for j in range(1, d + 1):
-                l, q = scan_multiplier(j, d, m)
-                expected.append((l, Fraction(q, d), q ** m <= d ** (m - 1)))
-            assert got == expected, (m, k)
+            assert params.scale_reports == tuple(_multipliers(d, m)), (m, k)
+            for j in range(d):
+                got = (params.scalings[j], max(map(abs, A.column(j))))
+                assert got == scan_multiplier(j + 1, d, m) == \
+                    params.scale_reports[j], (m, k, j)
         assert seen
 
     @pytest.mark.parametrize("m,k,d", [(4, 11, 13), (5, 20, 23), (6, 37, 41)])
     def test_box_of_whole_range(self, m, k, d):
         # floor(d^(1/m)) = 1, so Q = d and only |a| <= (d-1)/2 and
         # l <= d//2 bound the box
-        _, params = construct_scaled(m, k)
+        A, params = construct_scaled(m, k)
         assert params.d == d and iroot(d, m) == 1
-        for j, rep in enumerate(params.scale_reports, 1):
-            assert (rep.multiplier, rep.quality, rep.within_threshold) == \
-                best_multiplier_exhaustive(j, d, m)
+        for j, l in enumerate(params.scalings):
+            q = max(map(abs, A.column(j)))  # d * quality
+            assert (l, Fraction(q, d), q ** m <= d ** (m - 1)) == \
+                best_multiplier_exhaustive(j + 1, d, m)
 
 
 class TestConstructScaled:
@@ -321,8 +320,8 @@ class TestConstructScaled:
         for k in (5, 8, 12):
             A, params = construct_scaled(2, k)
             d, m = params.d, 2
-            for j, rep in enumerate(params.scale_reports):
-                if rep.within_threshold:
+            for j, (_, q) in enumerate(params.scale_reports):
+                if q ** m <= d ** (m - 1):
                     for a in A.column(j):
                         assert abs(a) ** m <= d ** (m - 1)
 
