@@ -7,21 +7,23 @@ combinations agree on those columns. find_collision scans each such
 difference once, under a budget passed like every other scan's.
 
 The scan stops once the smaller vector's first coordinate is nonzero,
-since no pair left can be visited. It tabulates the combinations of the
-leading t - 1 rows as it first meets them, at most (L + 1)^(t - 1)
-vectors of d ints, and walks the last coefficient along a line, one
-vector addition and one count of zeros per difference; a hit's
-certificate columns are the zeros of that vector.
+since no pair left can be visited. It packs the t rows into one integer
+each (linalg.packed_rows, which the minor sweep shares), tabulates the
+combinations of the leading t - 1 rows as it first meets them, at most
+(L + 1)^(t - 1) integers, and walks the last coefficient along a line:
+one integer addition, one to_bytes and one bytes.count of the zero field
+per difference. Only a difference the count lets through has its zero
+columns listed; a hit's certificate columns are the first of them.
 """
 
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import add, mul, sub
+from itertools import product
+from operator import sub
 
 from .construct import LARGE_M, width_regime
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, iroot
-from .linalg import IntMatrix
+from .linalg import IntMatrix, packed_rows, zero_fields
 from .verify import DegeneracyCertificate
 
 
@@ -105,63 +107,72 @@ def find_collision(A: IntMatrix, cfg: AttackConfig,
                          f"and column counts")
     check_budget(((2 * cfg.lam + 1) ** cfg.t - 1) // 2, budget,
                  "coefficient difference scan")
-    rows = [A.row(i) for i in range(cfg.t)]
-    hit = next(_agreeing_pairs(rows, cfg.lam, cfg.min_agree), None)
+    hit = next(_agreeing_pairs(A, cfg.t, cfg.lam, cfg.min_agree), None)
     if hit is None:
         return None
-    small, large, e = hit
-    agree = tuple(j for j, x in enumerate(e) if not x)
+    small, large, agree = hit
     return DegeneracyCertificate(t=cfg.t, coeffs=tuple(map(sub, large, small)),
-                                 columns=agree[: cfg.min_agree])
+                                 columns=tuple(agree[: cfg.min_agree]))
 
 
-def _agreeing_pairs(rows, lam: int, min_agree: int):
-    """The visited pairs (small, large, E) with small_0 = 0 whose combinations
-    of rows agree on >= min_agree coordinates, in find_collision's order.
+def _agreeing_pairs(A: IntMatrix, t: int, lam: int, min_agree: int):
+    """The visited pairs (small, large, columns) with small_0 = 0 whose
+    combinations of A's first t rows agree on >= min_agree columns, in
+    find_collision's order, each with every column they agree on.
 
     For a fixed small, large runs over lines: its prefix p = large_{<t}
     in lexicographic order, then x = large_{t-1} upward from 0, or x = 0
     alone when small_{t-1} != 0. A line with p < small_{<t} holds only
     pairs with large < small and is skipped whole. If p = small_{<t}, both
-    are zero, and x = 0 gives large <= small, so it is skipped. Along a
-    line E = head[p] + x * row_{t-1} - comb(small) is the combination of
-    large - small, so it moves by row_{t-1} per step, and the pair agrees
-    on E's zeros, and E is yielded with it: one pass to add, one to count.
+    are zero, and x = 0 gives large <= small, so it is skipped.
 
-    head[p], the combination of the leading t - 1 rows with coefficients
-    p, is built the first time p is met, from head[p - e_i] (i the last
-    nonzero coordinate of p) plus row i. The first small is zero and meets
-    every p in lexicographic order, so head[p - e_i] is already there, and
-    every later small finds the table full. An early exit leaves only what
-    the scan met. The table holds at most (lam + 1)^(t - 1) vectors of d
-    ints, one (the zero vector) at t = 1; a line adds O(d), and product
-    copies each range(lam + 1) it is given into a tuple.
+    The rows are packed with nb-byte fields, 2^(8 nb - 1) > B = lam *
+    sum_i max |row_i| >= |E_j| for the combination E of any difference,
+    so e = H + (E packed) has field j exactly 2^(w-1) + E_j, and E_j = 0
+    exactly when that field is zero = bytes(nb - 1) + b"\x80". Two matches
+    of zero cannot overlap (the last byte of one would be 0x80 and 0x00),
+    so bytes.count bounds the zero fields from above: only a difference
+    it lets through has them listed, on field boundaries.
+
+    head[p], H plus the packed combination of the leading t - 1 rows with
+    coefficients p, is built the first time p is met, from head[p - e_i]
+    (i the last nonzero coordinate of p) plus row i. The first small is
+    zero and meets every p in lexicographic order, so head[p - e_i] is
+    already there, and every later small finds the table full. An early
+    exit leaves only what the scan met. The table holds at most
+    (lam + 1)^(t - 1) integers of d nb bytes, one (H) at t = 1; a line
+    adds O(d nb) bytes, and product copies each range(lam + 1) it is
+    given into a tuple.
     """
-    last = rows[-1]
+    nb = (lam * sum(max(map(abs, A.row(i))) for i in range(t))).bit_length() // 8 + 1
+    biased, bias = packed_rows(A, nb, t)
+    rows = [b - bias for b in biased]
+    last, size = rows[-1], A.cols * nb
+    zero = bytes(nb - 1) + b"\x80"
     span = range(lam + 1)
-    head = {(0,) * (len(rows) - 1): [0] * len(last)}
-    for small in product((0,), *[span] * (len(rows) - 1)):
+    head = {(0,) * (t - 1): bias}
+    for small in product((0,), *[span] * (t - 1)):
         prefix, s = small[:-1], small[-1]
-        comb = head[prefix]
-        if s:
-            comb = list(map(add, comb, map(mul, repeat(s), last)))
+        comb = head[prefix] - bias + s * last
         for p in product(*[span if a == 0 else (0,) for a in prefix]):
             if p < prefix:
                 continue
             if p not in head:
                 i = max(j for j, a in enumerate(p) if a)
-                head[p] = list(map(add, head[p[:i] + (p[i] - 1,) + p[i + 1:]],
-                                   rows[i]))
-            # p = prefix: both are zero, x = 0 gives large <= small, and the
-            # line goes on only if s = 0, where E starts at zero
+                head[p] = head[p[:i] + (p[i] - 1,) + p[i + 1:]] + rows[i]
+            # e starts one step before the line's first x: 1 when p = prefix,
+            # else 0; the line ends at lam when s = 0, else at 0
+            e = head[p] - comb
+            stop = lam + 1 if s == 0 else 1
             if p == prefix:
-                e = [0] * len(last)
+                xs = range(1, stop)
             else:
-                e = list(map(sub, head[p], comb))
-                if e.count(0) >= min_agree:
-                    yield small, p + (0,), e
-            if s == 0:
-                for x in range(1, lam + 1):
-                    e = list(map(add, e, last))
-                    if e.count(0) >= min_agree:
-                        yield small, p + (x,), e
+                xs = range(stop)
+                e -= last
+            for x in xs:
+                e += last
+                raw = e.to_bytes(size, "little")
+                if raw.count(zero) >= min_agree:
+                    agree = list(zero_fields(raw, raw.find(zero), zero, nb))
+                    if len(agree) >= min_agree:
+                        yield small, p + (x,), agree

@@ -24,10 +24,12 @@ entry bound k. All threshold comparisons are done on integers
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod, mul
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, floor_ln, floor_sqrt_ln, iroot, is_prime
-from .linalg import IntMatrix, centered_residue, select_columns
+from .linalg import IntMatrix, select_columns
 
 VANDERMONDE = "vandermonde"
 SCALED = "scaled"
@@ -119,12 +121,14 @@ def _family_prime(m: int, k: int, variant: str) -> int:
 def _power_residues(m: int, k: int, d: int, scalings) -> IntMatrix:
     """m x d matrix whose column j = 1..d holds the centered residues of
     l_j * j^(i-1) mod d, (l_1, ..., l_d) = scalings, annotated with
-    modulus d and entry bound k."""
-    return IntMatrix(m, d, tuple(
-        centered_residue(l * pow(j, i, d), d)
-        for i in range(m)
-        for j, l in enumerate(scalings, 1)
-    ), modulus=d, entry_bound=k)
+    modulus d and entry bound k. Each row of residues is the one before
+    times j, column by column, mod d."""
+    rows = [[l % d for l in scalings]]
+    for _ in range(m - 1):
+        rows.append(list(map(mod, map(mul, rows[-1], range(1, d + 1)), repeat(d))))
+    half = (d - 1) // 2
+    return IntMatrix(m, d, tuple(r - d if r > half else r for row in rows for r in row),
+                     modulus=d, entry_bound=k)
 
 
 def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams]:

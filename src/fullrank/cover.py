@@ -10,8 +10,8 @@ exact minimum-cover search for tiny grids.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, count, product
-from operator import mul
+from itertools import combinations, compress, count, product, repeat
+from operator import add, floordiv, mod, mul, not_
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, iroot, primitive_vector
@@ -74,25 +74,53 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     and the quotient lies in [-k, k]. An empty normal list covers
     nothing, so it is rejected at the first point. The budget counts
     every grid point.
+
+    The lines are walked like an odometer, over the normals' columns: in
+    each block of lines sharing x_1..x_{m-2}, a line's dot products are
+    the last line's plus column m-1, one list(map(add, ...)). A zero among
+    the flat normals' (n_m = 0) holds the line; on the lines left, the
+    steep normals' hold their exact quotients by -n_m, and are summed
+    afresh after a held line.
     """
-    k, side = inst.k, 2 * inst.k + 1
-    total = side ** inst.m
+    m, k, side = inst.m, inst.k, 2 * inst.k + 1
+    total = side ** m
     check_budget(total, budget, "grid enumeration")
     span = range(-k, k + 1)
-    flat = [n[:-1] for n in inst.normals if not n[-1]]
-    steep = [(n[:-1], n[-1]) for n in inst.normals if n[-1]]
-    for line, prefix in enumerate(product(span, repeat=inst.m - 1)):
-        if not all(sum(map(mul, n, prefix)) for n in flat):
-            continue
-        held = set()
-        for head, last in steep:
-            x, r = divmod(-sum(map(mul, head, prefix)), last)
-            if not r and -k <= x <= k:
-                held.add(x)
-        if len(held) < side:
-            x = next(x for x in span if x not in held)
-            return CoverCheck(False, prefix + (x,), line * side + x + k + 1)
+    if m == 1:  # one line, of which a normal holds only x_1 = 0
+        if k == 0 and inst.normals:
+            return CoverCheck(True, None, total)
+        return CoverCheck(False, (-k,), 1)
+    whole = set(span)
+    steep = [n for n in inst.normals if n[-1]]
+    negl = [-n[-1] for n in steep]
+    steep_cols = [[n[i] for n in steep] for i in range(m - 1)]
+    flat_cols = [[n[i] for n in inst.normals if not n[-1]] for i in range(m - 1)]
+    for block, outer in enumerate(product(span, repeat=m - 2)):
+        f = _dots(flat_cols, outer + (-k - 1,))  # one step before x_{m-1} = -k
+        at = None  # the line s is summed at
+        for x in span:
+            f = list(map(add, f, flat_cols[-1]))
+            if 0 in f:
+                continue
+            s = (list(map(add, s, steep_cols[-1])) if at == x - 1
+                 else _dots(steep_cols, outer + (x,)))
+            at = x
+            held = set(compress(map(floordiv, s, negl), map(not_, map(mod, s, negl))))
+            if not whole <= held:
+                y = next(y for y in span if y not in held)
+                line = block * side + x + k
+                return CoverCheck(False, outer + (x, y), line * side + y + k + 1)
     return CoverCheck(True, None, total)
+
+
+def _dots(cols, x) -> list[int]:
+    """Each normal's dot product with x over its first len(x)
+    coordinates, from the normals' columns cols."""
+    s = [0] * len(cols[0])
+    for col, a in zip(cols, x):
+        if a:
+            s = list(map(add, s, map(mul, col, repeat(a))))
+    return s
 
 
 def columns_on_hyperplane(A: IntMatrix, n) -> tuple[int, tuple[int, ...]]:

@@ -1,8 +1,10 @@
 """Exact integer linear algebra.
 
-Centered residues, exact (fraction-free) determinants, row combinations
-and column selection. All determinant work is done with
-unbounded-precision integers; nothing here touches floating point.
+Centered residues, exact (fraction-free) determinants, row combinations,
+column selection, and rows packed into one integer each, which the minor
+sweep and the collision scan search by bytes. All determinant work is
+done with unbounded-precision integers; nothing here touches floating
+point.
 """
 
 from dataclasses import dataclass
@@ -148,3 +150,35 @@ def select_columns(A: IntMatrix, cols) -> IntMatrix:
         A.entries[i * A.cols + c] for i in range(A.rows) for c in cols
     )
     return IntMatrix(A.rows, len(cols), entries, A.modulus, A.entry_bound)
+
+
+def packed_rows(A: IntMatrix, nb: int, rows: int | None = None) -> tuple[list[int], int]:
+    """The first `rows` rows of A (all by default) with biased fields,
+    P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj), w = 8 nb, and the bias
+    H = sum_j 2^(w-1) 2^(wj). The caller's nb must give every
+    |A[i][j]| < 2^(w-1); then each field of P_i is in [1, 2^w), so P_i >> ws
+    is exact and (P_i >> ws) - (H >> ws) is the packed row
+    Q_i = sum_j A[i][j] 2^(wj) from column s on. If also every
+    |c . col_j| < 2^(w-1), field j of H + sum_i c_i Q_i is exactly
+    2^(w-1) + c . col_j, so no field carries, and c . col_j = 0 where
+    zero_fields finds bytes(nb - 1) + b"\x80". A is read once."""
+    half = 1 << (8 * nb - 1)
+    fields = bytearray()
+    for a in A.entries[:(A.rows if rows is None else rows) * A.cols]:
+        fields += (half + a).to_bytes(nb, "little")
+    size = A.cols * nb
+    view = memoryview(fields)
+    biased = [int.from_bytes(view[i:i + size], "little") for i in range(0, len(fields), size)]
+    return biased, int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
+
+
+def zero_fields(raw: bytes, pos: int, zero: bytes, nb: int):
+    """The columns whose nb-byte field in raw is the field `zero`, in
+    order, from the match at byte pos on (none when pos < 0). A match
+    counts only on a field boundary; the search goes on from the field
+    after it."""
+    while pos >= 0:
+        j, off = divmod(pos, nb)
+        if not off:
+            yield j
+        pos = raw.find(zero, (j + 1) * nb)

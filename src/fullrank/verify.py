@@ -27,7 +27,8 @@ product. Each dot product n . col_j is a minor, so by Hadamard's bound
 smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m, rounded
 up to 1, 2, 4 or 8 bytes when it is at most 8; then every
 |n . col_j| < 2^(w-1), strictly. Each row is packed once with biased
-fields, P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj). Less H = sum_j 2^(w-1)
+fields by linalg.packed_rows, which the collision scan shares,
+P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj). Less H = sum_j 2^(w-1)
 2^(wj) it is Q_i = sum_j A[i][j] 2^(wj), and as every biased field is in
 [1, 2^w), P_i and H shifted right by s fields give Q_i from column s on,
 exactly. Field j of H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, in
@@ -66,7 +67,7 @@ from operator import mul
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints
-from .linalg import IntMatrix, combination_vector, det_exact
+from .linalg import IntMatrix, combination_vector, det_exact, packed_rows, zero_fields
 
 # memoryview formats of the signed native ints, by size in bytes
 _FORMATS = {struct.calcsize(f): f for f in "bhiq"}
@@ -179,34 +180,6 @@ def _fields(raw: bytes, nb: int, n: int):
     return (int.from_bytes(view[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb))
 
 
-def _zero_fields(raw: bytes, pos: int, zero: bytes, nb: int):
-    """The columns whose nb-byte field in raw is zero, in order, from the
-    match at byte pos on (none when pos < 0). A match counts only on a
-    field boundary; the search goes on from the field after it."""
-    while pos >= 0:
-        j, off = divmod(pos, nb)
-        if not off:
-            yield j
-        pos = raw.find(zero, (j + 1) * nb)
-
-
-def _packed_rows(A: IntMatrix, nb: int) -> tuple[list[int], int]:
-    """Each row i of A with its fields biased, P_i = sum_j (2^(w-1) +
-    A[i][j]) 2^(wj), w = 8 nb, and the bias H = sum_j 2^(w-1) 2^(wj).
-    Every field of P_i is in [1, 2^w) since |A[i][j]| < 2^(w-1), so
-    P_i >> ws is exact, and (P_i >> ws) - (H >> ws) is the packed row
-    Q_i = sum_j A[i][j] 2^(wj) from column s on. A is read once, as the
-    bytes of its biased fields: linear time, and no d field objects held."""
-    half = 1 << (8 * nb - 1)
-    fields = bytearray()
-    for a in A.entries:
-        fields += (half + a).to_bytes(nb, "little")
-    size = A.cols * nb
-    view = memoryview(fields)
-    biased = [int.from_bytes(view[i:i + size], "little") for i in range(0, len(fields), size)]
-    return biased, int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
-
-
 def geometric_structure(
         A: IntMatrix) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """(p, heads, ratios) when A's columns prove every maximal minor
@@ -265,12 +238,12 @@ def verify_exhaustive(A: IntMatrix,
         return VerificationReport(total_checked=total, mode="exhaustive")
     check_budget(m << (m - 1), budget, "the Laplace plan of the exhaustive minor sweep")
     nb = _field_bytes(A.max_abs_entry(), m)
-    biased, bias = _packed_rows(A, nb)
+    biased, bias = packed_rows(A, nb)
     zero = bytes(nb - 1) + b"\x80"  # the field 2^(w-1): n . col_j == 0
     if m == 1:  # the normal is (1,): one product
         raw = biased[0].to_bytes(d * nb, "little")
         return VerificationReport(total_checked=total, mode="exhaustive", failures=[
-            (j,) for j in _zero_fields(raw, raw.find(zero), zero, nb)])
+            (j,) for j in zero_fields(raw, raw.find(zero), zero, nb)])
     plans, normals = _laplace_plans(A)
     failures = []
 
@@ -300,7 +273,7 @@ def verify_exhaustive(A: IntMatrix,
             pos = raw.find(zero, i * nb)
             if pos >= 0:
                 failures.extend(prefix + (start + i - 1, start + c)
-                                for c in _zero_fields(raw, pos, zero, nb))
+                                for c in zero_fields(raw, pos, zero, nb))
 
     walk((), [1])
     return VerificationReport(total_checked=total, failures=failures,

@@ -16,7 +16,7 @@ from fullrank.attack import (
 )
 from fullrank.construct import construct_scaled, construct_vandermonde
 from fullrank.errors import BudgetExceededError
-from fullrank.linalg import IntMatrix, combination_vector
+from fullrank.linalg import IntMatrix, combination_vector, packed_rows, zero_fields
 from fullrank.verify import verify_certificate
 from oracles import collision_difference_scan, collision_pair_scan, perm_det
 
@@ -255,6 +255,27 @@ def scan_cases(draw):
     return rows, t, lam, min_agree
 
 
+@st.composite
+def wide_scan_cases(draw):
+    """(rows, t, lam, min_agree) with entries up to 10^6 and lam up to 9,
+    so the scan's fields are 1 to 4 bytes wide. Each column is drawn
+    whole or as a vector in {-1, 0, 1}^m times a factor up to 10^6, so a
+    small difference often vanishes on several large columns."""
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(m, m + 8))
+    t = draw(st.integers(1, min(m, 3)))
+    # the pair scan's (lam+1)^(2t)/2 pairs stay in test time: lam = 9 up
+    # to t = 2, 3 at t = 3
+    lam = draw(st.integers(1, max(l for l in range(1, 10) if (2 * l + 1) ** t <= 19 ** 2)))
+    min_agree = draw(st.integers(m, min(d, m + 2)))
+    whole = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=m, max_size=m)
+    scaled = st.builds(lambda v, g: [g * a for a in v],
+                       st.lists(st.integers(-1, 1), min_size=m, max_size=m),
+                       st.integers(1, 10 ** 6))
+    cols = draw(st.lists(st.one_of(whole, scaled), min_size=d, max_size=d))
+    return [list(r) for r in zip(*cols)], t, lam, min_agree
+
+
 class TestScanAgainstReferences:
     """find_collision returns what both reference scans return: every pair
     of vectors, and every difference with its combination recomputed."""
@@ -269,15 +290,35 @@ class TestScanAgainstReferences:
     @settings(max_examples=150, deadline=None)
     @given(scan_cases())
     def test_every_pair_carries_its_combination(self, case):
-        # the vector yielded with a pair is the one its certificate's
-        # columns are read from: it must be the combination of the
-        # difference, recomputed here from the matrix
+        # the columns yielded with a pair are the ones its certificate is
+        # read from: they must be exactly the zeros of the combination of
+        # the difference, recomputed here from the matrix
         rows, t, lam, min_agree = case
         A = IntMatrix.from_rows(rows)
-        for small, large, e in _agreeing_pairs(rows[:t], lam, min_agree):
+        for small, large, agree in _agreeing_pairs(A, t, lam, min_agree):
             coeffs = tuple(b - a for a, b in zip(small, large))
-            assert tuple(e) == combination_vector(A, coeffs)
-            assert e.count(0) >= min_agree
+            e = combination_vector(A, coeffs)
+            assert agree == [j for j, x in enumerate(e) if x == 0]
+            assert len(agree) >= min_agree
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_scan_cases())
+    def test_wide_fields_match_pair_scan(self, case):
+        assert scan_result(*case) == collision_pair_scan(*case)
+
+    def test_misaligned_zero_field_is_not_counted(self):
+        # bound 32600 needs 2-byte fields; the biased row reads 00 80 | a8 00
+        # | 80 80 | 05 80 | 07 80, so "00 80" matches twice, at byte 0 and
+        # across the boundary at byte 3, while only column 0 is zero: the
+        # count lets the difference through, and the listing rejects it
+        rows = [[0, -32600, 128, 5, 7], [1, 2, 3, 4, 5]]
+        A = IntMatrix.from_rows(rows)
+        biased, _ = packed_rows(A, 2, 1)
+        raw = biased[0].to_bytes(10, "little")
+        zero = b"\x00\x80"
+        assert (raw.count(zero), list(zero_fields(raw, raw.find(zero), zero, 2))) == (2, [0])
+        assert find_collision(A, AttackConfig(t=1, lam=1, min_agree=2)) is None
+        assert collision_pair_scan(rows, 1, 1, 2) is None
 
     def test_first_difference_hit_at_d_160(self):
         # the first difference visited is e_{t-1}, which vanishes where

@@ -146,6 +146,30 @@ class TestVerifyCover:
         assert (check.accepted, check.uncovered, check.points_checked) == \
             cover_scan(m, k, normals)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_many_normals_match_point_scan_oracle(self, data):
+        # m = 2 with 60-200 normals of entries up to 40: in half the cases
+        # they start from every direction of the grid, each times a factor
+        # up to 5, less up to three, so that covers are accepted as well as
+        # rejected
+        k = data.draw(st.integers(0, 8), label="k")
+        size = data.draw(st.integers(60, 200), label="size")
+        normals = []
+        if k and data.draw(st.booleans(), label="directions"):
+            dirs = primitive_classes(2, k)
+            drop = data.draw(st.sets(st.sampled_from(dirs), max_size=3), label="drop")
+            factors = data.draw(st.lists(st.integers(-5, 5).filter(bool),
+                                         min_size=len(dirs), max_size=len(dirs)))
+            normals = [(g * a, g * b) for g, (a, b) in zip(factors, dirs) if (a, b) not in drop]
+        vector = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
+        more = max(0, size - len(normals))
+        normals += data.draw(st.lists(vector, min_size=more, max_size=more), label="more")
+        normals = data.draw(st.permutations(normals), label="order")
+        check = verify_cover(CoverInstance(2, k, tuple(normals)))
+        assert (check.accepted, check.uncovered, check.points_checked) == \
+            cover_scan(2, k, normals)
+
     # the hypothesis property above rarely draws a cover that is accepted;
     # every primitive-direction cover is; without one normal it is rejected
     # at m = 2 and still accepted at m = 3, where each point has many planes.
@@ -184,8 +208,18 @@ class TestVerifyCover:
         # (1, -1, 0) holds the lines x_1 = x_2 and (1, 1, 0) those with
         # x_1 = -x_2; the line (-1, 0) is held only at x_3 = 0
         (3, 1, ((1, -1, 0), (1, 1, 0), (0, 0, 1)), (False, (-1, 0, -1), 4)),
+        # flat normals only: (1, 0) holds the line x_1 = 0 and nothing of
+        # the first; the four flat planes of m = 3 hold every line at k = 1
+        (2, 2, ((1, 0),), (False, (-2, -2), 1)),
+        (3, 1, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)), (True, None, 27)),
+        # (0, 1, 0) fails on the line (-1, -1), which the steep normals
+        # hold, holds the next, (-1, 0), and fails again on (-1, 1), where
+        # the steep normals are summed afresh and miss x_3 = 0
+        (3, 1, ((0, 1, 0), (1, -1, 1), (0, 1, 1), (0, 1, -1)), (False, (-1, 1, 0), 8)),
+        (1, 2, (), (False, (-2,), 1)),
     ], ids=["m1", "m1-origin", "one-line", "middle-line", "quotient-outside",
-            "line-held", "line-not-held", "m3-lines-held"])
+            "line-held", "line-not-held", "m3-lines-held", "flat-only-rejected",
+            "flat-only-accepted", "flat-held-between", "m1-empty"])
     def test_pinned_lines(self, m, k, normals, expected):
         check = verify_cover(CoverInstance(m, k, normals))
         assert (check.accepted, check.uncovered, check.points_checked) == expected
