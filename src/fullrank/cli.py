@@ -245,11 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-bound", default=recover_mod.HALF)
 
     p = command(rsub, "decode", cmd_recover_decode,
-                "sup-norm decoder: every minimizer. On a proved matrix with "
-                "2s <= m and no rounding tie at 1/2, the signal is read off "
-                "the syndromes mod p and kept after an exact check proves it "
-                "the unique minimizer; otherwise, or on a miss, a pruned "
-                "search; --budget counts the whole candidate space",
+                "sup-norm decoder: every minimizer. On a proved matrix the "
+                "signal is decoded from the syndromes mod p, every rounding of "
+                "b at ties of 1/2 and, past 2s <= m, with s - m//2 columns "
+                "enumerated (both capped, and needing 2*amp-bound < p), and "
+                "kept after an exact check; an unproved matrix, a case past a "
+                "cap, or a miss takes a pruned search; --budget counts the "
+                "whole candidate space",
                 [matrix_in], budget=True,
                 out="decoded signal JSON path")
     p.add_argument("--measurement", required=True, help="measurement JSON path")

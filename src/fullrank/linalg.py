@@ -167,8 +167,7 @@ def packed_rows(A: IntMatrix, nb: int, rows: int | None = None) -> tuple[list[in
     for a in A.entries[:(A.rows if rows is None else rows) * A.cols]:
         fields += (half + a).to_bytes(nb, "little")
     size = A.cols * nb
-    view = memoryview(fields)
-    biased = [int.from_bytes(view[i:i + size], "little") for i in range(0, len(fields), size)]
+    biased = [int.from_bytes(fields[i:i + size], "little") for i in range(0, len(fields), size)]
     return biased, int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
 
 

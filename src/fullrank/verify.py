@@ -24,9 +24,8 @@ on its columns.
 The completions of a prefix are tested together, in one big-integer
 product. Each dot product n . col_j is a minor, so by Hadamard's bound
 |n . col_j| <= (k sqrt(m))^m, with k the largest |entry|. Take the
-smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m, rounded
-up to 1, 2, 4 or 8 bytes when it is at most 8; then every
-|n . col_j| < 2^(w-1), strictly. Each row is packed once with biased
+smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m; then
+every |n . col_j| < 2^(w-1), strictly. Each row is packed once with biased
 fields by linalg.packed_rows, which the collision scan shares,
 P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj). Less H = sum_j 2^(w-1)
 2^(wj) it is Q_i = sum_j A[i][j] 2^(wj), and as every biased field is in
@@ -39,28 +38,25 @@ search from the first completing column. A match counts only on a field
 boundary, so the failures come in column order, as one dot product per
 completion would list them.
 
-The normals are packed the same way, one level up. The children of an
-(m-2)-prefix, its extensions by a later column j, have normals linear in
-col_j: component p is a signed sum over the rows r != p of A[r][j] times
-an (m-2)-minor of the prefix. So N_p = sum_r (+-minor) Q_r, taken from
-the prefix's next column on, holds component p of every child's normal,
-one field per child: m sums of m-1 products per (m-2)-prefix, where the
-Laplace step took m sums per child. The components are (m-1)-minors,
-below 2^(w-1) too when k >= 1. Adding H and flipping every field's top
-bit (xor H) makes each field the component itself in two's complement,
-read in place through a memoryview cast for 1, 2, 4 or 8 bytes and with
-int.from_bytes for wider fields or on a big-endian host. The children's
-completion tests then run in one loop at their parent. Memory is
-O(m*d): A is read once, into one packed integer per row; the Laplace
-terms of the levels above hold A's rows themselves, so the sweep copies
-no column; and an (m-2)-prefix holds its rows' suffixes, the m normals'
-bytes and one child's sum.
+The last Laplace level is never taken. The children of an
+(m-2)-prefix, its extensions by a later column c, have normals linear in
+col_c: component p is n_p = sum_{r != p} (+-M_pr) A[r][c], with M_pr an
+(m-2)-minor of the prefix. So sum_p n_p Q_p = sum_r A[r][c] R_r, with
+R_r = sum_{p != r} (+-M_pr) Q_p taken from the prefix's next column on:
+m sums of m-1 products per (m-2)-prefix, and then m products per child
+with the entries of its own column, where the Laplace step took m sums
+per child to build a normal. No normal is ever formed:
+H + sum_r A[r][c] R_r is the same integer as H + sum_i n_i Q_i, so the
+test above and its failures are unchanged. Memory is O(m*d): A is read
+once, into one packed integer per row; the Laplace terms of the levels
+above hold A's rows themselves, so no list of columns is built; and an
+(m-2)-prefix holds its rows' suffixes, its m sums R_r, one slice of A's
+entries per row, from which its children's columns are zipped one at a
+time, and one child's sum.
 """
 
 import math
 import random
-import struct
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
@@ -68,9 +64,6 @@ from operator import mul
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints
 from .linalg import IntMatrix, combination_vector, det_exact, packed_rows, zero_fields
-
-# memoryview formats of the signed native ints, by size in bytes
-_FORMATS = {struct.calcsize(f): f for f in "bhiq"}
 
 
 @dataclass
@@ -110,9 +103,9 @@ class CertificateCheck:
 
 
 def _laplace_plans(A: IntMatrix) -> tuple[list, list]:
-    """(plans, normals): plans[t], t < m-2, expands the minors of t columns
-    into those of t+1 columns; normals gives the normals of all the
-    children of an (m-2)-prefix at once.
+    """(plans, cofactors): plans[t], t < m-2, expands the minors of t
+    columns into those of t+1 columns; cofactors gives the m sums from
+    which every child of an (m-2)-prefix is tested.
 
     The minors of t columns are listed by their row t-subset, in
     combinations order. plans[t] holds, for each row (t+1)-subset, the
@@ -122,14 +115,15 @@ def _laplace_plans(A: IntMatrix) -> tuple[list, list]:
     when m > 2, as at m = 2 no level reads it.
 
     Component p of the normal of m-1 columns is (-1)^(p+m-1) times the
-    minor of every row but p. Along its last column j that is the sum,
-    over rows r != p, of (-1)^(p+q+1) A[r][j] M_pr, with q the place of r
+    minor of every row but p. Along its last column c that is the sum,
+    over rows r != p, of (-1)^(p+q+1) A[r][c] M_pr, with q the place of r
     among the rows but p and M_pr the minor of the other m-2 rows.
-    normals[p] lists, for each row r, where (-1)^(p+q+1) M_pr sits in
-    signed = minors + their negatives + [0], the 0 standing at r = p.
-    Then sum_r signed[normals[p][r]] Q_r, Q_r the packed row r, holds in
-    field j component p of the normal of the prefix extended by column
-    j. For m >= 2; m 2^(m-1) terms in all, the normals' m^2 included.
+    cofactors[r] lists, for each component p, where (-1)^(p+q+1) M_pr
+    sits in signed = minors + their negatives + [0], the 0 standing at
+    p = r. So with Q_p the packed row p, the normal n of the prefix
+    extended by column c has sum_p n_p Q_p = sum_r A[r][c] R_r, where
+    R_r = sum_p signed[cofactors[r][p]] Q_p. For m >= 2; m 2^(m-1) terms
+    in all, the cofactors' m^2 included.
     """
     m = A.rows
     rows = [A.row(i) for i in range(m)] if m > 2 else []
@@ -142,13 +136,12 @@ def _laplace_plans(A: IntMatrix) -> tuple[list, list]:
             for sub in combinations(range(m), t + 1)
         ])
     index = {sub: i for i, sub in enumerate(combinations(range(m), m - 2))}
-    normals = []
+    cofactors = [[2 * len(index)] * m for _ in range(m)]
     for p in range(m):
         sub = tuple(r for r in range(m) if r != p)
-        ks = [index[sub[:q] + sub[q + 1:]] + ((p + q) % 2 == 0) * len(index)
-              for q in range(m - 1)]
-        normals.append(tuple(ks[:p] + [2 * len(index)] + ks[p:]))
-    return plans, normals
+        for q, r in enumerate(sub):
+            cofactors[r][p] = index[sub[:q] + sub[q + 1:]] + (p + q + 1) % 2 * len(index)
+    return plans, cofactors
 
 
 def _check_shape(A: IntMatrix) -> None:
@@ -159,25 +152,11 @@ def _check_shape(A: IntMatrix) -> None:
 def _field_bytes(k: int, m: int) -> int:
     """Bytes per field: the smallest whole-byte width w with
     2^(2(w-1)) > (k^2 m)^m, so that every m x m minor of entries bounded
-    by k, at most (k sqrt(m))^m by Hadamard, is strictly below 2^(w-1);
-    so is every (m-1) x (m-1) minor when k >= 1, and every minor is 0
-    when k = 0. A width of at most 8 bytes is rounded up to 1, 2, 4 or
-    8, the widths _fields reads in place; a wider field stays strict."""
+    by k, at most (k sqrt(m))^m by Hadamard, is strictly below 2^(w-1),
+    and so is every entry when k >= 1; every minor is 0 when k = 0."""
     # 2^(2(w-1)) > B exactly when 2(w-1) >= B.bit_length()
     w = (((k * k * m) ** m).bit_length() + 1) // 2 + 1
-    nb = (w + 7) // 8
-    return nb if nb > 8 else 1 << (nb - 1).bit_length()
-
-
-def _fields(raw: bytes, nb: int, n: int):
-    """The first n fields of raw, nb little-endian bytes each, as signed
-    ints, read lazily and in place: a memoryview cast for 1, 2, 4 or 8
-    bytes on a little-endian host (cast reads native byte order), else
-    int.from_bytes on each field's bytes."""
-    view = memoryview(raw)
-    if nb in _FORMATS and sys.byteorder == "little":
-        return view.cast(_FORMATS[nb])[:n]
-    return (int.from_bytes(view[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb))
+    return (w + 7) // 8
 
 
 def geometric_structure(
@@ -226,9 +205,10 @@ def verify_exhaustive(A: IntMatrix,
     b"\x80"; raw.find looks for it from the first completing column on,
     and a match at byte offset pos names column pos / (w/8) only when it
     falls on a field boundary. The (m-1)-prefixes are not walked one by
-    one: each (m-2)-prefix reads all of its children's normals from m
-    packed sums and tests the children in a loop; at m = 1 the normal is
-    (1,) and the test is one product.
+    one: each (m-2)-prefix builds m packed sums R_r, and the child by
+    column c tests H + sum_r A[r][c] R_r, the same integer as
+    H + sum_i n_i Q_i for its normal n, which is never formed; at m = 1
+    the normal is (1,) and the test is one product.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -244,7 +224,7 @@ def verify_exhaustive(A: IntMatrix,
         raw = biased[0].to_bytes(d * nb, "little")
         return VerificationReport(total_checked=total, mode="exhaustive", failures=[
             (j,) for j in zero_fields(raw, raw.find(zero), zero, nb)])
-    plans, normals = _laplace_plans(A)
+    plans, cofactors = _laplace_plans(A)
     failures = []
 
     def walk(prefix, minors):
@@ -260,16 +240,15 @@ def verify_exhaustive(A: IntMatrix,
         hs = bias >> shift
         qs = [(b >> shift) - hs for b in biased]
         size = (d - start) * nb
-        # field i of N_p + H is 2^(w-1) + n_p, n_p component p of the normal
-        # of prefix + (start + i,), and H flips each field's top bit: field
-        # i of N_p + H ^ H, read signed, is n_p. The children are
-        # start..d-2, fields 0..d-2-start
+        # the child by column start + i - 1 has normal n with
+        # sum_p n_p Q_p = sum_r A[r][start + i - 1] R_r, so field i on of H
+        # plus that is 2^(w-1) + n . col_(start+i); u is that column,
+        # read from slices of A's entries
         signed = minors + [-x for x in minors] + [0]
-        fields = [_fields((sum(map(mul, map(signed.__getitem__, ks), qs), hs) ^ hs)
-                          .to_bytes(size, "little"), nb, d - 1 - start)
-                  for ks in normals]
-        for i, u in enumerate(zip(*fields), 1):
-            raw = sum(map(mul, u, qs), hs).to_bytes(size, "little")
+        rs = [sum(map(mul, map(signed.__getitem__, ks), qs)) for ks in cofactors]
+        columns = zip(*[A.entries[r + start:r + d - 1] for r in range(0, m * d, d)])
+        for i, u in enumerate(columns, 1):
+            raw = sum(map(mul, u, rs), hs).to_bytes(size, "little")
             pos = raw.find(zero, i * nb)
             if pos >= 0:
                 failures.extend(prefix + (start + i - 1, start + c)

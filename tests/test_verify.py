@@ -1,7 +1,6 @@
 import math
 import random
 import re
-import sys
 import tracemalloc
 from itertools import combinations
 
@@ -228,21 +227,21 @@ def with_copies(rng, rows):
 
 
 class TestPackedLevel:
-    """Each (m-2)-prefix reads its children's normals from the fields of m
-    packed sums and tests the children in a loop. Compared with the
-    reference walk, order included, at every field width: 1, 2, 4 and 8
-    bytes are read through a memoryview, 3 is rounded up to 4 and 5 to 7
-    up to 8, and a width past 8 bytes is read field by field."""
+    """Each (m-2)-prefix builds m packed sums R_r, one per row, and tests
+    each child, extended by column c, with sum_r A[r][c] R_r. Compared
+    with the reference walk, order included, at every field width from 1
+    to 9 bytes: the width is the smallest whole number of bytes that
+    Hadamard's bound allows, never rounded up."""
 
-    @pytest.mark.parametrize("k,raw,nb", [
-        (1, 1, 1), (127, 2, 2), (128, 3, 4), (32767, 4, 4), (32768, 5, 8),
-        (2 ** 23 - 1, 6, 8), (2 ** 27 - 1, 7, 8), (2 ** 31 - 1, 8, 8), (2 ** 31, 9, 9),
+    @pytest.mark.parametrize("k,raw", [
+        (1, 1), (127, 2), (128, 3), (32767, 4), (32768, 5),
+        (2 ** 23 - 1, 6), (2 ** 27 - 1, 7), (2 ** 31 - 1, 8), (2 ** 31, 9),
     ])
-    def test_every_field_width(self, k, raw, nb):
+    def test_every_field_width(self, k, raw):
         # at m = 2 the bound needs raw bytes: 2(8 raw - 1) >= (2k^2)^2's bits
         bits = ((2 * k * k) ** 2).bit_length()
         assert 2 * (8 * raw - 1) >= bits > 2 * (8 * raw - 9)
-        assert _field_bytes(k, 2) == nb
+        assert _field_bytes(k, 2) == raw
         rng = random.Random(k)
         for m in (2, 3, 4):
             rows = [[rng.choice([-k, k, rng.randint(-k, k), rng.randint(-2, 2)])
@@ -251,15 +250,20 @@ class TestPackedLevel:
             failures = TestPackedSweep.check(with_copies(rng, rows))
             assert failures
 
-    def test_fields_read_one_by_one_on_a_big_endian_host(self, monkeypatch):
-        # memoryview.cast reads native byte order, so there every width is
-        # read with int.from_bytes
-        monkeypatch.setattr(sys, "byteorder", "big")
-        rng = random.Random(5)
-        for k in (1, 127, 128, 32767, 2 ** 31 - 1):
-            for m in (2, 3):
-                rows = [[rng.randint(-k, k) for _ in range(m + 4)] for _ in range(m)]
-                assert TestPackedSweep.check(with_copies(rng, rows))
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_odd_widths_match_reference_walk(self, data):
+        # these k give fields of 2 to 21 bytes for m = 2..5, among them 3,
+        # 5, 6 and 7, which are not native int sizes
+        m = data.draw(st.integers(2, 5))
+        k = data.draw(st.sampled_from([127, 128, 2047, 2048, 32767, 32768,
+                                       2 ** 23 - 1, 2 ** 23, 2 ** 31]))
+        d = data.draw(st.integers(m, m + 6))
+        entry = st.one_of(st.sampled_from([-k, k]), st.integers(-k, k), st.integers(-2, 2))
+        rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                  min_size=m, max_size=m))
+        rows[0][0] = k
+        TestPackedSweep.check(with_copies(data.draw(st.randoms(use_true_random=False)), rows))
 
     def test_zero_bytes_straddling_a_field_boundary(self):
         # 32-bit fields (k = 32767, m = 2). Child (0,): the field of column 1
@@ -271,6 +275,16 @@ class TestPackedLevel:
         assert _field_bytes(32767, 2) == 4
         assert perm_det([[32767, 32766], [32766, -32767]]) == 0x0002fffb - 2 ** 31
         assert perm_det([[32767, 256], [32766, 512]]) == 2 ** 23
+        assert TestPackedSweep.check(rows) == [(0, 3)]
+        # 24-bit fields (k = 2047, m = 2). Child (0,): column 1's field is
+        # 2^23 - 2047 * 4093 = 0x0027fd, bytes fd 27 00, and column 2's is
+        # 2^23 + 2^15, bytes 00 80 80; the zero field's bytes 00 00 80
+        # first match at byte 5, across the boundary of columns 1 and 2,
+        # which is no hit
+        rows = [[2046, 2047, -32, 2046], [2047, -2047, -16, 2047]]
+        assert _field_bytes(2047, 2) == 3
+        assert perm_det([[2046, 2047], [2047, -2047]]) == 0x0027fd - 2 ** 23
+        assert perm_det([[2046, -32], [2047, -16]]) == 2 ** 15
         assert TestPackedSweep.check(rows) == [(0, 3)]
 
 
