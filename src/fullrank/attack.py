@@ -126,13 +126,12 @@ def _agreeing_pairs(A: IntMatrix, t: int, lam: int, min_agree: int):
     pairs with large < small and is skipped whole. If p = small_{<t}, both
     are zero, and x = 0 gives large <= small, so it is skipped.
 
-    The rows are packed with nb-byte fields, 2^(8 nb - 1) > B = lam *
-    sum_i max |row_i| >= |E_j| for the combination E of any difference,
-    so e = H + (E packed) has field j exactly 2^(w-1) + E_j, and E_j = 0
-    exactly when that field is zero = bytes(nb - 1) + b"\x80". Two matches
-    of zero cannot overlap (the last byte of one would be 0x80 and 0x00),
-    so bytes.count bounds the zero fields from above: only a difference
-    it lets through has them listed, on field boundaries.
+    The rows are packed by linalg.packed_rows under the bound lam *
+    sum_i max |row_i| >= |E_j|, for the combination E of any difference,
+    so E_j = 0 exactly where e = H + (E packed) has the field zero. Its
+    last byte is 0x80 and every other 0x00, so two matches of zero cannot
+    overlap, and bytes.count bounds the zero fields from above: only a
+    difference it lets through has them listed, on field boundaries.
 
     head[p], H plus the packed combination of the leading t - 1 rows with
     coefficients p, is built the first time p is met, from head[p - e_i]
@@ -144,11 +143,10 @@ def _agreeing_pairs(A: IntMatrix, t: int, lam: int, min_agree: int):
     adds O(d nb) bytes, and product copies each range(lam + 1) it is
     given into a tuple.
     """
-    nb = (lam * sum(max(map(abs, A.row(i))) for i in range(t))).bit_length() // 8 + 1
-    biased, bias = packed_rows(A, nb, t)
+    nb, zero, biased, bias = packed_rows(
+        A, lam * sum(max(map(abs, A.row(i))) for i in range(t)), t)
     rows = [b - bias for b in biased]
     last, size = rows[-1], A.cols * nb
-    zero = bytes(nb - 1) + b"\x80"
     span = range(lam + 1)
     head = {(0,) * (t - 1): bias}
     for small in product((0,), *[span] * (t - 1)):
@@ -173,6 +171,6 @@ def _agreeing_pairs(A: IntMatrix, t: int, lam: int, min_agree: int):
                 e += last
                 raw = e.to_bytes(size, "little")
                 if raw.count(zero) >= min_agree:
-                    agree = list(zero_fields(raw, raw.find(zero), zero, nb))
+                    agree = list(zero_fields(raw, raw.find(zero), zero))
                     if len(agree) >= min_agree:
                         yield small, p + (x,), agree

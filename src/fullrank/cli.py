@@ -193,10 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     m_and_k.add_argument("--k", type=int, required=True)
     commands = []
 
-    def command(group, name, func, text, parents=(), budget=False, out=None):
+    def command(group, name, func, text, parents=(), budget=None, out=None):
         """A subcommand whose own options go between its parents' options
-        and --budget, --out (with help text out) and --json, which the loop
-        at the end adds last; as parents they would lead every usage line."""
+        and --budget (budget names what it counts), --out (with help text
+        out) and --json, which the loop at the end adds last; as parents
+        they would lead every usage line."""
         p = group.add_parser(name, help=text, parents=list(parents))
         p.set_defaults(func=func)
         commands.append((p, budget, out))
@@ -216,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", default=None, help="plain rows CSV path")
 
     p = command(sub, "verify", cmd_verify,
-                "check maximal minors for degeneracy", [matrix_in], budget=True)
+                "check maximal minors for degeneracy", [matrix_in],
+                budget="minors, or trials with --trials; an unproved sweep's "
+                       "m*2^(m-1) Laplace terms count too")
     p.add_argument("--trials", type=int, default=None,
                    help="sampled mode: number of random minors (without "
                         "--trials every minor is checked)")
@@ -225,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "attack", cmd_attack,
                 "search row combinations for a degeneracy certificate",
-                [matrix_in], budget=True, out="certificate JSON path")
+                [matrix_in], budget="coefficient differences, ((2*lambda+1)^t - 1)/2",
+                out="certificate JSON path")
     p.add_argument("--t", type=int, default=None, help="leading rows to combine")
     p.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="max coefficient")
@@ -250,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "b at ties of 1/2 and, past 2s <= m, with s - m//2 columns "
                 "enumerated (both capped, and needing 2*amp-bound < p), and "
                 "kept after an exact check; an unproved matrix, a case past a "
-                "cap, or a miss takes a pruned search; --budget counts the "
-                "whole candidate space",
-                [matrix_in], budget=True,
+                "cap, or a miss takes a pruned search",
+                [matrix_in], budget="candidate vectors, the whole space searched",
                 out="decoded signal JSON path")
     p.add_argument("--measurement", required=True, help="measurement JSON path")
     p.add_argument("--s", type=int, required=True, help="sparsity")
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cover_command", required=True)
 
     p = command(csub, "verify", cmd_cover_verify, "check a cover of the grid",
-                budget=True)
+                budget="grid points, (2k+1)^m")
     p.add_argument("--in", dest="infile", required=True,
                    help="JSON list of normal vectors")
     p.add_argument("--k", type=int, required=True)
@@ -279,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p, budget, out in commands:
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help=f"default {DEFAULT_BUDGET:,}; refuses, before it "
+                                f"starts, a run counting more than this many {budget}")
         if out:
             p.add_argument("--out", default=None, help=out)
         p.add_argument("--json", action="store_true",

@@ -138,6 +138,7 @@ def construct_vandermonde(m: int, k: int) -> tuple[IntMatrix, ConstructionParams
     j^(i-1) mod d. Requires k >= m, so every prime in [k+1, 2k+1] is odd
     and above m.
     """
+    _window(m, k, VANDERMONDE)  # refuses m and k as every family does
     if k < m:
         raise ValueError(f"this variant needs k >= m (got m={as_decimal(m)}, "
                          f"k={as_decimal(k)})")

@@ -80,6 +80,7 @@ class IntMatrix:
 
 def centered_residue(x: int, p: int) -> int:
     """Representative of x mod p in [-(p-1)/2, (p-1)/2]. p must be odd, >= 3."""
+    exact_ints((x, p), "residue and modulus")
     if p < 3 or p % 2 == 0:
         raise ValueError("modulus must be odd and >= 3")
     r = x % p
@@ -152,30 +153,38 @@ def select_columns(A: IntMatrix, cols) -> IntMatrix:
     return IntMatrix(A.rows, len(cols), entries, A.modulus, A.entry_bound)
 
 
-def packed_rows(A: IntMatrix, nb: int, rows: int | None = None) -> tuple[list[int], int]:
-    """The first `rows` rows of A (all by default) with biased fields,
-    P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj), w = 8 nb, and the bias
-    H = sum_j 2^(w-1) 2^(wj). The caller's nb must give every
-    |A[i][j]| < 2^(w-1); then each field of P_i is in [1, 2^w), so P_i >> ws
-    is exact and (P_i >> ws) - (H >> ws) is the packed row
-    Q_i = sum_j A[i][j] 2^(wj) from column s on. If also every
-    |c . col_j| < 2^(w-1), field j of H + sum_i c_i Q_i is exactly
-    2^(w-1) + c . col_j, so no field carries, and c . col_j = 0 where
-    zero_fields finds bytes(nb - 1) + b"\x80". A is read once."""
+def packed_rows(A: IntMatrix, bound: int,
+                rows: int | None = None) -> tuple[int, bytes, list[int], int]:
+    """(nb, zero, P, H): the first `rows` rows of A (all by default) packed
+    with biased fields of nb bytes, the layout both exact scans search.
+
+    The caller passes a bound on every |A[i][j]| and on every |c . col_j|
+    it will search; nb = bound.bit_length() // 8 + 1 is the fewest bytes
+    with 2^(w-1) > bound, w = 8 nb. Row i is P_i = sum_j (2^(w-1) +
+    A[i][j]) 2^(wj), and H = sum_j 2^(w-1) 2^(wj) repeats the field zero,
+    the little-endian bytes of 2^(w-1). Each field of P_i is in [1, 2^w),
+    so P_i >> ws is exact and (P_i >> ws) - (H >> ws) is the packed row
+    Q_i = sum_j A[i][j] 2^(wj) from column s on. Field j of
+    H + sum_i c_i Q_i is then exactly 2^(w-1) + c . col_j, in [1, 2^w), so
+    no field carries into the next, and c . col_j = 0 exactly where that
+    field is zero, which zero_fields lists. A is read once."""
+    nb = bound.bit_length() // 8 + 1
     half = 1 << (8 * nb - 1)
+    zero = half.to_bytes(nb, "little")
     fields = bytearray()
     for a in A.entries[:(A.rows if rows is None else rows) * A.cols]:
         fields += (half + a).to_bytes(nb, "little")
     size = A.cols * nb
     biased = [int.from_bytes(fields[i:i + size], "little") for i in range(0, len(fields), size)]
-    return biased, int.from_bytes(half.to_bytes(nb, "little") * A.cols, "little")
+    return nb, zero, biased, int.from_bytes(zero * A.cols, "little")
 
 
-def zero_fields(raw: bytes, pos: int, zero: bytes, nb: int):
-    """The columns whose nb-byte field in raw is the field `zero`, in
+def zero_fields(raw: bytes, pos: int, zero: bytes):
+    """The columns whose field in raw, len(zero) bytes wide, is `zero`, in
     order, from the match at byte pos on (none when pos < 0). A match
     counts only on a field boundary; the search goes on from the field
     after it."""
+    nb = len(zero)
     while pos >= 0:
         j, off = divmod(pos, nb)
         if not off:

@@ -23,20 +23,15 @@ on its columns.
 
 The completions of a prefix are tested together, in one big-integer
 product. Each dot product n . col_j is a minor, so by Hadamard's bound
-|n . col_j| <= (k sqrt(m))^m, with k the largest |entry|. Take the
-smallest whole-byte field width w with 2^(2(w-1)) > (k^2 m)^m; then
-every |n . col_j| < 2^(w-1), strictly. Each row is packed once with biased
-fields by linalg.packed_rows, which the collision scan shares,
-P_i = sum_j (2^(w-1) + A[i][j]) 2^(wj). Less H = sum_j 2^(w-1)
-2^(wj) it is Q_i = sum_j A[i][j] 2^(wj), and as every biased field is in
-[1, 2^w), P_i and H shifted right by s fields give Q_i from column s on,
-exactly. Field j of H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, in
-[1, 2^w), so no field carries into the next, and completion j fails
-exactly when its field is 2^(w-1). In the little-endian bytes of that
-sum the failures are the matches of that field's bytes, found by a byte
-search from the first completing column. A match counts only on a field
-boundary, so the failures come in column order, as one dot product per
-completion would list them.
+|n . col_j| <= isqrt((k^2 m)^m), k the largest |entry|, which bounds
+every entry too. Under that bound each row is packed once by
+linalg.packed_rows, whose notes state the layout the collision scan
+shares: with Q_i the packed rows and H the repeated zero field, field j
+of H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, so completion j
+fails exactly where that field is the zero field. A byte search from
+the first completing column finds those matches, and as a match counts
+only on a field boundary the failures come in column order, as one dot
+product per completion would list them.
 
 The last Laplace level is never taken. The children of an
 (m-2)-prefix, its extensions by a later column c, have normals linear in
@@ -149,16 +144,6 @@ def _check_shape(A: IntMatrix) -> None:
         raise ValueError(f"matrix has fewer columns ({A.cols}) than rows ({A.rows})")
 
 
-def _field_bytes(k: int, m: int) -> int:
-    """Bytes per field: the smallest whole-byte width w with
-    2^(2(w-1)) > (k^2 m)^m, so that every m x m minor of entries bounded
-    by k, at most (k sqrt(m))^m by Hadamard, is strictly below 2^(w-1),
-    and so is every entry when k >= 1; every minor is 0 when k = 0."""
-    # 2^(2(w-1)) > B exactly when 2(w-1) >= B.bit_length()
-    w = (((k * k * m) ** m).bit_length() + 1) // 2 + 1
-    return (w + 7) // 8
-
-
 def geometric_structure(
         A: IntMatrix) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """(p, heads, ratios) when A's columns prove every maximal minor
@@ -198,17 +183,12 @@ def verify_exhaustive(A: IntMatrix,
     column prefixes are walked depth first, so each (m-1)-prefix's
     normal n is computed once and shared by all of its completions.
 
-    A prefix's completions are tested at once (see the module notes):
-    with w/8 the field width in bytes, field j of raw, the little-endian
-    bytes of H + sum_i n_i Q_i, is exactly 2^(w-1) + n . col_j.
-    Completion j fails exactly when that field is bytes(w/8 - 1) +
-    b"\x80"; raw.find looks for it from the first completing column on,
-    and a match at byte offset pos names column pos / (w/8) only when it
-    falls on a field boundary. The (m-1)-prefixes are not walked one by
-    one: each (m-2)-prefix builds m packed sums R_r, and the child by
-    column c tests H + sum_r A[r][c] R_r, the same integer as
-    H + sum_i n_i Q_i for its normal n, which is never formed; at m = 1
-    the normal is (1,) and the test is one product.
+    A prefix's completions are tested at once, in the packed layout of
+    linalg.packed_rows (see the module notes). The (m-1)-prefixes are not
+    walked one by one: each (m-2)-prefix builds m packed sums R_r, and
+    the child by column c tests H + sum_r A[r][c] R_r, the same integer as
+    H + sum_i n_i Q_i for its normal n, which is never formed. At m = 1 a
+    minor is an entry, and the failures are the zero entries.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -217,13 +197,11 @@ def verify_exhaustive(A: IntMatrix,
     if geometric_structure(A):
         return VerificationReport(total_checked=total, mode="exhaustive")
     check_budget(m << (m - 1), budget, "the Laplace plan of the exhaustive minor sweep")
-    nb = _field_bytes(A.max_abs_entry(), m)
-    biased, bias = packed_rows(A, nb)
-    zero = bytes(nb - 1) + b"\x80"  # the field 2^(w-1): n . col_j == 0
-    if m == 1:  # the normal is (1,): one product
-        raw = biased[0].to_bytes(d * nb, "little")
+    if m == 1:
         return VerificationReport(total_checked=total, mode="exhaustive", failures=[
-            (j,) for j in zero_fields(raw, raw.find(zero), zero, nb)])
+            (j,) for j, a in enumerate(A.entries) if not a])
+    k = A.max_abs_entry()
+    nb, zero, biased, bias = packed_rows(A, math.isqrt((k * k * m) ** m))
     plans, cofactors = _laplace_plans(A)
     failures = []
 
@@ -252,7 +230,7 @@ def verify_exhaustive(A: IntMatrix,
             pos = raw.find(zero, i * nb)
             if pos >= 0:
                 failures.extend(prefix + (start + i - 1, start + c)
-                                for c in zero_fields(raw, pos, zero, nb))
+                                for c in zero_fields(raw, pos, zero))
 
     walk((), [1])
     return VerificationReport(total_checked=total, failures=failures,

@@ -313,10 +313,10 @@ class TestScanAgainstReferences:
         # count lets the difference through, and the listing rejects it
         rows = [[0, -32600, 128, 5, 7], [1, 2, 3, 4, 5]]
         A = IntMatrix.from_rows(rows)
-        biased, _ = packed_rows(A, 2, 1)
+        nb, zero, biased, _ = packed_rows(A, 32600, 1)
+        assert (nb, zero) == (2, b"\x00\x80")
         raw = biased[0].to_bytes(10, "little")
-        zero = b"\x00\x80"
-        assert (raw.count(zero), list(zero_fields(raw, raw.find(zero), zero, 2))) == (2, [0])
+        assert (raw.count(zero), list(zero_fields(raw, raw.find(zero), zero))) == (2, [0])
         assert find_collision(A, AttackConfig(t=1, lam=1, min_agree=2)) is None
         assert collision_pair_scan(rows, 1, 1, 2) is None
 

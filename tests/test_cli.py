@@ -857,6 +857,18 @@ class TestBudgetRefusals:
         assert run(argv + ["--budget", str(count)]) in (0, 1)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv,counted", [
+        (["verify"], "minors, or trials with --trials"),
+        (["attack"], "coefficient differences"),
+        (["recover", "decode"], "candidate vectors"),
+        (["cover", "verify"], "grid points"),
+    ], ids=["verify", "attack", "decode", "cover-verify"])
+    def test_help_names_default_and_count(self, capsys, argv, counted):
+        assert run(argv + ["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--budget BUDGET default 10,000,000;" in text
+        assert f"more than this many {counted}" in text
+
     @pytest.mark.parametrize("argv,count", [
         (["cover", "verify", "--in", "normals.json", "--k", "1" + "0" * 2000],
          "needs at least 10^6000 steps"),

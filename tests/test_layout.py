@@ -22,6 +22,7 @@ from fullrank import (
     IntMatrix,
     Measurement,
     SparseSignal,
+    centered_residue,
     columns_on_hyperplane,
     combination_vector,
     construct,
@@ -139,6 +140,8 @@ INT_FIELDS = [
     ("det_exact", 1, lambda x: det_exact([(x, 0), (0, 1)])),
     ("combination_vector", 1, lambda x: combination_vector(A, (x,))),
     ("select_columns", 1, lambda x: select_columns(A, (x,))),
+    ("centered_residue.x", 1, lambda x: centered_residue(x, 3)),
+    ("centered_residue.p", 3, lambda x: centered_residue(1, x)),
     ("SparseSignal.dimension", 1, lambda x: SparseSignal(x, (0,), (1,))),
     ("SparseSignal.support", 1, lambda x: SparseSignal(5, (x,), (2,))),
     ("SparseSignal.values", 1, lambda x: SparseSignal(5, (1,), (x,))),
@@ -168,6 +171,10 @@ INT_FIELDS = [
     ("min_cover_bruteforce.m", 2, lambda x: min_cover_bruteforce(x, 1)),
     ("min_cover_bruteforce.k", 1, lambda x: min_cover_bruteforce(2, x)),
     ("construct.d", 4, lambda x: construct(2, 3, x)),
+    ("construct_vandermonde.m", 2, lambda x: construct_vandermonde(x, 3)),
+    ("construct_vandermonde.k", 3, lambda x: construct_vandermonde(2, x)),
+    ("construct_scaled.m", 2, lambda x: construct_scaled(x, 8)),
+    ("construct_scaled.k", 8, lambda x: construct_scaled(2, x)),
     ("max_width.m", 2, lambda x: max_width(x, 3)),
     ("max_width.k", 1, lambda x: max_width(2, x)),
     ("width_regime.m", 2, lambda x: width_regime(x, 10)),

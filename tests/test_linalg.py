@@ -9,7 +9,9 @@ from fullrank.linalg import (
     centered_residue,
     combination_vector,
     det_exact,
+    packed_rows,
     select_columns,
+    zero_fields,
 )
 from oracles import perm_det
 
@@ -196,6 +198,48 @@ class TestIntMatrixInvariants:
     def test_empty_or_ragged_shape(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestPackedRows:
+    """The one packed layout of both exact scans: nb is the fewest bytes
+    whose field 2^(8 nb - 1) lies above the bound, and zero is that field,
+    the one H repeats."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_fewest_bytes(self, j):
+        A = IntMatrix(1, 1, (0,))
+        top = 2 ** (8 * j - 1)
+        assert packed_rows(A, 0)[0] == 1
+        assert packed_rows(A, top - 1)[0] == j
+        assert packed_rows(A, top)[0] == j + 1
+
+    @given(st.lists(st.lists(st.integers(-300, 300), min_size=5, max_size=5),
+                    min_size=1, max_size=3),
+           st.integers(0, 2 ** 40), st.integers(1, 3))
+    def test_zero_is_the_field_h_repeats(self, rows, slack, t):
+        A = IntMatrix.from_rows(rows)
+        t = min(t, A.rows)
+        nb, zero, biased, H = packed_rows(A, A.max_abs_entry() + slack, t)
+        assert zero == (1 << (8 * nb - 1)).to_bytes(nb, "little")
+        assert H == int.from_bytes(zero * A.cols, "little")
+        assert len(biased) == t
+        for P, row in zip(biased, rows):
+            assert P - H == sum(a << (8 * nb * j) for j, a in enumerate(row))
+            raw = P.to_bytes(A.cols * nb, "little")
+            assert list(zero_fields(raw, raw.find(zero), zero)) == [
+                j for j, a in enumerate(row) if a == 0]
+
+    def test_hadamard_bound_keeps_the_sweeps_width(self):
+        # the minor sweep packs under isqrt(B), B = (k^2 m)^m, and had the
+        # fewest bytes with 2(8 nb - 1) >= B.bit_length(); both agree, as
+        # isqrt(B) < 2^(w-1) exactly when B < 2^(2(w-1))
+        A = IntMatrix(1, 1, (0,))
+        ks = [*range(3000), *(2 ** e + s for e in range(8, 80) for s in range(-2, 3))]
+        for m in range(1, 10):
+            for k in ks:
+                B = (k * k * m) ** m
+                assert packed_rows(A, math.isqrt(B))[0] == (
+                    ((B.bit_length() + 1) // 2 + 1 + 7) // 8), (m, k)
 
 
 class TestCombinationVector:

@@ -15,13 +15,13 @@ from fullrank.linalg import (
     centered_residue,
     combination_vector,
     det_exact,
+    packed_rows,
     select_columns,
 )
 from fullrank.verify import (
     CertificateCheck,
     DegeneracyCertificate,
     VerificationReport,
-    _field_bytes,
     geometric_structure,
     verify_certificate,
     verify_exhaustive,
@@ -226,6 +226,12 @@ def with_copies(rng, rows):
     return [r[:b] + [r[a]] + r[b + 1:] + [0, -r[a]] for r in rows]
 
 
+def sweep_bytes(k, m):
+    """Field width in bytes of the sweep on m rows with largest |entry| k:
+    packed_rows under Hadamard's bound on an m x m minor."""
+    return packed_rows(IntMatrix(1, 1, (k,)), math.isqrt((k * k * m) ** m))[0]
+
+
 class TestPackedLevel:
     """Each (m-2)-prefix builds m packed sums R_r, one per row, and tests
     each child, extended by column c, with sum_r A[r][c] R_r. Compared
@@ -241,7 +247,7 @@ class TestPackedLevel:
         # at m = 2 the bound needs raw bytes: 2(8 raw - 1) >= (2k^2)^2's bits
         bits = ((2 * k * k) ** 2).bit_length()
         assert 2 * (8 * raw - 1) >= bits > 2 * (8 * raw - 9)
-        assert _field_bytes(k, 2) == raw
+        assert sweep_bytes(k, 2) == raw
         rng = random.Random(k)
         for m in (2, 3, 4):
             rows = [[rng.choice([-k, k, rng.randint(-k, k), rng.randint(-2, 2)])
@@ -272,7 +278,7 @@ class TestPackedLevel:
         # field's bytes 00 00 00 80 first match across their boundary,
         # which is no hit. Column 3 copies column 0 and does fail.
         rows = [[32767, 32766, 256, 32767], [32766, -32767, 512, 32766]]
-        assert _field_bytes(32767, 2) == 4
+        assert sweep_bytes(32767, 2) == 4
         assert perm_det([[32767, 32766], [32766, -32767]]) == 0x0002fffb - 2 ** 31
         assert perm_det([[32767, 256], [32766, 512]]) == 2 ** 23
         assert TestPackedSweep.check(rows) == [(0, 3)]
@@ -282,7 +288,7 @@ class TestPackedLevel:
         # first match at byte 5, across the boundary of columns 1 and 2,
         # which is no hit
         rows = [[2046, 2047, -32, 2046], [2047, -2047, -16, 2047]]
-        assert _field_bytes(2047, 2) == 3
+        assert sweep_bytes(2047, 2) == 3
         assert perm_det([[2046, 2047], [2047, -2047]]) == 0x0027fd - 2 ** 23
         assert perm_det([[2046, -32], [2047, -16]]) == 2 ** 15
         assert TestPackedSweep.check(rows) == [(0, 3)]
