@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cover_command", required=True)
 
     p = command(csub, "verify", cmd_cover_verify, "check a cover of the grid",
-                budget="grid points, (2k+1)^m")
+                budget="grid points, (2k+1)^m, or m when that is more")
     p.add_argument("--in", dest="infile", required=True,
                    help="JSON list of normal vectors")
     p.add_argument("--k", type=int, required=True)

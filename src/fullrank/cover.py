@@ -73,7 +73,8 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     most the point x_m = -s/n_m, s = n_{<m}.x_{<m}, when n_m divides s
     and the quotient lies in [-k, k]. An empty normal list covers
     nothing, so it is rejected at the first point. The budget counts
-    every grid point.
+    every grid point, and never fewer than m, the coordinates of one: the
+    k = 0 grid is one point, and the scan still builds m - 1 lists.
 
     The lines are walked like an odometer, over the normals' columns: in
     each block of lines sharing x_1..x_{m-2}, a line's dot products are
@@ -84,7 +85,7 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     """
     m, k, side = inst.m, inst.k, 2 * inst.k + 1
     total = side ** m
-    check_budget(total, budget, "grid enumeration")
+    check_budget(max(total, m), budget, "grid enumeration")
     span = range(-k, k + 1)
     if m == 1:  # one line, of which a normal holds only x_1 = 0
         if k == 0 and inst.normals:
@@ -146,12 +147,15 @@ def min_cover_bruteforce(m: int, k: int) -> tuple[int, tuple[tuple[int, ...], ..
     cover found is minimal and is the lexicographically first minimal
     cover. Past k = 0 (the origin, covered by any one hyperplane) only
     m = 2 with k <= 4 and m = 3 with k <= 1 are searched; that limit is
-    fixed, so a refusal names it, not a budget.
+    fixed, so a refusal names it, not a budget. The k = 0 witness has m
+    entries, and m past DEFAULT_BUDGET is refused as a fixed limit too.
     """
     exact_ints((m, k), "cover m and k")
     if m < 2 or k < 0:
         raise ValueError("need m >= 2 and k >= 0")
     if k == 0:
+        check_budget(m, DEFAULT_BUDGET, f"the k = 0 witness normal has "
+                                        f"{as_decimal(m)} entries", fixed=True)
         return 1, ((1,) + (0,) * (m - 1),)
     if not ((m == 2 and k <= 4) or (m == 3 and k <= 1)):
         raise ValueError(f"exact cover search supports only k = 0, m = 2 with "

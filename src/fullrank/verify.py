@@ -33,21 +33,34 @@ the first completing column finds those matches, and as a match counts
 only on a field boundary the failures come in column order, as one dot
 product per completion would list them.
 
-The last Laplace level is never taken. The children of an
-(m-2)-prefix, its extensions by a later column c, have normals linear in
-col_c: component p is n_p = sum_{r != p} (+-M_pr) A[r][c], with M_pr an
-(m-2)-minor of the prefix. So sum_p n_p Q_p = sum_r A[r][c] R_r, with
-R_r = sum_{p != r} (+-M_pr) Q_p taken from the prefix's next column on:
-m sums of m-1 products per (m-2)-prefix, and then m products per child
-with the entries of its own column, where the Laplace step took m sums
-per child to build a normal. No normal is ever formed:
-H + sum_r A[r][c] R_r is the same integer as H + sum_i n_i Q_i, so the
-test above and its failures are unchanged. Memory is O(m*d): A is read
-once, into one packed integer per row; the Laplace terms of the levels
-above hold A's rows themselves, so no list of columns is built; and an
-(m-2)-prefix holds its rows' suffixes, its m sums R_r, one slice of A's
-entries per row, from which its children's columns are zipped one at a
-time, and one child's sum.
+The last two Laplace levels are never taken. Each prefix of t < m-3
+columns holds its C(m, t) minors. An (m-3)-prefix P, with minors N and
+next column s, holds its rows packed from s on and C(m, 2) packed sums.
+Its grandchildren P+b+c, b < c, have normals bilinear in col_b and col_c:
+expanding det(P, b, c, j) along its last three columns gives
+sum_p n_p Q_p = sum_{q,r} A[q][b] A[r][c] T_rq, with
+T_rq = sum_{p not in {q,r}} (+-N_pqr) Q_p and N_pqr the minor of P on the
+rows but p, q and r. That form is alternating in col_b and col_c, as
+det(P, b, b, j) = 0 for every col_b; an alternating bilinear form has an
+antisymmetric matrix, so T_qr = -T_rq, T_rr = 0, and P builds only the
+T_rq with r < q. A child P+b holds m sums R_r = sum_q A[q][b] T_rq, moved
+to its next column through the bias: every field of R_r is an
+(m-1)-minor, of P, b and that field's column on the rows but r, within
+the bound, so the biased fields of R_r + H_s lie in [1, 2^w) and
+((R_r + H_s) >> w(b+1-s)) - H_(b+1) is R_r from column b+1 on, exactly
+(H_s is H from column s on). A grandchild holds one sum,
+H_(b+1) + sum_r A[r][c] R_r, the same integer as H + sum_i n_i Q_i for
+its normal n, which is never formed, so the test above and its failures
+are unchanged. At m = 2 the root is the only (m-2)-prefix: its child by
+column c has cofactor normal (-A[1][c], A[0][c]), so R_0 = Q_1 and
+R_1 = -Q_0.
+
+Memory is O(m*d). A is read once, into one packed integer per row and,
+from m = 3 on, one tuple per column, from which the Laplace levels, the
+children and the grandchildren read their columns; at m = 2 the
+children's columns are zipped from two slices of A's entries, one at a
+time. An (m-3)-prefix holds its rows' suffixes, its C(m, 2) sums and
+their negatives, and a child its m sums and one grandchild's sum.
 """
 
 import math
@@ -97,46 +110,52 @@ class CertificateCheck:
     reason: str
 
 
-def _laplace_plans(A: IntMatrix) -> tuple[list, list]:
-    """(plans, cofactors): plans[t], t < m-2, expands the minors of t
-    columns into those of t+1 columns; cofactors gives the m sums from
-    which every child of an (m-2)-prefix is tested.
+def _laplace_plans(m: int) -> tuple[list, list, list]:
+    """(plans, pairs, rows): plans[t], t < m-3, expands the minors of t
+    columns into those of t+1 columns; pairs and rows turn the minors N of
+    an (m-3)-prefix into its sums T_rq and those into its children's R_r.
 
     The minors of t columns are listed by their row t-subset, in
     combinations order. plans[t] holds, for each row (t+1)-subset, the
-    Laplace terms along the new last column: (sign, A's row r, index of
-    the t-subset left when row r is removed). A term reads its entry of
-    the new column j as row[j]. Each row is taken from A once, and only
-    when m > 2, as at m = 2 no level reads it.
+    Laplace terms along the new last column: (sign, row r, index of the
+    t-subset left when row r is removed). A term reads its entry of the
+    new column j as cols[j][r].
 
-    Component p of the normal of m-1 columns is (-1)^(p+m-1) times the
-    minor of every row but p. Along its last column c that is the sum,
-    over rows r != p, of (-1)^(p+q+1) A[r][c] M_pr, with q the place of r
-    among the rows but p and M_pr the minor of the other m-2 rows.
-    cofactors[r] lists, for each component p, where (-1)^(p+q+1) M_pr
-    sits in signed = minors + their negatives + [0], the 0 standing at
-    p = r. So with Q_p the packed row p, the normal n of the prefix
-    extended by column c has sum_p n_p Q_p = sum_r A[r][c] R_r, where
-    R_r = sum_p signed[cofactors[r][p]] Q_p. For m >= 2; m 2^(m-1) terms
-    in all, the cofactors' m^2 included.
+    Let P be an (m-3)-prefix with minors N, and b < c < j later columns.
+    Expanding det(P, b, c, j) along its last three columns, with rows q, r
+    and p at columns b, c and j, the coefficient of A[q][b] A[r][c] A[p][j]
+    is e (-1)^(p+q+r+m) N_pqr, e the sign of the sequence (q, r, p) and
+    N_pqr the minor of the other m-3 rows. So with Q_p the packed rows,
+    T_rq = sum_p e (-1)^(p+q+r+m) N_pqr Q_p over p outside {q, r}, and
+    swapping q and r flips e: T_qr = -T_rq. pairs lists, for each pair
+    r < q in combinations order, where the coefficient of each Q_p sits in
+    signed = N + their negatives + [0], the 0 standing at p in {q, r}.
+    rows[r] lists, for each q, where T_rq sits in the T_rq with r < q,
+    their negatives and [0], the 0 standing at q = r, so that
+    R_r = sum_q A[q][b] T_rq is one sum of m products. For m >= 3; at most
+    m 2^m entries in all, twice the m 2^(m-1) Laplace terms the sweep's
+    refusal counts.
     """
-    m = A.rows
-    rows = [A.row(i) for i in range(m)] if m > 2 else []
     plans = []
-    for t in range(m - 2):
+    for t in range(m - 3):
         index = {sub: i for i, sub in enumerate(combinations(range(m), t))}
         plans.append([
-            [((-1) ** (q + t), rows[r], index[sub[:q] + sub[q + 1:]])
-             for q, r in enumerate(sub)]
+            [((-1) ** (q + t), r, index[sub[:q] + sub[q + 1:]]) for q, r in enumerate(sub)]
             for sub in combinations(range(m), t + 1)
         ])
-    index = {sub: i for i, sub in enumerate(combinations(range(m), m - 2))}
-    cofactors = [[2 * len(index)] * m for _ in range(m)]
-    for p in range(m):
-        sub = tuple(r for r in range(m) if r != p)
-        for q, r in enumerate(sub):
-            cofactors[r][p] = index[sub[:q] + sub[q + 1:]] + (p + q + 1) % 2 * len(index)
-    return plans, cofactors
+    n = math.comb(m, 3)
+    pair = {rq: i for i, rq in enumerate(combinations(range(m), 2))}
+    pairs = [[2 * n] * m for _ in pair]
+    # the complements of the row 3-subsets, listed in combinations order,
+    # are the (m-3)-subsets in reverse combinations order; odd is the
+    # parity of (q, r, p) as a permutation of (a, b, c), so e = (-1)^odd
+    for i, (a, b, c) in enumerate(combinations(range(m), 3)):
+        for p, r, q, odd in (a, b, c, 1), (b, a, c, 0), (c, a, b, 1):
+            pairs[pair[r, q]][p] = n - 1 - i + (a + b + c + m + odd) % 2 * n
+    rows = [[2 * len(pair) if q == r else pair[r, q] if r < q else pair[q, r] + len(pair)
+             for q in range(m)]
+            for r in range(m)]
+    return plans, pairs, rows
 
 
 def _check_shape(A: IntMatrix) -> None:
@@ -184,11 +203,14 @@ def verify_exhaustive(A: IntMatrix,
     normal n is computed once and shared by all of its completions.
 
     A prefix's completions are tested at once, in the packed layout of
-    linalg.packed_rows (see the module notes). The (m-1)-prefixes are not
-    walked one by one: each (m-2)-prefix builds m packed sums R_r, and
-    the child by column c tests H + sum_r A[r][c] R_r, the same integer as
-    H + sum_i n_i Q_i for its normal n, which is never formed. At m = 1 a
-    minor is an entry, and the failures are the zero entries.
+    linalg.packed_rows (see the module notes). Neither the (m-2)- nor the
+    (m-1)-prefixes take a Laplace step: each (m-3)-prefix builds the
+    C(m, 2) packed sums T_rq, r < q, its child by column b the m sums
+    R_r = sum_q A[q][b] T_rq, and the grandchild by column c tests
+    H + sum_r A[r][c] R_r, the same integer as H + sum_i n_i Q_i for its
+    normal n, which is never formed. At m = 2 the root builds the R_r from
+    the cofactors, and at m = 1 a minor is an entry, and the failures are
+    the zero entries.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -202,29 +224,14 @@ def verify_exhaustive(A: IntMatrix,
             (j,) for j, a in enumerate(A.entries) if not a])
     k = A.max_abs_entry()
     nb, zero, biased, bias = packed_rows(A, math.isqrt((k * k * m) ** m))
-    plans, cofactors = _laplace_plans(A)
     failures = []
 
-    def walk(prefix, minors):
-        t = len(prefix)
-        start = prefix[-1] + 1 if prefix else 0
-        if t < m - 2:
-            for j in range(start, d - m + t + 1):
-                walk(prefix + (j,), [sum(sign * row[j] * minors[k] for sign, row, k in terms)
-                                     for terms in plans[t]])
-            return
-        # the packed rows from column start on, whose field i is column start + i
-        shift = 8 * nb * start
-        hs = bias >> shift
-        qs = [(b >> shift) - hs for b in biased]
+    def complete(prefix, start, rs, hs, columns):
+        # the children of the (m-2)-prefix `prefix`, by the columns
+        # start + i - 1 that `columns` yields: with Q_p packed from column
+        # start on, child c's normal n has sum_p n_p Q_p = sum_r A[r][c] R_r,
+        # so field i on of hs plus that is 2^(w-1) + n . col_(start+i)
         size = (d - start) * nb
-        # the child by column start + i - 1 has normal n with
-        # sum_p n_p Q_p = sum_r A[r][start + i - 1] R_r, so field i on of H
-        # plus that is 2^(w-1) + n . col_(start+i); u is that column,
-        # read from slices of A's entries
-        signed = minors + [-x for x in minors] + [0]
-        rs = [sum(map(mul, map(signed.__getitem__, ks), qs)) for ks in cofactors]
-        columns = zip(*[A.entries[r + start:r + d - 1] for r in range(0, m * d, d)])
         for i, u in enumerate(columns, 1):
             raw = sum(map(mul, u, rs), hs).to_bytes(size, "little")
             pos = raw.find(zero, i * nb)
@@ -232,7 +239,42 @@ def verify_exhaustive(A: IntMatrix,
                 failures.extend(prefix + (start + i - 1, start + c)
                                 for c in zero_fields(raw, pos, zero))
 
-    walk((), [1])
+    def walk(prefix, minors):
+        t = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if t < m - 3:
+            for j in range(start, d - m + t + 1):
+                col = cols[j]
+                walk(prefix + (j,), [sum(sign * col[r] * minors[k] for sign, r, k in terms)
+                                     for terms in plans[t]])
+            return
+        # the packed rows from column start on, whose field i is column
+        # start + i, and the C(m, 2) sums T_rq, r < q, over them
+        shift = 8 * nb * start
+        hs = bias >> shift
+        qs = [(x >> shift) - hs for x in biased]
+        signed = minors + [-x for x in minors] + [0]
+        ts = [sum(map(mul, map(signed.__getitem__, ks), qs)) for ks in pairs]
+        ts += [-x for x in ts] + [0]
+        trs = [[ts[i] for i in ks] for ks in rows]
+        for b in range(start, d - 2):
+            # R_r = sum_q A[q][b] T_rq, moved to column b + 1 through the
+            # bias: each of its fields is an (m-1)-minor, within the bound
+            col = cols[b]
+            hb = bias >> 8 * nb * (b + 1)
+            cut = 8 * nb * (b + 1 - start)
+            rs = [(sum(map(mul, col, tr), hs) >> cut) - hb for tr in trs]
+            complete(prefix + (b,), b + 1, rs, hb, cols[b + 1:d - 1])
+
+    if m == 2:
+        # the root's children are single columns c, with cofactor normal
+        # (-A[1][c], A[0][c]): R_0 = Q_1 and R_1 = -Q_0
+        q0, q1 = (x - bias for x in biased)
+        complete((), 0, [q1, -q0], bias, zip(A.entries[:d - 1], A.entries[d:-1]))
+    else:
+        cols = [A.column(j) for j in range(d)]
+        plans, pairs, rows = _laplace_plans(m)
+        walk((), [1])
     return VerificationReport(total_checked=total, failures=failures,
                               mode="exhaustive")
 

@@ -600,6 +600,24 @@ class TestCoverCommands:
         assert "m = 2 with k <= 4 and m = 3 with k <= 1" in err
         assert "budget" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["cover", "min", "--m", str(10 ** 30), "--k", "0"],
+         f"error: the k = 0 witness normal has {10 ** 30} entries, above the fixed "
+         f"limit of 10000000"),
+        (["cover", "verify", "--in", "[]", "--m", "30000000", "--k", "0"],
+         "error: grid enumeration needs 30000000 steps, exceeding the budget of "
+         "10000000; pass a larger budget to override"),
+    ], ids=["min", "verify"])
+    def test_origin_grid_of_many_coordinates_exits_2(self, tmp_path, capsys, argv, message):
+        # one grid point, but a point of m coordinates: refused before the
+        # witness or the scan's lists are built
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        argv = [str(path) if a == "[]" else a for a in argv]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message + "\n")
+
     def test_min_origin_grid(self, capsys):
         code, doc = run_json(capsys, ["cover", "min", "--m", "4", "--k", "0",
                                       "--json"])

@@ -1,19 +1,21 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fullrank.construct import construct_vandermonde, max_width
 from fullrank.cover import (
+    CoverCheck,
     CoverInstance,
     columns_on_hyperplane,
     cover_lower_bound,
     min_cover_bruteforce,
     verify_cover,
 )
-from fullrank.errors import BudgetExceededError
+from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError
 from fullrank.intmath import primitive_vector
 from fullrank.linalg import IntMatrix
 from oracles import cover_scan
@@ -129,6 +131,31 @@ class TestVerifyCover:
         inst = CoverInstance(2, 100, ((1, 0),))
         with pytest.raises(BudgetExceededError):
             verify_cover(inst, budget=100)
+
+    @pytest.mark.parametrize("normals", [(), ((0, 0, 1),)], ids=["empty", "one"])
+    def test_origin_grid_budget_counts_the_coordinates(self, normals):
+        # the k = 0 grid is one point, but the scan builds m - 1 lists and
+        # may return an m-entry point, so the budget counts m
+        inst = CoverInstance(3, 0, normals)
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_cover(inst, budget=2)
+        assert (exc.value.required, exc.value.budget) == (3, 2)
+        check = verify_cover(inst, budget=3)
+        assert check == CoverCheck(bool(normals), None if normals else (0, 0, 0), 1)
+
+    def test_origin_grid_of_many_coordinates_refused_before_the_scan(self):
+        inst = CoverInstance(3 * 10 ** 7, 0, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                verify_cover(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.required == 3 * 10 ** 7
+        assert str(exc.value) == ("grid enumeration needs 30000000 steps, exceeding the "
+                                  "budget of 10000000; pass a larger budget to override")
+        assert peak < 10 ** 5
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -318,6 +345,14 @@ class TestMinCover:
         size, witness = min_cover_bruteforce(m, 0)
         assert size == 1
         assert verify_cover(CoverInstance(m, 0, witness)).accepted
+
+    @pytest.mark.parametrize("m", [DEFAULT_BUDGET + 1, 10 ** 30])
+    def test_origin_grid_witness_past_the_fixed_limit_refused(self, m):
+        # the answer is 1 at every m, but its witness has m entries
+        with pytest.raises(BudgetExceededError) as exc:
+            min_cover_bruteforce(m, 0)
+        assert str(exc.value) == (f"the k = 0 witness normal has {m} entries, above "
+                                  f"the fixed limit of {DEFAULT_BUDGET}")
 
     def test_dominates_lower_bound_where_defined(self):
         for k in (2, 3, 4):

@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from fullrank.verify import (
     verify_exhaustive,
     verify_sampled,
 )
+from fullrank.verify import _laplace_plans
 from oracles import all_minors_nonzero, perm_det, prefix_sweep
 
 
@@ -233,7 +235,7 @@ def sweep_bytes(k, m):
 
 
 class TestPackedLevel:
-    """Each (m-2)-prefix builds m packed sums R_r, one per row, and tests
+    """Each (m-2)-prefix holds m packed sums R_r, one per row, and tests
     each child, extended by column c, with sum_r A[r][c] R_r. Compared
     with the reference walk, order included, at every field width from 1
     to 9 bytes: the width is the smallest whole number of bytes that
@@ -294,6 +296,104 @@ class TestPackedLevel:
         assert TestPackedSweep.check(rows) == [(0, 3)]
 
 
+def fold_k(m, raw):
+    """The largest k at which the sweep on m rows packs fields of raw
+    bytes, or None when no k >= 1 does."""
+    if sweep_bytes(1, m) > raw:
+        return None
+    lo, hi = 1, 2
+    while sweep_bytes(hi, m) <= raw:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sweep_bytes(mid, m) <= raw else (lo, mid)
+    return lo if sweep_bytes(lo, m) == raw else None
+
+
+FOLD_WIDTHS = list(range(1, 10)) + [42]
+
+
+class TestFoldedLevel:
+    """The walk stops at the (m-3)-prefixes. Each builds the C(m, 2)
+    packed sums T_rq, r < q, its child by column b forms the m sums
+    R_r = sum_q A[q][b] T_rq and shifts them to column b + 1 through the
+    bias, and the grandchild by column c searches H + sum_r A[r][c] R_r.
+    At m = 2 the root builds the R_r. Compared with the reference walk,
+    order included, from m = 2 to 7 and at field widths of 1 to 9 bytes
+    and of 42."""
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_tables_expand_the_determinant(self, m):
+        # one field per row: with the plans' minors N of an m x (m-3)
+        # prefix P, sum_r y_r sum_q x_q T_rq read through the tables is
+        # det(P, x, y, z), T_qr = -T_rq, and swapping x and y negates it
+        plans, pairs, rows = _laplace_plans(m)
+        assert len(pairs) == math.comb(m, 2) and len(rows) == m
+        rng = random.Random(m)
+        for _ in range(20):
+            P = [[rng.randint(-4, 4) for _ in range(m - 3)] for _ in range(m)]
+            x, y, z = ([rng.randint(-4, 4) for _ in range(m)] for _ in range(3))
+            minors = [1]
+            for t, terms_of in enumerate(plans):
+                minors = [sum(sign * P[r][t] * minors[k] for sign, r, k in terms)
+                          for terms in terms_of]
+            assert minors == [perm_det([P[r] for r in sub])
+                              for sub in combinations(range(m), m - 3)]
+            signed = minors + [-n for n in minors] + [0]
+            ts = [sum(signed[k] * z[p] for p, k in enumerate(ks)) for ks in pairs]
+            full = ts + [-t for t in ts] + [0]
+            T = [[full[i] for i in ks] for ks in rows]
+            assert all(T[r][q] == -T[q][r] for r in range(m) for q in range(m))
+            for u, v in (x, y), (y, x):
+                got = sum(v[r] * sum(map(mul, u, T[r])) for r in range(m))
+                assert got == perm_det([P[i] + [u[i], v[i], z[i]] for i in range(m)])
+
+    @pytest.mark.parametrize("raw", FOLD_WIDTHS)
+    def test_every_field_width_and_depth(self, raw):
+        # entries mostly +-k, the largest k at this width, with a copied,
+        # a zero and a negated column, so every level lists failures
+        for m in range(2, 8):
+            k = fold_k(m, raw)
+            if k is None:
+                continue
+            assert sweep_bytes(k, m) == raw < sweep_bytes(k + 1, m)
+            rng = random.Random(f"{m}:{raw}")
+            rows = [[rng.choice([-k, k, -k, k, rng.randint(-k, k), rng.randint(-2, 2)])
+                     for _ in range(m + (4 if m < 6 else 2))] for _ in range(m)]
+            assert TestPackedSweep.check(with_copies(rng, rows))
+
+    @pytest.mark.parametrize("k", [1, 3, 2 ** 15 - 1, 10 ** 25])
+    def test_fields_at_hadamards_bound_of_both_signs(self, k):
+        # k times the 4 x 4 Sylvester matrix, every column followed by its
+        # negative, and column 1 repeated: each nonzero minor is
+        # +-16 k^4, the bound the fields are sized by, and its sign flips
+        # with every negated column taken, so the shifted sums R_r and the
+        # grandchildren's fields meet both -bound and +bound
+        H = [[k * x for x in r] for r in sylvester(4)]
+        rows = [[v for x in r for v in (x, -x)] + [r[1]] for r in H]
+        bound = math.isqrt((k * k * 4) ** 4)
+        assert bound == 16 * k ** 4 == abs(det_exact([r[0:8:2] for r in rows]))
+        failures = TestPackedSweep.check(rows)
+        assert failures == all_minors_nonzero(rows)
+        # a minor is nonzero exactly when it takes one of each column's pair
+        # (col, -col), the repeat counting as column 1's
+        for cols in combinations(range(9), 4):
+            picked = [1 if c == 8 else c // 2 for c in cols]
+            assert (cols in failures) == (len(set(picked)) < 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_walk(self, data):
+        m = data.draw(st.integers(2, 7))
+        k = data.draw(st.sampled_from([k for k in (fold_k(m, raw) for raw in FOLD_WIDTHS)
+                                       if k is not None]))
+        d = m + data.draw(st.integers(0, 5 if m < 6 else 2))
+        entry = st.one_of(st.sampled_from([-k, k]), st.integers(-k, k), st.integers(-2, 2))
+        rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                  min_size=m, max_size=m))
+        TestPackedSweep.check(with_copies(data.draw(st.randoms(use_true_random=False)), rows))
+
+
 def copied_pair(d):
     """2 x d: columns (1, j - d/2), pairwise independent, with column 17
     copied into column d - 1, so the one failing minor is (17, d - 1)."""
@@ -308,11 +408,11 @@ def one_row(d):
 
 
 class TestSweepMemory:
-    """The sweep holds O(m*d): it reads A's rows where they are, with one
-    packed integer per row and the sum of the prefix in hand. No list of
-    column tuples is built (that alone took about 64 bytes an entry at
-    1 x 200,000), and no table of packed suffixes, one per starting column
-    and O(d^2) in all."""
+    """The sweep holds O(m*d): one packed integer per row and the sums of
+    the prefix in hand. At m = 1 and m = 2 no list of column tuples is
+    built (that alone took about 64 bytes an entry at 1 x 200,000, and at
+    2 x 4000 it passes this bound), and at no m a table of packed
+    suffixes, one per starting column and O(d^2) in all."""
 
     PER_ENTRY = 32  # bytes allowed per matrix entry
 
