@@ -74,7 +74,8 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     and the quotient lies in [-k, k]. An empty normal list covers
     nothing, so it is rejected at the first point. The budget counts
     every grid point, and never fewer than m, the coordinates of one: the
-    k = 0 grid is one point, and the scan still builds m - 1 lists.
+    k = 0 grid is one point, and the scan still builds m - 1 lists. A
+    large m is refused from m alone, as the power (2k+1)^m, never built.
 
     The lines are walked like an odometer, over the normals' columns: in
     each block of lines sharing x_1..x_{m-2}, a line's dot products are
@@ -84,8 +85,8 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     afresh after a held line.
     """
     m, k, side = inst.m, inst.k, 2 * inst.k + 1
+    check_budget((side, m) if k else m, budget, "grid enumeration")
     total = side ** m
-    check_budget(max(total, m), budget, "grid enumeration")
     span = range(-k, k + 1)
     if m == 1:  # one line, of which a normal holds only x_1 = 0
         if k == 0 and inst.normals:

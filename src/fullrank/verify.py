@@ -33,40 +33,37 @@ the first completing column finds those matches, and as a match counts
 only on a field boundary the failures come in column order, as one dot
 product per completion would list them.
 
-The last two Laplace levels are never taken. Each prefix of t < m-3
-columns holds its C(m, t) minors. An (m-3)-prefix P, with minors N and
-next column s, holds its rows packed from s on and C(m, 2) packed sums.
-Its grandchildren P+b+c, b < c, have normals bilinear in col_b and col_c:
-expanding det(P, b, c, j) along its last three columns gives
-sum_p n_p Q_p = sum_{q,r} A[q][b] A[r][c] T_rq, with
-T_rq = sum_{p not in {q,r}} (+-N_pqr) Q_p and N_pqr the minor of P on the
-rows but p, q and r. That form is alternating in col_b and col_c, as
-det(P, b, b, j) = 0 for every col_b; an alternating bilinear form has an
-antisymmetric matrix, so T_qr = -T_rq, T_rr = 0, and P builds only the
-T_rq with r < q. A child P+b holds m sums R_r = sum_q A[q][b] T_rq, moved
-to its next column through the bias: every field of R_r is an
-(m-1)-minor, of P, b and that field's column on the rows but r, within
-the bound, so the biased fields of R_r + H_s lie in [1, 2^w) and
-((R_r + H_s) >> w(b+1-s)) - H_(b+1) is R_r from column b+1 on, exactly
-(H_s is H from column s on). A grandchild holds one sum,
-H_(b+1) + sum_r A[r][c] R_r, the same integer as H + sum_i n_i Q_i for
-its normal n, which is never formed, so the test above and its failures
-are unchanged. At m = 2 the root is the only (m-2)-prefix: its child by
-column c has cofactor normal (-A[1][c], A[0][c]), so R_0 = Q_1 and
-R_1 = -Q_0.
+Every level takes its step from one Laplace plan, and the packed rows
+enter it as a column. With top = max(m-3, 0), a prefix of t < top
+columns holds its C(m, t) minors. A prefix P of top columns, next column
+s, takes the step with its rows Q_i packed from s on: one packed sum per
+row (top+1)-subset, whose field j is the minor of P and col_j on those
+rows. P's child by column b takes the next step, with col_b, and holds m
+sums R, one per row (m-1)-subset; at m = 2, top = 0 = m-2, and P's own
+sums are the R. Every field of R is an (m-1)-minor, within the bound, so
+the biased fields of R + H_s lie in [1, 2^w) and
+((R + H_s) >> w(b+1-s)) - H_(b+1) is R from column b+1 on, exactly (H_s
+is H from column s on). The completion's one term list fixes the order
+and signs of the R once per node, as P folds its sums into a table whose
+row r, read against col_b, is the R of the completion's term for row r,
+with that term's sign, times the sign that moves the packed column
+last. The completion by column c tests H_(b+1) + sum_r A[r][c] R_r, the
+same integer as H + sum_i n_i Q_i for the normal n of P, b and c, which
+is never formed, so the test above and its failures are unchanged.
 
-Memory is O(m*d). A is read once, into one packed integer per row and,
-from m = 3 on, one tuple per column, from which the Laplace levels, the
-children and the grandchildren read their columns; at m = 2 the
-children's columns are zipped from two slices of A's entries, one at a
-time. An (m-3)-prefix holds its rows' suffixes, its C(m, 2) sums and
-their negatives, and a child its m sums and one grandchild's sum.
+The plan holds m 2^(m-1) terms, about 100 bytes each, and the sweep
+refuses a plan of more terms than its budget: that, not A's size, bounds
+a large m's memory (a random 18 x 19 matrix took 6 s and 245 MB).
+Besides it, A is read once, into one packed integer per row and one
+tuple per column. A node with children lists its columns for them to
+slice; the root's are zipped from A's rows, so at m = 2, whose root
+reads them in its completions, no list of column tuples is built. The
+prefixes in hand hold their minors or packed sums, and P its table.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from operator import mul
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
@@ -110,52 +107,31 @@ class CertificateCheck:
     reason: str
 
 
-def _laplace_plans(m: int) -> tuple[list, list, list]:
-    """(plans, pairs, rows): plans[t], t < m-3, expands the minors of t
-    columns into those of t+1 columns; pairs and rows turn the minors N of
-    an (m-3)-prefix into its sums T_rq and those into its children's R_r.
+def _laplace_plans(m: int) -> list:
+    """plans[t], t < m: the Laplace expansion of the minors of t columns
+    into those of t + 1 columns, along the new last column.
 
-    The minors of t columns are listed by their row t-subset, in
-    combinations order. plans[t] holds, for each row (t+1)-subset, the
-    Laplace terms along the new last column: (sign, row r, index of the
-    t-subset left when row r is removed). A term reads its entry of the
-    new column j as cols[j][r].
-
-    Let P be an (m-3)-prefix with minors N, and b < c < j later columns.
-    Expanding det(P, b, c, j) along its last three columns, with rows q, r
-    and p at columns b, c and j, the coefficient of A[q][b] A[r][c] A[p][j]
-    is e (-1)^(p+q+r+m) N_pqr, e the sign of the sequence (q, r, p) and
-    N_pqr the minor of the other m-3 rows. So with Q_p the packed rows,
-    T_rq = sum_p e (-1)^(p+q+r+m) N_pqr Q_p over p outside {q, r}, and
-    swapping q and r flips e: T_qr = -T_rq. pairs lists, for each pair
-    r < q in combinations order, where the coefficient of each Q_p sits in
-    signed = N + their negatives + [0], the 0 standing at p in {q, r}.
-    rows[r] lists, for each q, where T_rq sits in the T_rq with r < q,
-    their negatives and [0], the 0 standing at q = r, so that
-    R_r = sum_q A[q][b] T_rq is one sum of m products. For m >= 3; at most
-    m 2^m entries in all, twice the m 2^(m-1) Laplace terms the sweep's
-    refusal counts.
+    The minors of t columns are listed by their row t-subsets, in the
+    order of the subsets' bitmasks. plans[t] holds, for each row
+    (t+1)-subset, its terms (sign, row r, index of the t-subset left when
+    r is removed), so that with x the new column the minor on the subset
+    is the sum of sign * x[r] * minors[index]. m 2^(m-1) terms in all.
     """
-    plans = []
-    for t in range(m - 3):
-        index = {sub: i for i, sub in enumerate(combinations(range(m), t))}
-        plans.append([
-            [((-1) ** (q + t), r, index[sub[:q] + sub[q + 1:]]) for q, r in enumerate(sub)]
-            for sub in combinations(range(m), t + 1)
-        ])
-    n = math.comb(m, 3)
-    pair = {rq: i for i, rq in enumerate(combinations(range(m), 2))}
-    pairs = [[2 * n] * m for _ in pair]
-    # the complements of the row 3-subsets, listed in combinations order,
-    # are the (m-3)-subsets in reverse combinations order; odd is the
-    # parity of (q, r, p) as a permutation of (a, b, c), so e = (-1)^odd
-    for i, (a, b, c) in enumerate(combinations(range(m), 3)):
-        for p, r, q, odd in (a, b, c, 1), (b, a, c, 0), (c, a, b, 1):
-            pairs[pair[r, q]][p] = n - 1 - i + (a + b + c + m + odd) % 2 * n
-    rows = [[2 * len(pair) if q == r else pair[r, q] if r < q else pair[q, r] + len(pair)
-             for q in range(m)]
-            for r in range(m)]
-    return plans, pairs, rows
+    index = [0] * (1 << m)
+    subsets = [()] * (1 << m)
+    plans = [[] for _ in range(m)]
+    for s in range(1, 1 << m):
+        top = s.bit_length() - 1
+        sub = subsets[s] = subsets[s ^ 1 << top] + (top,)
+        level = plans[len(sub) - 1]
+        index[s] = len(level)
+        terms = []
+        sign = 1 if len(sub) & 1 else -1  # (-1)^(q+t) at place q, t = len(sub) - 1
+        for r in sub:
+            terms.append((sign, r, index[s ^ 1 << r]))
+            sign = -sign
+        level.append(terms)
+    return plans
 
 
 def _check_shape(A: IntMatrix) -> None:
@@ -199,18 +175,15 @@ def verify_exhaustive(A: IntMatrix,
     the C(d, m) minors proved, in O(m*d). Any other is refused when the
     sweep's Laplace plan, m 2^(m-1) terms, exceeds the budget (C(d, m)
     is 1 on a square matrix and bounds nothing there), and else swept:
-    column prefixes are walked depth first, so each (m-1)-prefix's
-    normal n is computed once and shared by all of its completions.
+    column prefixes are walked depth first, so each prefix's minors are
+    computed once and shared by all of its extensions.
 
-    A prefix's completions are tested at once, in the packed layout of
-    linalg.packed_rows (see the module notes). Neither the (m-2)- nor the
-    (m-1)-prefixes take a Laplace step: each (m-3)-prefix builds the
-    C(m, 2) packed sums T_rq, r < q, its child by column b the m sums
-    R_r = sum_q A[q][b] T_rq, and the grandchild by column c tests
-    H + sum_r A[r][c] R_r, the same integer as H + sum_i n_i Q_i for its
-    normal n, which is never formed. At m = 2 the root builds the R_r from
-    the cofactors, and at m = 1 a minor is an entry, and the failures are
-    the zero entries.
+    Every level takes its step from the one plan (see the module notes):
+    scalar minors above depth max(m-3, 0), where the packed rows of
+    linalg.packed_rows enter as the next column; below it each child
+    takes the step with its column, and a prefix's completions are tested
+    at once. m >= 2 takes that one path; at m = 1 a minor is an entry,
+    and the failures are the zero entries.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -224,57 +197,66 @@ def verify_exhaustive(A: IntMatrix,
             (j,) for j, a in enumerate(A.entries) if not a])
     k = A.max_abs_entry()
     nb, zero, biased, bias = packed_rows(A, math.isqrt((k * k * m) ** m))
+    plans = _laplace_plans(m)
+    top = max(m - 3, 0)
     failures = []
 
-    def complete(prefix, start, rs, hs, columns):
-        # the children of the (m-2)-prefix `prefix`, by the columns
-        # start + i - 1 that `columns` yields: with Q_p packed from column
-        # start on, child c's normal n has sum_p n_p Q_p = sum_r A[r][c] R_r,
-        # so field i on of hs plus that is 2^(w-1) + n . col_(start+i)
+    def fold(ps, t, i, sign):
+        # sign times the packed sum on row subset i of level t, expanded
+        # along column t: a list over the rows r holding the signed sum on
+        # the subset without r (itself such a list above level top + 1),
+        # or 0 where r is off the subset
+        row = [0] * m
+        for s, r, k in plans[t][i]:
+            row[r] = sign * s * ps[k] if t - 1 == top else fold(ps, t - 1, k, sign * s)
+        return row
+
+    def walk(prefix, minors, columns):
+        # columns: A's columns from the next one on, up to d - 2
+        t = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if t < top:
+            cols = list(columns)
+            for j, col in zip(range(start, d - m + t + 1), cols):
+                walk(prefix + (j,), [sum(sign * col[r] * minors[k] for sign, r, k in terms)
+                                     for terms in plans[t]], cols[j + 1 - start:])
+            return
+        # the packed rows from column start on enter as column t
+        shift = 8 * nb * start
+        hs = bias >> shift
+        qs = [(x >> shift) - hs for x in biased]
+        ps = [sum(sign * minors[k] * qs[r] for sign, r, k in terms) for terms in plans[t]]
+        # the sign moves the packed column last: a completion's fields are
+        # then 2^(w-1) + n . col_j, n the normal of its (m-1)-prefix
+        sweep(prefix, start, fold(ps, m - 1, 0, (-1) ** (m - 1 - t)), hs, columns)
+
+    def sweep(prefix, start, table, hs, columns):
+        t = len(prefix)
+        if t < m - 2:
+            # each child by column b contracts the table with col_b and
+            # moves its sums to column b + 1 through the bias
+            cols = list(columns)
+            for b, col in zip(range(start, d - m + t + 1), cols):
+                hb = bias >> 8 * nb * (b + 1)
+                cut = 8 * nb * (b + 1 - start)
+                sweep(prefix + (b,), b + 1,
+                      [(sum(map(mul, col, tr), hs) >> cut) - hb for tr in table], hb,
+                      cols[b + 1 - start:])
+            return
+        # the completions by c = start + i - 1: field j of
+        # hs + sum_r A[r][c] table[r] is 2^(w-1) + n . col_(start+j), n the
+        # normal of prefix + (c,), searched from field i on
         size = (d - start) * nb
         for i, u in enumerate(columns, 1):
-            raw = sum(map(mul, u, rs), hs).to_bytes(size, "little")
+            raw = sum(map(mul, u, table), hs).to_bytes(size, "little")
             pos = raw.find(zero, i * nb)
             if pos >= 0:
                 failures.extend(prefix + (start + i - 1, start + c)
                                 for c in zero_fields(raw, pos, zero))
 
-    def walk(prefix, minors):
-        t = len(prefix)
-        start = prefix[-1] + 1 if prefix else 0
-        if t < m - 3:
-            for j in range(start, d - m + t + 1):
-                col = cols[j]
-                walk(prefix + (j,), [sum(sign * col[r] * minors[k] for sign, r, k in terms)
-                                     for terms in plans[t]])
-            return
-        # the packed rows from column start on, whose field i is column
-        # start + i, and the C(m, 2) sums T_rq, r < q, over them
-        shift = 8 * nb * start
-        hs = bias >> shift
-        qs = [(x >> shift) - hs for x in biased]
-        signed = minors + [-x for x in minors] + [0]
-        ts = [sum(map(mul, map(signed.__getitem__, ks), qs)) for ks in pairs]
-        ts += [-x for x in ts] + [0]
-        trs = [[ts[i] for i in ks] for ks in rows]
-        for b in range(start, d - 2):
-            # R_r = sum_q A[q][b] T_rq, moved to column b + 1 through the
-            # bias: each of its fields is an (m-1)-minor, within the bound
-            col = cols[b]
-            hb = bias >> 8 * nb * (b + 1)
-            cut = 8 * nb * (b + 1 - start)
-            rs = [(sum(map(mul, col, tr), hs) >> cut) - hb for tr in trs]
-            complete(prefix + (b,), b + 1, rs, hb, cols[b + 1:d - 1])
-
-    if m == 2:
-        # the root's children are single columns c, with cofactor normal
-        # (-A[1][c], A[0][c]): R_0 = Q_1 and R_1 = -Q_0
-        q0, q1 = (x - bias for x in biased)
-        complete((), 0, [q1, -q0], bias, zip(A.entries[:d - 1], A.entries[d:-1]))
-    else:
-        cols = [A.column(j) for j in range(d)]
-        plans, pairs, rows = _laplace_plans(m)
-        walk((), [1])
+    # the root's columns are zipped from A's rows, one at a time: at m = 2
+    # the root's completions read them and no list of column tuples is built
+    walk((), [1], zip(*[A.entries[i * d:(i + 1) * d - 1] for i in range(m)]))
     return VerificationReport(total_checked=total, failures=failures,
                               mode="exhaustive")
 

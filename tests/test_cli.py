@@ -618,6 +618,16 @@ class TestCoverCommands:
         out, err = capsys.readouterr()
         assert (out, err) == ("", message + "\n")
 
+    def test_grid_of_many_coordinates_exits_2(self, tmp_path, capsys):
+        # k = 1 and m = 10^8: 3^m is refused from m alone, named as the
+        # power, before the count or the scan is built
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert run(["cover", "verify", "--in", str(path), "--m", "100000000", "--k", "1"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: grid enumeration needs 3^100000000 steps, exceeding the budget of "
+            "10000000; pass a larger budget to override\n"))
+
     def test_min_origin_grid(self, capsys):
         code, doc = run_json(capsys, ["cover", "min", "--m", "4", "--k", "0",
                                       "--json"])

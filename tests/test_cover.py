@@ -157,6 +157,39 @@ class TestVerifyCover:
                                   "budget of 10000000; pass a larger budget to override")
         assert peak < 10 ** 5
 
+    def test_grid_of_many_coordinates_refused_as_the_power(self):
+        # k >= 1 and m past 4,300 and the budget's bit length: 3^m > 2^m >
+        # budget, so (2k+1)^m is refused from m alone, as the power, unbuilt
+        inst = CoverInstance(10 ** 8, 1, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                verify_cover(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.required == (3, 10 ** 8)
+        assert str(exc.value) == ("grid enumeration needs 3^100000000 steps, exceeding the "
+                                  "budget of 10000000; pass a larger budget to override")
+        assert peak < 10 ** 5
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_cover(CoverInstance(5000, 10 ** 5000, ()))
+        assert exc.value.required == (2 * 10 ** 5000 + 1, 5000)
+        assert "needs (at least 10^5000)^5000 steps" in str(exc.value)
+
+    @pytest.mark.parametrize("budget,m,required", [
+        (10 ** 7, 4300, 3 ** 4300), (10 ** 7, 4301, (3, 4301)),
+        (2 ** 5000, 5001, 3 ** 5001), (2 ** 5000, 5002, (3, 5002)),
+    ])
+    def test_power_built_up_to_the_budgets_bit_length(self, budget, m, required):
+        # an exponent up to the budget's bit length, or up to the 4,300
+        # the int-to-str limit allows, builds the count, exact; past both,
+        # 3^m > 2^m > budget is refused as the power
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_cover(CoverInstance(m, 1, ()), budget=budget)
+        assert (exc.value.required, exc.value.budget) == (required, budget)
+        assert verify_cover(CoverInstance(5, 1, ()), budget=243).points_checked == 1
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_point_scan_oracle(self, data):

@@ -3,7 +3,6 @@ import random
 import re
 import tracemalloc
 from itertools import combinations
-from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,11 +234,13 @@ def sweep_bytes(k, m):
 
 
 class TestPackedLevel:
-    """Each (m-2)-prefix holds m packed sums R_r, one per row, and tests
-    each child, extended by column c, with sum_r A[r][c] R_r. Compared
-    with the reference walk, order included, at every field width from 1
-    to 9 bytes: the width is the smallest whole number of bytes that
-    Hadamard's bound allows, never rounded up."""
+    """Each (m-2)-prefix holds m packed sums R_r, one per row of its
+    completing column, in the order and with the signs of the
+    completion's Laplace terms, and tests each completion by column c
+    with sum_r A[r][c] R_r. Compared with the reference walk, order
+    included, at every field width from 1 to 9 bytes: the width is the
+    smallest whole number of bytes that Hadamard's bound allows, never
+    rounded up."""
 
     @pytest.mark.parametrize("k,raw", [
         (1, 1), (127, 2), (128, 3), (32767, 4), (32768, 5),
@@ -314,39 +315,63 @@ FOLD_WIDTHS = list(range(1, 10)) + [42]
 
 
 class TestFoldedLevel:
-    """The walk stops at the (m-3)-prefixes. Each builds the C(m, 2)
-    packed sums T_rq, r < q, its child by column b forms the m sums
-    R_r = sum_q A[q][b] T_rq and shifts them to column b + 1 through the
-    bias, and the grandchild by column c searches H + sum_r A[r][c] R_r.
-    At m = 2 the root builds the R_r. Compared with the reference walk,
-    order included, from m = 2 to 7 and at field widths of 1 to 9 bytes
-    and of 42."""
+    """One Laplace plan serves every level. Above depth max(m-3, 0) the
+    walk carries scalar minors; there the packed rows enter as the next
+    column, each child by column b takes the next step with col_b and
+    moves its m sums to column b + 1 through the bias, and the
+    completion's term list sets their order and signs, so the completion
+    by column c searches H + sum_r A[r][c] R_r. At m = 2 the root is that
+    depth and its completions read the sums of the packed step. Compared
+    with the reference walk, order included, from m = 2 to 7 and at field
+    widths of 1 to 9 bytes and of 42."""
 
-    @pytest.mark.parametrize("m", range(3, 8))
-    def test_tables_expand_the_determinant(self, m):
-        # one field per row: with the plans' minors N of an m x (m-3)
-        # prefix P, sum_r y_r sum_q x_q T_rq read through the tables is
-        # det(P, x, y, z), T_qr = -T_rq, and swapping x and y negates it
-        plans, pairs, rows = _laplace_plans(m)
-        assert len(pairs) == math.comb(m, 2) and len(rows) == m
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_plans_expand_every_level(self, m):
+        # random columns, and at depth max(m-3, 0) a stand-in for the
+        # packed rows: rows of three 64-bit fields, as packed_rows lays
+        # them out. Level by level the plans give perm_det on every row
+        # subset, a term list's rows naming its subset; from the stand-in
+        # on, field j is perm_det with the stand-in's column j there
+        plans = _laplace_plans(m)
+        top, w = max(m - 3, 0), 64
+        half = sum(1 << (w - 1) << w * j for j in range(3))
         rng = random.Random(m)
-        for _ in range(20):
-            P = [[rng.randint(-4, 4) for _ in range(m - 3)] for _ in range(m)]
-            x, y, z = ([rng.randint(-4, 4) for _ in range(m)] for _ in range(3))
+        for _ in range(10 if m < 7 else 2):  # perm_det takes 8! steps at m = 8
+            cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(m)]
+            stand_in = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(m)]
+            packed = [sum(x << w * j for j, x in enumerate(row)) for row in stand_in]
             minors = [1]
-            for t, terms_of in enumerate(plans):
-                minors = [sum(sign * P[r][t] * minors[k] for sign, r, k in terms)
-                          for terms in terms_of]
-            assert minors == [perm_det([P[r] for r in sub])
-                              for sub in combinations(range(m), m - 3)]
-            signed = minors + [-n for n in minors] + [0]
-            ts = [sum(signed[k] * z[p] for p, k in enumerate(ks)) for ks in pairs]
-            full = ts + [-t for t in ts] + [0]
-            T = [[full[i] for i in ks] for ks in rows]
-            assert all(T[r][q] == -T[q][r] for r in range(m) for q in range(m))
-            for u, v in (x, y), (y, x):
-                got = sum(v[r] * sum(map(mul, u, T[r])) for r in range(m))
-                assert got == perm_det([P[i] + [u[i], v[i], z[i]] for i in range(m)])
+            for t, level in enumerate(plans):
+                col = packed if t == top else cols[t]
+                minors = [sum(sign * col[r] * minors[k] for sign, r, k in terms)
+                          for terms in level]
+                subsets = [tuple(r for _, r, _ in terms) for terms in level]
+                assert sorted(subsets) == list(combinations(range(m), t + 1))
+                for sub, got in zip(subsets, minors):
+                    for j in range(3 if t >= top else 1):
+                        entry = [[stand_in[r][j] if c == top else cols[c][r]
+                                  for c in range(t + 1)] for r in sub]
+                        field = ((got + half) >> w * j) % (1 << w) - (1 << (w - 1))
+                        assert (field if t >= top else got) == perm_det(entry)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_plans_hold_the_terms_the_refusal_counts(self, m):
+        # sum_j j C(m, j) = m 2^(m-1): the refusal counts exactly the terms
+        # the plans hold
+        levels = _laplace_plans(m)
+        assert sum(len(terms) for level in levels for terms in level) == m << (m - 1)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_refusal_at_the_plans_size(self, m):
+        # m + 1 columns, the last repeating column 0: a budget of
+        # m 2^(m-1) sweeps, and one less refuses
+        rng = random.Random(m)
+        rows = [r + [r[0]] for r in random_rows(rng, m, m)]
+        A, terms = IntMatrix.from_rows(rows), m << (m - 1)
+        assert verify_exhaustive(A, budget=terms).failures == prefix_sweep(rows)
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_exhaustive(A, budget=terms - 1)
+        assert (exc.value.required, exc.value.budget) == (terms, terms - 1)
 
     @pytest.mark.parametrize("raw", FOLD_WIDTHS)
     def test_every_field_width_and_depth(self, raw):
