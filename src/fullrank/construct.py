@@ -161,6 +161,11 @@ def _multipliers(d: int, m: int) -> list[tuple[int, int]]:
     every column's optimum: a pair names exactly one column, j = a/l mod d,
     whose later residues follow from r -> r*j mod d, and running l upward
     while keeping only a strictly smaller d*q keeps the smallest l.
+    Column d-j = -j mod d has row i equal to (-1)^i times column j's, so
+    (l, -a) names -j with the value (l, a) gives j: the pass walks a >= 0
+    and writes both j and -j (a = 0 names column d alone). Within one l,
+    a -> j is one-to-one, as the range of a is shorter than d, so after
+    each l the state is that of the walk over both signs.
     """
     cap = d // iroot(d, m)
     top = min(cap, (d - 1) // 2)
@@ -168,12 +173,12 @@ def _multipliers(d: int, m: int) -> list[tuple[int, int]]:
     mult = [0] * d
     for l in range(1, min(cap, d // 2) + 1):
         inv = pow(l, -1, d)
-        for a in range(-top, top + 1):
+        for a in range(top + 1):
             j = a * inv % d
             b = best[j]
-            if l >= b or abs(a) >= b:
+            if l >= b or a >= b:
                 continue
-            worst = max(l, abs(a))
+            worst = max(l, a)
             r = a
             for _ in range(m - 2):
                 r = r * j % d
@@ -183,7 +188,8 @@ def _multipliers(d: int, m: int) -> list[tuple[int, int]]:
                     if worst >= b:
                         break
             if worst < b:
-                best[j], mult[j] = worst, l
+                best[j] = best[-j] = worst
+                mult[j] = mult[-j] = l
     return [(mult[j % d], best[j % d]) for j in range(1, d + 1)]
 
 
@@ -283,20 +289,22 @@ def construct_width(m: int, k: int,
     nonzero-minor property survives column truncation.
     """
     exact_ints((d_requested,), "requested width d")
-    limit = max_width(m, k)
+    _window(m, k, VANDERMONDE)  # refuses m and k as every family does
     if d_requested <= m:
         raise ValueError(f"need d > m (got d={as_decimal(d_requested)}, "
                          f"m={as_decimal(m)})")
-    if d_requested > limit:
-        raise ValueError(
-            f"d={as_decimal(d_requested)} exceeds the guaranteed width "
-            f"max(k+1, k^(m/(m-1))/2) = {as_decimal(limit)} for "
-            f"m={as_decimal(m)}, k={as_decimal(k)}"
-        )
     if d_requested <= k + 1:
         # d > m and d <= k+1 force k >= m, the variant's precondition
         matrix, params = construct_vandermonde(m, k)
     else:
+        # max_width(m, k) >= k+1, so only a d past k+1 needs it, and its k^m
+        limit = max_width(m, k)
+        if d_requested > limit:
+            raise ValueError(
+                f"d={as_decimal(d_requested)} exceeds the guaranteed width "
+                f"max(k+1, k^(m/(m-1))/2) = {as_decimal(limit)} for "
+                f"m={as_decimal(m)}, k={as_decimal(k)}"
+            )
         matrix, params = construct_scaled(m, k)
     if d_requested != matrix.cols:
         matrix = select_columns(matrix, range(d_requested))

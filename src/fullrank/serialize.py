@@ -164,10 +164,29 @@ def cover_from_obj(obj, k: int, m: int | None = None) -> CoverInstance:
     return CoverInstance(m=m, k=k, normals=tuple(normals))
 
 
+def _indented(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2)'s text for obj, whose line starts with pad.
+    Any indent selects json's pure-Python encoder, one step per token, so
+    dicts and non-empty lists recurse here and a flat list of ints is
+    joined by str in one call; every other value, an empty container
+    included, is json.dumps's (dict keys are strings in every document)."""
+    if not (obj and isinstance(obj, (dict, list, tuple))):
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        body = ("," + inner).join(json.dumps(key) + ": " + _indented(value, inner)
+                                  for key, value in obj.items())
+        return "{" + inner + body + pad + "}"
+    if set(map(type, obj)) == {int}:  # not bool, which json writes as true
+        body = ("," + inner).join(map(str, obj))
+    else:
+        body = ("," + inner).join(_indented(x, inner) for x in obj)
+    return "[" + inner + body + pad + "]"
+
+
 def save_json(path: str, obj: dict) -> None:
-    # json.dump would write once per token: the indented encoder is pure
-    # Python; dumps gives the same text in one string
-    text = json.dumps(obj, indent=2) + "\n"
+    # one string and one write: json.dump would write once per token
+    text = _indented(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -12,10 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fullrank.attack import attack_params
-from fullrank.cli import build_parser, run
+from fullrank.cli import _all_digits, build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
 from fullrank.cover import CoverCheck, cover_lower_bound
 from fullrank.intmath import primitive_vector
@@ -136,6 +136,56 @@ def test_save_json_writes_what_json_dump_writes(tmp_path):
     text = io.StringIO()
     json.dump(doc, text, indent=2)
     assert path.read_bytes() == (text.getvalue() + "\n").encode()
+
+
+INTS = st.integers()
+INT_LISTS = st.lists(INTS)
+RATIONALS = st.lists(st.fractions().map(rational_to_str))
+# every document the CLI writes with --out: a matrix with and without
+# scalings, a measurement, a signal, a certificate and cover min's normals
+OUT_DOCS = st.one_of(
+    st.fixed_dictionaries({"m": INTS, "d": INTS, "k": st.none() | INTS,
+                           "modulus": st.none() | INTS, "entries": INT_LISTS,
+                           "scalings": st.none() | INT_LISTS}),
+    st.fixed_dictionaries({"b": RATIONALS, "noise": RATIONALS,
+                           "noise_bound": st.fractions().map(rational_to_str)}),
+    st.fixed_dictionaries({"d": INTS, "support": INT_LISTS, "values": INT_LISTS}),
+    st.fixed_dictionaries({"t": INTS, "coeffs": INT_LISTS, "columns": INT_LISTS}),
+    st.lists(INT_LISTS),
+)
+TEXT = st.text() | st.sampled_from(["a, b", ", ", ",\n  ", "\u00e9t\u00e9", "\u2603", '"q"'])
+SCALARS = st.none() | st.booleans() | INTS | st.floats() | TEXT
+ANY_DOC = st.recursive(SCALARS, lambda inner: st.lists(inner) | st.tuples(inner, inner)
+                       | st.dictionaries(TEXT, inner))
+
+
+def written(doc) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        save_json(str(path), doc)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(OUT_DOCS | ANY_DOC)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}], "d": [[]]})
+@example(True)
+@example(None)
+@example([True, 1, False, 0])
+@example({"\u00e9": ["x, y", 1, None], ", ": 2})
+def test_save_json_is_json_dumps_indent_2(doc):
+    # the writer's bytes are json.dumps(doc, indent=2)'s and a newline
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def test_save_json_writes_an_int_past_the_digit_limit():
+    # Python's int-to-str limit is 4,300 digits; the CLI writes its files
+    # with that limit lifted, and the joined int lists follow it there
+    doc = {"k": 10 ** 4999, "entries": [1, -(10 ** 4999), 2], "rows": [[10 ** 4999]]}
+    with _all_digits():
+        assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 class TestMatrixJson:

@@ -272,11 +272,20 @@ class TestDirichletScale:
             d = params.d
             seen.add(d)
             assert params.scale_reports == tuple(_multipliers(d, m)), (m, k)
+            # column d - j is (-1)^i times column j in row i: same l, same q
+            assert all(params.scale_reports[j - 1] == params.scale_reports[d - j - 1]
+                       for j in range(1, d)), (m, k)
             for j in range(d):
                 got = (params.scalings[j], max(map(abs, A.column(j))))
                 assert got == scan_multiplier(j + 1, d, m) == \
                     params.scale_reports[j], (m, k, j)
         assert seen
+
+    @pytest.mark.parametrize("m,k,d", [(2, 36, 653), (3, 103, 523)])
+    def test_largest_bench_shapes_match_scan(self, m, k, d):
+        # the widest families the build workload constructs
+        assert find_prime_in(*_window(m, k, SCALED)) == d
+        assert _multipliers(d, m) == [scan_multiplier(j, d, m) for j in range(1, d + 1)]
 
     @pytest.mark.parametrize("m,k,d", [(4, 11, 13), (5, 20, 23), (6, 37, 41)])
     def test_box_of_whole_range(self, m, k, d):
@@ -345,6 +354,26 @@ class TestConstruct:
     def test_d_not_above_m_rejected(self):
         with pytest.raises(ValueError):
             construct(3, 5, 3)
+
+    def test_width_only_past_k_plus_1(self, monkeypatch):
+        # d <= k+1 is inside max_width >= k+1, so its k^m (4.3 million
+        # digits at m = 1000, k = 10^4299) is never built: the power-residue
+        # family refuses the request by its fixed size limit
+        widths = []
+        monkeypatch.setattr(construct_mod, "max_width",
+                            lambda m, k: widths.append((m, k)) or k + 1)
+        with pytest.raises(BudgetExceededError, match=str(DEFAULT_BUDGET)):
+            construct(1000, 10 ** 4299, 1001)
+        assert widths == []
+        with pytest.raises(ValueError, match="exceeds the guaranteed width"):
+            construct(2, 5, 7)
+        assert widths == [(2, 5)]
+        # m and k are refused before d, and d <= m before the width
+        with pytest.raises(ValueError, match="need m >= 2 and k >= 1"):
+            construct(1, 5, 1)
+        with pytest.raises(ValueError, match="need d > m"):
+            construct(3, 10 ** 4299, 3)
+        assert widths == [(2, 5)]
 
     def test_prefers_power_residues_when_both_cover(self):
         # for k=5, d=6 is coverable by both families; entries must obey
