@@ -316,8 +316,7 @@ def run(argv) -> int:
                 human += f" -> {args.out}"
             text = json.dumps(res.doc) if args.json else human
         if res.csv is not None:
-            with open(args.csv_out, "w", encoding="utf-8") as fh:
-                fh.write(res.csv)
+            ser.save_text(args.csv_out, res.csv)
         # flushed here, so a failed write to stdout is an error like any other
         print(text, flush=True)
     except (OSError, ValueError) as exc:

@@ -12,6 +12,8 @@ exact_rationals).
 """
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 from .construct import BoundsReport, ConstructionParams
@@ -167,8 +169,8 @@ def cover_from_obj(obj, k: int, m: int | None = None) -> CoverInstance:
 def _indented(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2)'s text for obj, whose line starts with pad.
     Any indent selects json's pure-Python encoder, one step per token, so
-    dicts and non-empty lists recurse here and a flat list of ints is
-    joined by str in one call; every other value, an empty container
+    dicts and non-empty lists recurse here and a flat list of ints or of
+    strings is joined in one call; every other value, an empty container
     included, is json.dumps's (dict keys are strings in every document)."""
     if not (obj and isinstance(obj, (dict, list, tuple))):
         return json.dumps(obj)
@@ -177,18 +179,46 @@ def _indented(obj, pad: str = "\n") -> str:
         body = ("," + inner).join(json.dumps(key) + ": " + _indented(value, inner)
                                   for key, value in obj.items())
         return "{" + inner + body + pad + "}"
-    if set(map(type, obj)) == {int}:  # not bool, which json writes as true
+    kinds = set(map(type, obj))
+    if kinds == {int}:  # not bool, which json writes as true
         body = ("," + inner).join(map(str, obj))
+    elif kinds == {str}:
+        body = ("," + inner).join(map(json.dumps, obj))
     else:
         body = ("," + inner).join(_indented(x, inner) for x in obj)
     return "[" + inner + body + pad + "]"
 
 
+def save_text(path: str, text: str) -> None:
+    """Write text, UTF-8, as the whole content of the file at path, made
+    with open(path, "w")'s permissions if missing. A regular file is
+    rewritten in place: its length is set to the new text's before the
+    write, never to zero first, which on ext4 starts a flush of the file
+    at close (nothing is fsynced either way). A target that is not a
+    regular file (/dev/null, a pipe) is written without a truncate. If a
+    write fails, a regular file is cut to 0 bytes, so no old tail stays
+    behind a new prefix, and the error is raised."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            if regular:
+                os.ftruncate(fd, len(data))
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except OSError:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
+
+
 def save_json(path: str, obj: dict) -> None:
-    # one string and one write: json.dump would write once per token
-    text = _indented(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # one string for save_text: json.dump would write once per token
+    save_text(path, _indented(obj) + "\n")
 
 
 def load_json(path: str):

@@ -5,15 +5,18 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fullrank import serialize
 from fullrank.attack import attack_params
 from fullrank.cli import _all_digits, build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
@@ -31,6 +34,7 @@ from fullrank.serialize import (
     rational_from_str,
     rational_to_str,
     save_json,
+    save_text,
 )
 from oracles import all_minors_nonzero, floor_exp, floor_sqrt_ln
 
@@ -175,6 +179,8 @@ def written(doc) -> bytes:
 @example(None)
 @example([True, 1, False, 0])
 @example({"\u00e9": ["x, y", 1, None], ", ": 2})
+@example(["x, y", "\u00e9t\u00e9", ", ", '"q"', "\u2603", "", ",\n  "])
+@example({"b": ["1/2", "-\u00e9, 3"], "noise": ["a", 1], "c": [["\u2603"]]})
 def test_save_json_is_json_dumps_indent_2(doc):
     # the writer's bytes are json.dumps(doc, indent=2)'s and a newline
     assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode()
@@ -303,6 +309,114 @@ class TestConstructCommand:
                     "--csv-out", str(path)]) == 0
         assert path.read_text() == "1,1,1,1,1\n1,2,-2,-1,0\n"
         assert capsys.readouterr().out.endswith(f" -> {path}\n")
+
+
+def out_argv(*argv):
+    """The argv of a command that writes one file, whose path follows."""
+    return lambda path: [*argv, str(path)]
+
+
+CONSTRUCT_3_523 = out_argv("construct", "--variant", "scaled", "--m", "3",
+                           "--k", "103", "--out")
+CONSTRUCT_2_313 = out_argv("construct", "--variant", "scaled", "--m", "2",
+                           "--k", "25", "--out")
+
+
+def with_write(monkeypatch, write):
+    """serialize's os module with os.write replaced by write."""
+    monkeypatch.setattr(serialize, "os", types.SimpleNamespace(**{**vars(os), "write": write}))
+
+
+class TestFileWriter:
+    """Every file the CLI writes holds exactly a fresh file's bytes, also
+    over an existing file, longer or shorter; a failed write leaves none of
+    the old bytes behind."""
+
+    @pytest.fixture
+    def encode_files(self, mat_path, tmp_path):
+        (tmp_path / "sig.json").write_text(json.dumps(SIGNAL))
+        return ["recover", "encode", "--in", mat_path,
+                "--signal", str(tmp_path / "sig.json")]
+
+    @pytest.mark.parametrize("shorter_second", [True, False])
+    @pytest.mark.parametrize("kind", ["construct", "encode", "csv"])
+    def test_overwrite_is_a_fresh_write(self, tmp_path, capsys, encode_files,
+                                        kind, shorter_second):
+        long, short = {
+            "construct": (CONSTRUCT_3_523, CONSTRUCT_2_313),
+            "encode": (out_argv(*encode_files, "--noise",
+                                "123456789/987654321,-1/5", "--out"),
+                       out_argv(*encode_files, "--out")),
+            "csv": (out_argv("construct", "--m", "3", "--k", "30", "--csv-out"),
+                    out_argv("construct", "--m", "2", "--k", "3", "--csv-out")),
+        }[kind]
+        first, second = (long, short) if shorter_second else (short, long)
+        path, fresh = tmp_path / "target", tmp_path / "fresh"
+        assert run(first(path)) == 0
+        old = path.stat().st_size
+        assert run(second(path)) == 0 and run(second(fresh)) == 0
+        assert path.read_bytes() == fresh.read_bytes()
+        assert (fresh.stat().st_size < old) == shorter_second
+
+    def test_partial_writes_are_completed(self, tmp_path, capsys, monkeypatch):
+        # os.write may write fewer bytes than asked; the rest follows
+        real = os.write
+        with_write(monkeypatch, lambda fd, data: real(fd, data[:1000]))
+        assert run(CONSTRUCT_3_523(tmp_path / "A.json")) == 0
+        monkeypatch.undo()
+        assert run(CONSTRUCT_3_523(tmp_path / "fresh.json")) == 0
+        assert (tmp_path / "A.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no /dev/null")
+    def test_out_dev_null(self, capsys):
+        # a target that is not a regular file is written without a truncate
+        assert run(CONSTRUCT_2_313(os.devnull)) == 0
+        assert capsys.readouterr().out == (
+            "constructed 2x313 matrix (variant=scaled, modulus=313, "
+            f"entry_bound=25) -> {os.devnull}\n")
+
+    @pytest.mark.parametrize("written_before_failure", [0, 2])
+    def test_failed_write_leaves_an_empty_file(self, tmp_path, capsys,
+                                               monkeypatch, written_before_failure):
+        # without the cut, the new text's prefix over the old file's tail
+        # could still parse as JSON
+        path = tmp_path / "A.json"
+        assert run(CONSTRUCT_3_523(path)) == 0
+        capsys.readouterr()
+        real, calls = os.write, []
+
+        def write(fd, data):
+            calls.append(fd)
+            if len(calls) > written_before_failure:
+                raise OSError(28, "No space left on device")
+            return real(fd, data[:100])
+
+        with_write(monkeypatch, write)
+        assert run(CONSTRUCT_2_313(path)) == 2
+        assert len(calls) == written_before_failure + 1
+        assert path.read_bytes() == b""
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002, 0o077])
+    def test_new_file_mode_is_opens(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "by_open", "w"):
+                pass
+            save_text(str(tmp_path / "by_writer"), "x\n")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("by_open", "by_writer")}
+        assert len(modes) == 1
+
+    def test_open_errors_name_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "A.json"
+        assert run(CONSTRUCT_2_313(missing)) == 2
+        assert run(CONSTRUCT_2_313(tmp_path)) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+            f"error: [Errno 21] Is a directory: '{tmp_path}'\n"))
 
 
 class TestVerifyCommand:
