@@ -309,12 +309,17 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         res = args.func(args)
-        human = res.human
+        human, written = res.human, None
         with _all_digits():
             if res.out_doc is not None and args.out:
-                ser.save_json(args.out, res.out_doc)
+                written = ser.save_json(args.out, res.out_doc)
                 human += f" -> {args.out}"
-            text = json.dumps(res.doc) if args.json else human
+            if not args.json:
+                text = human
+            elif res.out_doc is res.doc and written is not None:
+                text = written  # save_json's one rendering, printed as well
+            else:
+                text = json.dumps(res.doc)
         if res.csv is not None:
             ser.save_text(args.csv_out, res.csv)
         # flushed here, so a failed write to stdout is an error like any other

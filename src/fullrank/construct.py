@@ -178,7 +178,7 @@ def _multipliers(d: int, m: int) -> list[tuple[int, int]]:
             b = best[j]
             if l >= b or a >= b:
                 continue
-            worst = max(l, a)
+            worst = l if l > a else a
             r = a
             for _ in range(m - 2):
                 r = r * j % d

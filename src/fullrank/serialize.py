@@ -14,7 +14,9 @@ exact_rationals).
 import json
 import os
 import stat
+import sys
 from fractions import Fraction
+from operator import add
 
 from .construct import BoundsReport, ConstructionParams
 from .cover import CoverCheck, CoverInstance
@@ -166,27 +168,52 @@ def cover_from_obj(obj, k: int, m: int | None = None) -> CoverInstance:
     return CoverInstance(m=m, k=k, normals=tuple(normals))
 
 
-def _indented(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2)'s text for obj, whose line starts with pad.
-    Any indent selects json's pure-Python encoder, one step per token, so
-    dicts and non-empty lists recurse here and a flat list of ints or of
-    strings is joined in one call; every other value, an empty container
-    included, is json.dumps's (dict keys are strings in every document)."""
+def _texts(obj, pad: str = "\n") -> tuple[str, str]:
+    """json.dumps(obj)'s text and json.dumps(obj, indent=2)'s, whose line
+    starts with pad, made in one pass. Any indent selects json's
+    pure-Python encoder, one step per token, so dicts and non-empty lists
+    recurse here. A flat list of ints is json.dumps's text, made once by
+    its C encoder; no int holds ", ", so its indented text is that text
+    with each ", " a line break. A flat list of strings is joined from
+    each item's json.dumps. Every other value, an empty container
+    included, is json.dumps's in both (dict keys are strings in every
+    document)."""
     if not (obj and isinstance(obj, (dict, list, tuple))):
-        return json.dumps(obj)
+        text = json.dumps(obj)
+        return text, text
     inner = pad + "  "
     if isinstance(obj, dict):
-        body = ("," + inner).join(json.dumps(key) + ": " + _indented(value, inner)
-                                  for key, value in obj.items())
-        return "{" + inner + body + pad + "}"
+        keys = [json.dumps(key) + ": " for key in obj]
+        compact, indented = zip(*(_texts(value, inner) for value in obj.values()))
+        return ("{" + ", ".join(map(add, keys, compact)) + "}",
+                "{" + inner + ("," + inner).join(map(add, keys, indented)) + pad + "}")
     kinds = set(map(type, obj))
     if kinds == {int}:  # not bool, which json writes as true
-        body = ("," + inner).join(map(str, obj))
-    elif kinds == {str}:
-        body = ("," + inner).join(map(json.dumps, obj))
+        text = json.dumps(obj)
+        return text, "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
+    if kinds == {str}:
+        compact = indented = list(map(json.dumps, obj))
     else:
-        body = ("," + inner).join(_indented(x, inner) for x in obj)
-    return "[" + inner + body + pad + "]"
+        compact, indented = zip(*(_texts(x, inner) for x in obj))
+    return ("[" + ", ".join(compact) + "]",
+            "[" + inner + ("," + inner).join(indented) + pad + "]")
+
+
+def _std_fd(fd: int, st: os.stat_result) -> int:
+    """1 or 2 when the regular file st, open on fd, is the file open on
+    fd 1 or fd 2, its stream (sys.stdout, sys.stderr) flushed; else fd. A
+    closed fd 1 or 2 is no file, and one that fd itself now holds is not
+    the stream's."""
+    for std, stream in ((1, sys.stdout), (2, sys.stderr)):
+        try:
+            same = std != fd and os.path.samestat(st, os.fstat(std))
+        except OSError:
+            continue
+        if same:
+            if stream is not None:
+                stream.flush()
+            return std
+    return fd
 
 
 def save_text(path: str, text: str) -> None:
@@ -197,28 +224,41 @@ def save_text(path: str, text: str) -> None:
     at close (nothing is fsynced either way). A target that is not a
     regular file (/dev/null, a pipe) is written without a truncate. If a
     write fails, a regular file is cut to 0 bytes, so no old tail stays
-    behind a new prefix, and the error is raised."""
+    behind a new prefix, and the error is raised.
+
+    A regular file that is the one open on fd 1 or fd 2 (--out /dev/stdout
+    with stdout redirected to a file) is that stream's next text: the
+    stream is flushed and the text written through its descriptor at its
+    own offset, with no truncate, so what was written there before and
+    the lines printed after both stay."""
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        out = _std_fd(fd, st) if regular else fd
+        in_place = regular and out == fd
         try:
-            if regular:
+            if in_place:
                 os.ftruncate(fd, len(data))
             view = memoryview(data)
             while view:
-                view = view[os.write(fd, view):]
+                view = view[os.write(out, view):]
         except OSError:
-            if regular:
+            if in_place:
                 os.ftruncate(fd, 0)
             raise
     finally:
         os.close(fd)
 
 
-def save_json(path: str, obj: dict) -> None:
-    # one string for save_text: json.dump would write once per token
-    save_text(path, _indented(obj) + "\n")
+def save_json(path: str, obj) -> str:
+    """Write json.dump(obj, indent=2)'s text and a newline as the file at
+    path, in one string (json.dump writes once per token); returns
+    json.dumps(obj)'s text, made in the same pass."""
+    compact, indented = _texts(obj)
+    save_text(path, indented + "\n")
+    return compact
 
 
 def load_json(path: str):

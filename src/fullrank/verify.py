@@ -7,9 +7,10 @@ geometric progression mod p: c_0 != 0 and c_i = c_0 * r^i (mod p), with
 ratios r pairwise distinct mod p. Then every m x m minor is
 (prod c_0) * prod_{a<b} (r_b - r_a) mod p, a unit times a Vandermonde
 determinant on distinct nodes, so it is nonzero mod p and hence over the
-integers. geometric_structure checks this in O(m*d) exact integer steps
-and needs the modulus alone; both families and their column subsets
-qualify. When it proves A, the reports are what the sweep would return.
+integers. geometric_structure checks this in O(m*d) exact integer steps,
+inverting each distinct head once, and needs the modulus alone; both
+families and their column subsets qualify. When it proves A, the
+reports are what the sweep would return.
 
 Otherwise the exhaustive sweep builds column sets one column at a time
 and carries every maximal minor of the columns taken so far; appending a
@@ -64,7 +65,8 @@ prefixes in hand hold their minors or packed sums, and P its table.
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import mod, mul
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints
@@ -149,15 +151,18 @@ def geometric_structure(
     r = c_1 / c_0 and the ratios pairwise distinct mod p; ratios is empty
     at m = 1, where a minor is its entry. Then each minor is the product
     of its heads times a Vandermonde determinant on distinct nodes, a unit
-    mod p. O(m*d) exact integer steps; a matrix without a modulus is
-    never proved.
+    mod p. O(m*d) exact integer steps, with one modular inverse per
+    distinct head (a scaled family has at most Q of them, a Vandermonde
+    family one); a matrix without a modulus is never proved.
     """
     p, heads = A.modulus, A.row(0)
     if p is None or A.cols > p or not all(c % p for c in heads):
         return None
     if A.rows == 1:
         return p, heads, ()
-    ratios = tuple(c1 * pow(c0, -1, p) % p for c0, c1 in zip(heads, A.row(1)))
+    inverse = {c: pow(c, -1, p) for c in set(heads)}
+    ratios = tuple(map(mod, map(mul, A.row(1), map(inverse.__getitem__, heads)),
+                       repeat(p)))
     if len(set(ratios)) < len(ratios):
         return None
     for i in range(2, A.rows):

@@ -5,9 +5,10 @@ permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
 decimal exponentials and logarithms, a minor sweep with one dot product
 per completion, a per-column multiplier scan, a decoder that revisits
-candidates, a point-by-point grid cover check, and two collision scans:
+candidates, a point-by-point grid cover check, two collision scans:
 one over every pair of coefficient vectors and one over every
-difference, each recomputing its row combinations.
+difference, each recomputing its row combinations, and the structural
+proof with one modular inverse per column.
 """
 
 import decimal
@@ -245,3 +246,20 @@ def collision_difference_scan(rows, t, lam, min_agree):
             if len(agree) >= min_agree:
                 return coeffs, tuple(agree[:min_agree])
     return None
+
+
+def geometric_structure_per_column(A):
+    """verify.geometric_structure's (p, heads, ratios) or None, each ratio
+    c_1 * c_0^-1 mod p with its own column's inverse."""
+    p, heads = A.modulus, A.row(0)
+    if p is None or A.cols > p or not all(c % p for c in heads):
+        return None
+    if A.rows == 1:
+        return p, heads, ()
+    ratios = tuple(c1 * pow(c0, -1, p) % p for c0, c1 in zip(heads, A.row(1)))
+    if len(set(ratios)) < len(ratios):
+        return None
+    for i in range(2, A.rows):
+        if any((a * r - b) % p for a, r, b in zip(A.row(i - 1), ratios, A.row(i))):
+            return None
+    return p, heads, ratios

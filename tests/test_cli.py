@@ -163,11 +163,18 @@ ANY_DOC = st.recursive(SCALARS, lambda inner: st.lists(inner) | st.tuples(inner,
                        | st.dictionaries(TEXT, inner))
 
 
-def written(doc) -> bytes:
+def written(doc) -> tuple[bytes, str]:
+    """The bytes save_json writes for doc, and the text it returns."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
-        save_json(str(path), doc)
-        return path.read_bytes()
+        compact = save_json(str(path), doc)
+        return path.read_bytes(), compact
+
+
+def dumped(doc) -> tuple[bytes, str]:
+    """What written(doc) must be: json.dumps(doc, indent=2)'s text and a
+    newline, and json.dumps(doc)'s text."""
+    return (json.dumps(doc, indent=2) + "\n").encode(), json.dumps(doc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,8 +189,9 @@ def written(doc) -> bytes:
 @example(["x, y", "\u00e9t\u00e9", ", ", '"q"', "\u2603", "", ",\n  "])
 @example({"b": ["1/2", "-\u00e9, 3"], "noise": ["a", 1], "c": [["\u2603"]]})
 def test_save_json_is_json_dumps_indent_2(doc):
-    # the writer's bytes are json.dumps(doc, indent=2)'s and a newline
-    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode()
+    # the writer's bytes are json.dumps(doc, indent=2)'s and a newline, and
+    # the text it returns from the same pass is json.dumps(doc)'s
+    assert written(doc) == dumped(doc)
 
 
 def test_save_json_writes_an_int_past_the_digit_limit():
@@ -191,7 +199,7 @@ def test_save_json_writes_an_int_past_the_digit_limit():
     # with that limit lifted, and the joined int lists follow it there
     doc = {"k": 10 ** 4999, "entries": [1, -(10 ** 4999), 2], "rows": [[10 ** 4999]]}
     with _all_digits():
-        assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode()
+        assert written(doc) == dumped(doc)
 
 
 class TestMatrixJson:
@@ -357,6 +365,67 @@ class TestFileWriter:
         assert run(second(path)) == 0 and run(second(fresh)) == 0
         assert path.read_bytes() == fresh.read_bytes()
         assert (fresh.stat().st_size < old) == shorter_second
+
+    @pytest.mark.parametrize("kind", ["3x523", "2x313", "encode", "encode noise"])
+    def test_json_line_is_the_same_with_out(self, tmp_path, capsys, encode_files, kind):
+        # with --out, construct and recover encode print the rendering of
+        # the document they wrote, which is the line printed without it
+        argv = {"3x523": CONSTRUCT_3_523(tmp_path / "A.json")[:-2],
+                "2x313": CONSTRUCT_2_313(tmp_path / "A.json")[:-2],
+                "encode": encode_files,
+                "encode noise": [*encode_files, "--noise", "123456789/987654321,-1/5"],
+                }[kind] + ["--json"]
+        capsys.readouterr()  # the fixture's construct line
+        assert run(argv) == 0
+        alone = capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "doc.json")]) == 0
+        assert capsys.readouterr() == alone
+        assert (tmp_path / "doc.json").read_text() == json.dumps(
+            json.loads(alone.out), indent=2) + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("option,fd", [("--csv-out", 1), ("--out", 1), ("--out", 2)])
+    def test_out_to_a_redirected_std_stream(self, tmp_path, option, fd):
+        # the stream's file, named as /dev/stdout or /dev/stderr, holds what
+        # the shell wrote before, the file, what the command printed there
+        # after it, and what the shell wrote next; none is overwritten
+        path, name = tmp_path / "f.txt", ("/dev/stdout", "/dev/stderr")[fd - 1]
+        argv = ["construct", "--m", "2", "--k", "3", option, name, "--json"]
+        script = f'{{ echo header-line >&{fd}; "$@"; echo tail >&{fd}; }} {fd}> "$0"'
+        proc = subprocess.run(["sh", "-c", script, str(path), sys.executable,
+                               "-m", "fullrank", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        doc = matrix_to_dict(*construct_vandermonde(2, 3))
+        text = ("1,1,1,1,1\n1,2,-2,-1,0\n" if option == "--csv-out"
+                else json.dumps(doc, indent=2) + "\n")
+        printed = json.dumps(doc) + "\n"
+        if fd == 1:
+            text += printed
+        else:
+            assert proc.stdout == printed
+        assert path.read_text() == "header-line\n" + text + "tail\n"
+
+    @pytest.mark.parametrize("closed", [(1,), (2,), (1, 2)])
+    def test_target_on_a_closed_std_descriptor(self, tmp_path, closed):
+        # with fd 1 or fd 2 closed, the target opens on it; it is then the
+        # target, not the stream's file, and is rewritten as any file is,
+        # with nothing in it of stdout's unflushed text (which os._exit
+        # drops, as its descriptor is closed)
+        path = tmp_path / "A.json"
+        path.write_text("x" * 100)
+        code = ("import os, sys\n"
+                "sys.stdout.write('unflushed')\n"
+                f"for fd in {closed}:\n"
+                "    os.close(fd)\n"
+                "from fullrank.serialize import save_text\n"
+                "save_text(sys.argv[1], 'new\\n')\n"
+                "os._exit(0)\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert path.read_text() == "new\n"
 
     def test_partial_writes_are_completed(self, tmp_path, capsys, monkeypatch):
         # os.write may write fewer bytes than asked; the rest follows

@@ -28,7 +28,12 @@ from fullrank.verify import (
     verify_sampled,
 )
 from fullrank.verify import _laplace_plans
-from oracles import all_minors_nonzero, perm_det, prefix_sweep
+from oracles import (
+    all_minors_nonzero,
+    geometric_structure_per_column,
+    perm_det,
+    prefix_sweep,
+)
 
 
 @pytest.fixture
@@ -608,6 +613,36 @@ class TestGeometricStructure:
             report = verify_sampled(A, trials, seed)
             assert report == verify_sampled(unannotated(A), trials, seed)
             assert (report.total_checked, report.seed, report.trials) == (trials, seed, trials)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_inverse_per_head_is_per_column(self, seed):
+        # heads drawn from a few values, negative ones and 0 mod p among
+        # them; ratios from fewer values than columns at times, so two may
+        # agree; m = 1 and widths p and p + 1 included; about one matrix in
+        # two is a geometric progression mod p, mostly proved
+        rng = random.Random(seed)
+        proved = 0
+        for _ in range(400):
+            p = rng.choice([3, 5, 7, 11, 31])
+            half = p // 2
+            m, d = rng.randint(1, 4), rng.choice([1, 2, 3, p - 1, p, p + 1])
+            d = max(d, m)
+            heads = [(rng.choice([1, -1, 2, -2, half, p] if rng.random() < 0.1
+                                 else [1, -1, 2, -2, half]) + half) % p - half
+                     for _ in range(d)]
+            if rng.random() < 0.5:
+                nodes = rng.sample(range(p), min(d, p)) + [0] * (d - p)
+                if rng.random() < 0.2:
+                    nodes[-1] = nodes[0]
+                entries = [(h * pow(r, i, p) + half) % p - half
+                           for i in range(m) for h, r in zip(heads, nodes)]
+            else:
+                entries = heads + [rng.randint(-half, half) for _ in range(d * (m - 1))]
+            A = IntMatrix(m, d, tuple(entries), modulus=p)
+            got = geometric_structure(A)
+            assert got == geometric_structure_per_column(A)
+            proved += got is not None
+        assert 50 < proved < 350
 
     # members small enough for the permutation-expansion oracle
     SMALL = [(A, p) for A, p in FAMILY if A.cols <= 13 and A.rows <= 4]
