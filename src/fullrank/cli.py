@@ -332,6 +332,10 @@ def run(argv) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
+    if sys.stdout is None:  # started with fd 1 closed: print wrote nothing
+        if code != 2:
+            print("error: standard output is closed", file=sys.stderr)
+        sys.exit(2)
     try:
         sys.stdout.flush()
     except OSError as exc:

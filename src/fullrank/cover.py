@@ -3,15 +3,16 @@ through the origin.
 
 Includes the exact lower bound ceil(k^(m/(m-1)) / (2m-2)) on the number
 of hyperplanes needed, a cover verifier that scans the grid one line at
-a time (a hyperplane holds a whole line or at most one of its points),
+a time up to its middle line (a hyperplane holds a whole line or at most
+one of its points, and x exactly when it holds -x),
 the column-counting duality check (a matrix with all maximal minors
 invertible puts at most m-1 of its columns on any hyperplane), and an
 exact minimum-cover search for tiny grids.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count, product, repeat
-from operator import add, floordiv, mod, mul, not_
+from itertools import chain, combinations, count, islice, product, repeat
+from operator import add, floordiv, mul
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints, iroot, primitive_vector
@@ -31,14 +32,20 @@ class CoverInstance:
         exact_ints((self.m, self.k), "cover m and k")
         if self.m < 1 or self.k < 0:
             raise ValueError("need m >= 1 and k >= 0")
-        normals = tuple(exact_ints(n, "normal") for n in self.normals)
-        for i, n in enumerate(normals):
-            if len(n) != self.m:
-                raise ValueError(f"normal {i} has length {len(n)}, "
-                                 f"expected {as_decimal(self.m)}")
-            if not any(n):
-                raise ValueError(f"normal {i} is zero")
-        object.__setattr__(self, "normals", normals)
+        normals = tuple(self.normals)
+        # one pass over the entries, one over the lengths and zeros; only a
+        # failure runs the per-normal checks, which name the first fault
+        if not ({tuple, list}.issuperset(map(type, normals))
+                and {int}.issuperset(map(type, chain.from_iterable(normals)))
+                and {self.m}.issuperset(map(len, normals)) and all(map(any, normals))):
+            normals = tuple(exact_ints(n, "normal") for n in normals)
+            for i, n in enumerate(normals):
+                if len(n) != self.m:
+                    raise ValueError(f"normal {i} has length {len(n)}, "
+                                     f"expected {as_decimal(self.m)}")
+                if not any(n):
+                    raise ValueError(f"normal {i} is zero")
+        object.__setattr__(self, "normals", tuple(map(tuple, normals)))
 
 
 @dataclass(frozen=True)
@@ -68,21 +75,28 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
     Scans the lines x_1..x_{m-1} fixed in lexicographic order, so a
     rejection reports the first uncovered point of the lexicographic
     scan from (-k, ..., -k), and points_checked is that point's position
-    in the scan (the grid's size when accepted). On one line a normal
-    with n_m = 0 holds every point or none; one with n_m != 0 holds at
-    most the point x_m = -s/n_m, s = n_{<m}.x_{<m}, when n_m divides s
-    and the quotient lies in [-k, k]. An empty normal list covers
-    nothing, so it is rejected at the first point. The budget counts
-    every grid point, and never fewer than m, the coordinates of one: the
-    k = 0 grid is one point, and the scan still builds m - 1 lists. A
-    large m is refused from m alone, as the power (2k+1)^m, never built.
+    in the scan (the grid's size when accepted). A hyperplane through the
+    origin holds x exactly when it holds -x, the point at the mirror
+    position (2k+1)^m - 1 - pos(x), so the first uncovered point, if there
+    is one, lies at or before the origin, and the scan stops after the
+    middle line x_{<m} = 0. On one line a normal with n_m = 0 holds every
+    point or none; one with n_m != 0 holds at most the point x_m =
+    -s/n_m, s = n_{<m}.x_{<m}, when n_m divides s and the quotient lies in
+    [-k, k]. An empty normal list covers nothing, so it is rejected at the
+    first point. The budget counts every grid point, and never fewer than
+    m, the coordinates of one: the k = 0 grid is one point, and the scan
+    still builds m - 1 lists. A large m is refused from m alone, as the
+    power (2k+1)^m, never built.
 
     The lines are walked like an odometer, over the normals' columns: in
     each block of lines sharing x_1..x_{m-2}, a line's dot products are
     the last line's plus column m-1, one list(map(add, ...)). A zero among
     the flat normals' (n_m = 0) holds the line; on the lines left, the
-    steep normals' hold their exact quotients by -n_m, and are summed
-    afresh after a held line.
+    steep normals' are carried as M*s, M = max |n_m|, and summed afresh
+    after a held line. floor(M*s / -n_m) is M*x_m when n_m divides s, and
+    otherwise no multiple of M, as s / -n_m is then at least 1/|n_m| >=
+    1/M past an integer; so one division per normal gives the held
+    points, and the line is full when they include every M*y, |y| <= k.
     """
     m, k, side = inst.m, inst.k, 2 * inst.k + 1
     check_budget((side, m) if k else m, budget, "grid enumeration")
@@ -92,24 +106,26 @@ def verify_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverChec
         if k == 0 and inst.normals:
             return CoverCheck(True, None, total)
         return CoverCheck(False, (-k,), 1)
-    whole = set(span)
     steep = [n for n in inst.normals if n[-1]]
     negl = [-n[-1] for n in steep]
-    steep_cols = [[n[i] for n in steep] for i in range(m - 1)]
+    scale = max(map(abs, negl), default=1)
+    whole = set(range(-k * scale, k * scale + 1, scale))
+    steep_cols = [[scale * n[i] for n in steep] for i in range(m - 1)]
     flat_cols = [[n[i] for n in inst.normals if not n[-1]] for i in range(m - 1)]
-    for block, outer in enumerate(product(span, repeat=m - 2)):
+    middle = (total // side ** 2 - 1) // 2  # the block holding the middle line
+    for block, outer in enumerate(islice(product(span, repeat=m - 2), middle + 1)):
         f = _dots(flat_cols, outer + (-k - 1,))  # one step before x_{m-1} = -k
         at = None  # the line s is summed at
-        for x in span:
+        for x in span if block < middle else range(-k, 1):
             f = list(map(add, f, flat_cols[-1]))
             if 0 in f:
                 continue
             s = (list(map(add, s, steep_cols[-1])) if at == x - 1
                  else _dots(steep_cols, outer + (x,)))
             at = x
-            held = set(compress(map(floordiv, s, negl), map(not_, map(mod, s, negl))))
+            held = set(map(floordiv, s, negl))
             if not whole <= held:
-                y = next(y for y in span if y not in held)
+                y = next(y for y in span if scale * y not in held)
                 line = block * side + x + k
                 return CoverCheck(False, outer + (x, y), line * side + y + k + 1)
     return CoverCheck(True, None, total)

@@ -5,7 +5,8 @@ permutation-expansion determinants, trial-division primality, Fraction
 distance-to-integer, raw power arithmetic (no modular exponentiation),
 decimal exponentials and logarithms, a minor sweep with one dot product
 per completion, a per-column multiplier scan, a decoder that revisits
-candidates, a point-by-point grid cover check, two collision scans:
+candidates, a point-by-point grid cover check and the line-by-line one
+that scanned the whole grid, two collision scans:
 one over every pair of coefficient vectors and one over every
 difference, each recomputing its row combinations, and the structural
 proof with one modular inverse per column.
@@ -16,7 +17,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, floordiv, mod, mul, not_, sub
 
 
 def perm_det(rows) -> int:
@@ -203,6 +204,53 @@ def cover_scan(m: int, k: int, normals):
         if not covered:
             return False, x, checked
     return True, None, len(span) ** m
+
+
+def cover_line_scan(m: int, k: int, normals):
+    """cover_scan's answer from the line odometer as it was before the
+    cover check stopped at the middle line: the whole grid, one line at a
+    time, each steep normal's held point found by a divisibility test
+    (mod) and then a quotient (floordiv)."""
+    normals = [tuple(n) for n in normals]
+    side = 2 * k + 1
+    total = side ** m
+    span = range(-k, k + 1)
+    if m == 1:  # one line, of which a normal holds only x_1 = 0
+        if k == 0 and normals:
+            return True, None, total
+        return False, (-k,), 1
+    whole = set(span)
+    steep = [n for n in normals if n[-1]]
+    negl = [-n[-1] for n in steep]
+    steep_cols = [[n[i] for n in steep] for i in range(m - 1)]
+    flat_cols = [[n[i] for n in normals if not n[-1]] for i in range(m - 1)]
+    for block, outer in enumerate(itertools.product(span, repeat=m - 2)):
+        f = _line_dots(flat_cols, outer + (-k - 1,))  # one step before x_{m-1} = -k
+        at = None  # the line s is summed at
+        for x in span:
+            f = list(map(add, f, flat_cols[-1]))
+            if 0 in f:
+                continue
+            s = (list(map(add, s, steep_cols[-1])) if at == x - 1
+                 else _line_dots(steep_cols, outer + (x,)))
+            at = x
+            held = set(itertools.compress(map(floordiv, s, negl),
+                                          map(not_, map(mod, s, negl))))
+            if not whole <= held:
+                y = next(y for y in span if y not in held)
+                line = block * side + x + k
+                return False, outer + (x, y), line * side + y + k + 1
+    return True, None, total
+
+
+def _line_dots(cols, x) -> list[int]:
+    """Each normal's dot product with x over its first len(x)
+    coordinates, from the normals' columns cols."""
+    s = [0] * len(cols[0])
+    for col, a in zip(cols, x):
+        if a:
+            s = list(map(add, s, map(mul, col, itertools.repeat(a))))
+    return s
 
 
 def collision_pair_scan(rows, t, lam, min_agree):

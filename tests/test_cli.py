@@ -1228,6 +1228,21 @@ class TestUsageErrors:
         assert (proc.returncode, proc.stderr) == (
             2, "error: [Errno 28] No space left on device\n")
 
+    @pytest.mark.parametrize("out", [False, True], ids=["bounds", "construct-out"])
+    def test_closed_stdout_exit_2(self, tmp_path, out):
+        # started with fd 1 closed, Python sets sys.stdout to None and print
+        # writes nothing; the command still runs and writes its --out file
+        path = tmp_path / "f.json"
+        argv = (["construct", "--m", "2", "--k", "3", "--out", str(path)] if out
+                else ["bounds", "--m", "2", "--k", "3"])
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable,
+                               "-m", "fullrank", *argv],
+                              stderr=subprocess.PIPE, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "error: standard output is closed\n")
+        if out:
+            doc = matrix_to_dict(*construct_vandermonde(2, 3))
+            assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
 
 # --- fuzzing the exit-2 contract ------------------------------------------
 

@@ -18,7 +18,7 @@ from fullrank.cover import (
 from fullrank.errors import DEFAULT_BUDGET, BudgetExceededError
 from fullrank.intmath import primitive_vector
 from fullrank.linalg import IntMatrix
-from oracles import cover_scan
+from oracles import cover_line_scan, cover_scan
 
 
 def primitive_classes(m, k):
@@ -206,6 +206,29 @@ class TestVerifyCover:
         assert (check.accepted, check.uncovered, check.points_checked) == \
             cover_scan(m, k, normals)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_huge_normals_match_both_scan_oracles(self, data):
+        # entries up to 10^25, so M * s passes 2^64: a normal is a small
+        # vector, one times a factor that large, so that it still holds grid
+        # points, or one of large entries, and the largest |n_m| scales the
+        # others' quotients; repeats and sign flips name a hyperplane
+        # already listed
+        m = data.draw(st.integers(1, 4), label="m")
+        k = data.draw(st.integers(0, 3), label="k")
+        big = st.integers(-10 ** 25, 10 ** 25)
+        small = st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any)
+        scaled = st.tuples(small, big.filter(bool)).map(lambda v: [v[1] * a for a in v[0]])
+        raw = st.lists(big, min_size=m, max_size=m).filter(any)
+        drawn = data.draw(st.lists(scaled | raw | small, max_size=10))
+        again = data.draw(st.lists(
+            st.tuples(st.sampled_from(drawn), st.sampled_from((1, -1))),
+            max_size=12 - len(drawn)) if drawn else st.just([]))
+        normals = drawn + [[sign * a for a in n] for n, sign in again]
+        check = verify_cover(CoverInstance(m, k, tuple(map(tuple, normals))))
+        got = (check.accepted, check.uncovered, check.points_checked)
+        assert got == cover_line_scan(m, k, normals) == cover_scan(m, k, normals)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_many_normals_match_point_scan_oracle(self, data):
@@ -277,9 +300,24 @@ class TestVerifyCover:
         # the steep normals are summed afresh and miss x_3 = 0
         (3, 1, ((0, 1, 0), (1, -1, 1), (0, 1, 1), (0, 1, -1)), (False, (-1, 1, 0), 8)),
         (1, 2, (), (False, (-2,), 1)),
+        # the steep directions (n_m != 0) hold every line but the middle one,
+        # x_{<m} = 0, where each holds only the origin: a scan stopping
+        # before the middle line would accept; with the flat directions
+        # too, the scan passes the middle line and accepts
+        (3, 1, tuple(n for n in primitive_classes(3, 1) if n[-1]), (False, (0, 0, -1), 13)),
+        (4, 1, tuple(n for n in primitive_classes(4, 1) if n[-1]),
+         (False, (0, 0, 0, -1), 40)),
+        (4, 1, tuple(primitive_classes(4, 1)), (True, None, 81)),
+        # on the line x_1 = -1, (1, 2) holds no point: floor(2 * -1 / -2) = 1
+        # is not a multiple of M = 2, but floor(1 * -1 / -2) = 0 would hold
+        # (-1, 0) at a scale of 1; with M = 10^20, s / -n_m = 10^-20 puts
+        # floor(M * s / -n_m) at 1 and floor((M - 1) * s / -n_m) at 0
+        (2, 1, ((1, 2), (1, 1), (1, -1)), (False, (-1, 0), 2)),
+        (2, 1, ((1, 1), (1, 10 ** 20), (1, -1)), (False, (-1, 0), 2)),
     ], ids=["m1", "m1-origin", "one-line", "middle-line", "quotient-outside",
             "line-held", "line-not-held", "m3-lines-held", "flat-only-rejected",
-            "flat-only-accepted", "flat-held-between", "m1-empty"])
+            "flat-only-accepted", "flat-held-between", "m1-empty", "m3-middle-line",
+            "m4-middle-line", "m4-accepted", "scale-2", "scale-1e20"])
     def test_pinned_lines(self, m, k, normals, expected):
         check = verify_cover(CoverInstance(m, k, normals))
         assert (check.accepted, check.uncovered, check.points_checked) == expected

@@ -306,6 +306,35 @@ def test_range_refusal_of_argument_past_int_str_limit(call, text):
     assert text in str(exc.value) and "\n" not in str(exc.value)
 
 
+# CoverInstance reports the first fault of its normals: every entry is
+# checked before any length or zero, and a normal that is not a sequence
+# of numbers is written whole
+@pytest.mark.parametrize("normals,message", [
+    (((1, 0.5), (1,)), "normal: 0.5 is not an integer"),
+    (((1,), (1, 0.5)), "normal: 0.5 is not an integer"),
+    (((0, 0), (1, 0.5)), "normal: 0.5 is not an integer"),
+    (((1, 0), (True, 0)), "normal: True is not an integer"),
+    (((1, 0), (0, 0), (1,)), "normal 1 is zero"),
+    (((1, 0), (1,), (0, 0)), "normal 1 has length 1, expected 2"),
+    (((1, 0), 5), "normal: expected a sequence of numbers, got 5"),
+    (((1, 0), "ab"), "normal: expected a sequence of numbers, got 'ab'"),
+    # int keys of the right count, so only the type of the normal refuses it
+    (((1, 0), {1: 0, 2: 0}), "normal: expected a sequence of numbers, got {1: 0, 2: 0}"),
+], ids=["float-before-short", "short-before-float", "zero-before-float", "bool",
+        "zero-before-short", "short-before-zero", "int-normal", "str-normal",
+        "dict-normal"])
+def test_cover_instance_reports_the_first_fault(normals, message):
+    with pytest.raises(ValueError) as exc:
+        CoverInstance(2, 1, normals)
+    assert str(exc.value) == message
+
+
+def test_cover_instance_keeps_each_normal_as_a_tuple():
+    # lists, ranges and a one-shot iterator of normals all pass, as tuples
+    normals = iter([[1, 0], (0, 1), range(1, 3)])
+    assert CoverInstance(2, 1, normals).normals == ((1, 0), (0, 1), (1, 2))
+
+
 # a certificate past the limit is rejected with its own reason, the
 # integer written as the power of ten it reaches
 @pytest.mark.parametrize("cert,text", [
