@@ -292,6 +292,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard(stream) -> None:
+    """Point stream's descriptor at /dev/null. A write that failed left
+    its text in the stream's buffer, and the flush at exit would fail
+    again and make Python exit 120; now it succeeds, writing nothing."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _error(message) -> None:
+    """Write "error: message" to stderr. A stderr that cannot take it
+    loses the line, and the exit status stays 2: with fd 2 closed at
+    start-up sys.stderr is None (and print would write to stdout), and a
+    descriptor that refuses writes raises OSError here, its line left in
+    stderr's buffer (line-buffered, not unbuffered, without
+    PYTHONUNBUFFERED) for _discard to drop."""
+    if sys.stderr is None:
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
+
+
 def run(argv) -> int:
     """Parse, dispatch, write the requested files and print; returns the
     process exit status."""
@@ -304,7 +328,7 @@ def run(argv) -> int:
         try:
             print(shown.getvalue(), end="", flush=True)
         except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
+            _error(err)
             return 2
         return int(exc.code or 0)
     try:
@@ -325,7 +349,7 @@ def run(argv) -> int:
         # flushed here, so a failed write to stdout is an error like any other
         print(text, flush=True)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     return res.code
 
@@ -334,15 +358,14 @@ def main() -> None:
     code = run(sys.argv[1:])
     if sys.stdout is None:  # started with fd 1 closed: print wrote nothing
         if code != 2:
-            print("error: standard output is closed", file=sys.stderr)
+            _error("standard output is closed")
         sys.exit(2)
     try:
         sys.stdout.flush()
     except OSError as exc:
-        # unwritten text (run() already reported its own) stays buffered; drop
-        # it, or the flush at exit fails again and Python exits 120
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # unwritten text (run() already reported its own) stays buffered
+        _discard(sys.stdout)
         if code != 2:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(exc)
         code = 2
     sys.exit(code)

@@ -153,14 +153,20 @@ def select_columns(A: IntMatrix, cols) -> IntMatrix:
     return IntMatrix(A.rows, len(cols), entries, A.modulus, A.entry_bound)
 
 
+def field_bytes(bound: int) -> int:
+    """The fewest bytes nb with 2^(8 nb - 1) > bound: the width of the
+    fields packed_rows packs under that bound."""
+    return bound.bit_length() // 8 + 1
+
+
 def packed_rows(A: IntMatrix, bound: int,
                 rows: int | None = None) -> tuple[int, bytes, list[int], int]:
     """(nb, zero, P, H): the first `rows` rows of A (all by default) packed
     with biased fields of nb bytes, the layout both exact scans search.
 
     The caller passes a bound on every |A[i][j]| and on every |c . col_j|
-    it will search; nb = bound.bit_length() // 8 + 1 is the fewest bytes
-    with 2^(w-1) > bound, w = 8 nb. Row i is P_i = sum_j (2^(w-1) +
+    it will search; nb = field_bytes(bound) is the fewest bytes with
+    2^(w-1) > bound, w = 8 nb. Row i is P_i = sum_j (2^(w-1) +
     A[i][j]) 2^(wj), and H = sum_j 2^(w-1) 2^(wj) repeats the field zero,
     the little-endian bytes of 2^(w-1). Each field of P_i is in [1, 2^w),
     so P_i >> ws is exact and (P_i >> ws) - (H >> ws) is the packed row
@@ -168,7 +174,7 @@ def packed_rows(A: IntMatrix, bound: int,
     H + sum_i c_i Q_i is then exactly 2^(w-1) + c . col_j, in [1, 2^w), so
     no field carries into the next, and c . col_j = 0 exactly where that
     field is zero, which zero_fields lists. A is read once."""
-    nb = bound.bit_length() // 8 + 1
+    nb = field_bytes(bound)
     half = 1 << (8 * nb - 1)
     zero = half.to_bytes(nb, "little")
     fields = bytearray()

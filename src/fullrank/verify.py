@@ -12,7 +12,11 @@ inverting each distinct head once, and needs the modulus alone; both
 families and their column subsets qualify. When it proves A, the
 reports are what the sweep would return.
 
-Otherwise the exhaustive sweep builds column sets one column at a time
+Otherwise one of two exact kernels lists the failures: the depth-first
+sweep below, or, for most shapes with m >= 3, the breadth-first colex
+pass after it.
+
+The exhaustive sweep builds column sets one column at a time
 and carries every maximal minor of the columns taken so far; appending a
 column extends them by a Laplace expansion along the new column. After
 m-1 columns they are the signed cofactors of an integer normal to the
@@ -52,25 +56,72 @@ last. The completion by column c tests H_(b+1) + sum_r A[r][c] R_r, the
 same integer as H + sum_i n_i Q_i for the normal n of P, b and c, which
 is never formed, so the test above and its failures are unchanged.
 
-The plan holds m 2^(m-1) terms, about 100 bytes each, and the sweep
-refuses a plan of more terms than its budget: that, not A's size, bounds
-a large m's memory (a random 18 x 19 matrix took 6 s and 245 MB).
-Besides it, A is read once, into one packed integer per row and one
-tuple per column. A node with children lists its columns for them to
-slice; the root's are zipped from A's rows, so at m = 2, whose root
-reads them in its completions, no list of column tuples is built. The
-prefixes in hand hold their minors or packed sums, and P its table.
+The sweep still takes one or more Python-level steps per (m-1)-prefix.
+The colex pass takes about d m 2^(m-1), one per plan term and column,
+each on a longer integer. It takes A's columns in reverse, j -> d-1-j,
+and keeps, for each level t < m and each row t-subset, one integer
+packed like Q_i whose field p is the minor on those rows and on the
+column t-subset of colex rank p; the t-subsets of the first l columns
+hold the first C(l, t) ranks. Column c extends level t + 1 by one step
+of the plan, with level t as the minors and col_c as the column: C(c, t)
+fields, the subsets ending at c, added past the C(c, t + 1) already
+there. Every t-minor, t <= m, is within Hadamard's bound, so every field
+stays below 2^(w-1) in size and the biased completion below reads each
+exactly. Level m - 1 keeps its sums X_r in the order and with the signs
+of the completion's terms, so column c meets every (m-1)-subset before
+it in one sum, H + sum_r A[r][c] X_r over C(c, m-1) fields, and a
+field-aligned zero field is a failure whose prefix is unranked from its
+field index. Columns are taken in reverse so that the failures, found in
+colex order, are A's in reverse lexicographic order, and one reverse
+gives the sweep's list.
+
+The levels hold at most nb sum_{t<m} C(m, t) C(d, t) bytes.
+verify_exhaustive runs the pass when 3 <= m < d and that is at most
+COLEX_BYTES, both computed from (m, d, nb) before any work. Called
+directly on seeded matrices (min of 5), the pass took this share of the
+sweep's time: 3 x 36 0.55, 3 x 300 0.73, 4 x 18 0.31, 5 x 12 0.24,
+6 x 24 0.12, 7 x 11 0.16, 8 x 12 0.12, 10 x 13 0.16, 8 x 19 0.04, and
+0.90 to 1.04 at d = m + 1 from 7 x 8 to 12 x 13. The sweep stays where
+the pass loses: at m = 2, where both take one packed sum per column but
+the pass rebuilds its level-1 sums each column (1.6 to 2 times the
+sweep's time at 2 x 160 and 2 x 600), and on square matrices, one
+minor, whose single path the sweep walks in fewer steps (the pass took
+1.2 to 2.9 times its time from 4 x 4 to 12 x 12). COLEX_BYTES, 2^25, is
+a memory cap, not a crossover: at 4 x 292 and nb = 2, the widest 4-row
+shape under it, the pass took 7.2 s against the sweep's 12.7 s, but its
+process peaked at 248 MB of RSS against 141 MB (the 1.27 million
+failures both list included), and at 3 x 2000, nb = 2, 21.2 s against
+23.4 s and 245 MB against 176 MB. Past it the levels grow as d^(m-1)
+and the sweep's memory stays O(m d).
+
+The plan holds m 2^(m-1) terms, about 100 bytes each, and
+verify_exhaustive refuses, before either kernel, a plan of more terms
+than the budget: that, not A's size, bounds a large m's memory (a random
+18 x 19 matrix took 6 s and 245 MB). Besides it, the sweep reads A once,
+into one packed integer per row and one tuple per column. A node with
+children lists its columns for them to slice; the root's are zipped from
+A's rows, so at m = 2, whose root reads them in its completions, no list
+of column tuples is built. The prefixes in hand hold their minors or
+packed sums, and P its table. The colex pass holds its levels, one
+column, and the packed sum and bytes of one completion; it lists no
+subsets but its failures.
 """
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mod, mul
 
 from .errors import DEFAULT_BUDGET, as_decimal, check_budget
 from .intmath import exact_ints
-from .linalg import IntMatrix, combination_vector, det_exact, packed_rows, zero_fields
+from .linalg import (IntMatrix, combination_vector, det_exact, field_bytes, packed_rows,
+                     zero_fields)
+
+# the colex pass takes 3 <= m < d while its levels hold at most
+# COLEX_BYTES; every other shape is swept (see the module notes)
+COLEX_BYTES = 1 << 25
 
 
 @dataclass
@@ -178,17 +229,14 @@ def verify_exhaustive(A: IntMatrix,
     Refuses when C(d, m) exceeds the budget. A matrix that
     geometric_structure proves has no failures, and its report counts
     the C(d, m) minors proved, in O(m*d). Any other is refused when the
-    sweep's Laplace plan, m 2^(m-1) terms, exceeds the budget (C(d, m)
-    is 1 on a square matrix and bounds nothing there), and else swept:
-    column prefixes are walked depth first, so each prefix's minors are
-    computed once and shared by all of its extensions.
-
-    Every level takes its step from the one plan (see the module notes):
-    scalar minors above depth max(m-3, 0), where the packed rows of
-    linalg.packed_rows enter as the next column; below it each child
-    takes the step with its column, and a prefix's completions are tested
-    at once. m >= 2 takes that one path; at m = 1 a minor is an entry,
-    and the failures are the zero entries.
+    Laplace plan, m 2^(m-1) terms, exceeds the budget (C(d, m) is 1 on a
+    square matrix and bounds nothing there), and else checked by the
+    kernel _kernel picks from (m, d, nb): the colex pass for 3 <= m < d
+    when its levels fit in COLEX_BYTES, the depth-first sweep otherwise
+    (see the module notes). Both share each prefix's
+    minors among all of its extensions and test the completions by
+    one column at once; at m = 1 a minor is an entry, and the failures
+    are the zero entries.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -200,8 +248,38 @@ def verify_exhaustive(A: IntMatrix,
     if m == 1:
         return VerificationReport(total_checked=total, mode="exhaustive", failures=[
             (j,) for j, a in enumerate(A.entries) if not a])
-    k = A.max_abs_entry()
-    nb, zero, biased, bias = packed_rows(A, math.isqrt((k * k * m) ** m))
+    bound = _minor_bound(A)
+    return VerificationReport(total_checked=total, mode="exhaustive",
+                              failures=_kernel(m, d, field_bytes(bound))(A, bound))
+
+
+def _minor_bound(A: IntMatrix) -> int:
+    """Hadamard's bound isqrt((k^2 m)^m) on every |minor| of A, k its
+    largest |entry|: every t x t minor, t <= m, and every entry too."""
+    k, m = A.max_abs_entry(), A.rows
+    return math.isqrt((k * k * m) ** m)
+
+
+def _level_bytes(m: int, d: int, nb: int) -> int:
+    """The bytes the colex pass's levels 0..m-1 hold at most: C(m, t)
+    sums of C(d, t) fields of nb bytes at level t."""
+    return nb * sum(math.comb(m, t) * math.comb(d, t) for t in range(m))
+
+
+def _kernel(m: int, d: int, nb: int):
+    """The exhaustive kernel for m rows, d columns and fields of nb bytes:
+    the colex pass for 3 <= m < d when _level_bytes is at most
+    COLEX_BYTES, else the sweep."""
+    if 3 <= m < d and _level_bytes(m, d, nb) <= COLEX_BYTES:
+        return _colex_pass
+    return _sweep
+
+
+def _sweep(A: IntMatrix, bound: int) -> list[tuple[int, ...]]:
+    """The failing m-subsets of A, m >= 2, in lexicographic order, by the
+    depth-first sweep over column prefixes, A packed under bound."""
+    m, d = A.rows, A.cols
+    nb, zero, biased, bias = packed_rows(A, bound)
     plans = _laplace_plans(m)
     top = max(m - 3, 0)
     failures = []
@@ -262,8 +340,62 @@ def verify_exhaustive(A: IntMatrix,
     # the root's columns are zipped from A's rows, one at a time: at m = 2
     # the root's completions read them and no list of column tuples is built
     walk((), [1], zip(*[A.entries[i * d:(i + 1) * d - 1] for i in range(m)]))
-    return VerificationReport(total_checked=total, failures=failures,
-                              mode="exhaustive")
+    return failures
+
+
+def _colex_pass(A: IntMatrix, bound: int) -> list[tuple[int, ...]]:
+    """The failing m-subsets of A, m >= 2, in lexicographic order, by the
+    breadth-first colex pass over A's columns in reverse (see the module
+    notes), in fields of field_bytes(bound) bytes."""
+    m, d = A.rows, A.cols
+    nb = field_bytes(bound)
+    w = 8 * nb
+    zero = (1 << w - 1).to_bytes(nb, "little")
+    plans = _laplace_plans(m)
+    # ranks[t][c] = C(c, t): level t holds C(c, t) fields before column c,
+    # and a t-subset of the columns before c has its colex rank below it
+    ranks = [[math.comb(c, t) for c in range(d)] for t in range(m)]
+    # level m - 1 keeps row subset k of the completion's term (sign, r, k)
+    # at place r, times sign, so that a completion is one sum over the rows
+    place = {k: (r, sign) for sign, r, k in plans[m - 1][0]}
+    steps = [list(enumerate(level)) for level in plans[:m - 2]]
+    steps.append([(place[i][0], [(place[i][1] * sign, r, k) for sign, r, k in terms])
+                  for i, terms in enumerate(plans[m - 2])])
+    levels = [[1]] + [[0] * math.comb(m, t) for t in range(1, m)]
+    full = ranks[m - 1][d - 1]
+    bias = int.from_bytes(zero * full, "little")
+    # a match's prefix, unranked from the top: its largest column s is the
+    # largest with C(s, m - 1) <= p, and so on down to C(s, 1) = s
+    tables = ranks[m - 1:1:-1]
+    last = d - 1
+    found = []
+    for c, col in enumerate(zip(*[reversed(A.entries[i * d:(i + 1) * d]) for i in range(m)])):
+        n = ranks[m - 1][c]
+        if n:
+            # field p is 2^(w-1) plus the minor of column c and the
+            # (m-1)-subset of colex rank p before it
+            raw = sum(map(mul, col, levels[m - 1]), bias >> w * (full - n)).to_bytes(
+                n * nb, "little")
+            pos = raw.find(zero)
+            if pos >= 0:
+                for p in zero_fields(raw, pos, zero):
+                    failure = [last - c]
+                    for rank in tables:
+                        s = bisect_right(rank, p) - 1
+                        p -= rank[s]
+                        failure.append(last - s)
+                    failure.append(last - p)
+                    found.append(tuple(failure))
+        # the (t+1)-subsets ending at c extend level t + 1 while at least
+        # m - t - 1 columns follow c to complete them; t descends, so
+        # level t is read before column c extends it
+        for t in range(m - 2, max(c - d + m, 0) - 1, -1):
+            shift = w * ranks[t + 1][c]
+            lower, upper = levels[t], levels[t + 1]
+            for i, terms in steps[t]:
+                upper[i] += sum([sign * col[r] * lower[k] for sign, r, k in terms]) << shift
+    found.reverse()
+    return found
 
 
 def verify_sampled(A: IntMatrix, trials: int, seed: int,

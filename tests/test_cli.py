@@ -1243,6 +1243,28 @@ class TestUsageErrors:
             doc = matrix_to_dict(*construct_vandermonde(2, 3))
             assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("argv,stdout", [
+        (["cover", "verify", "--in", "/nonexistent", "--k", "1"], ""),
+        (["bounds", "--m", "2", "--k", "3"], ">/dev/full"),
+    ], ids=["missing-input", "full-stdout"])
+    def test_unwritable_stderr_exit_2(self, argv, stdout, stderr, unbuffered):
+        # an error line stderr cannot take is lost and the exit stays 2:
+        # with fd 2 closed sys.stderr is None, and print would have sent the
+        # line to stdout; opened read-only, the write raised OSError (EBADF)
+        # out of run's own handler, and Python exited 1, and once that was
+        # caught, a line-buffered stderr kept the line and failed again at
+        # exit, and Python exited 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run(["sh", "-c", f'"$@" {stdout} {stderr}', "sh", sys.executable,
+                               "-m", "fullrank", *argv],
+                              stdout=subprocess.PIPE, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
 
 # --- fuzzing the exit-2 contract ------------------------------------------
 

@@ -15,6 +15,7 @@ from fullrank.linalg import (
     centered_residue,
     combination_vector,
     det_exact,
+    field_bytes,
     packed_rows,
     select_columns,
 )
@@ -27,7 +28,16 @@ from fullrank.verify import (
     verify_exhaustive,
     verify_sampled,
 )
-from fullrank.verify import _laplace_plans
+from fullrank import verify as verify_mod
+from fullrank.verify import (
+    COLEX_BYTES,
+    _colex_pass,
+    _kernel,
+    _laplace_plans,
+    _level_bytes,
+    _minor_bound,
+    _sweep,
+)
 from oracles import (
     all_minors_nonzero,
     geometric_structure_per_column,
@@ -146,14 +156,20 @@ def sylvester(m):
 
 class TestPackedSweep:
     """The sweep tests a prefix's completions in one packed integer; its
-    failures must be the reference walk's, one dot product per completion,
-    order included."""
+    failures, and those of verify_exhaustive's choice of kernel, must be
+    the reference walk's, one dot product per completion, order
+    included."""
 
     @staticmethod
     def check(rows):
-        report = verify_exhaustive(IntMatrix.from_rows(rows))
+        A = IntMatrix.from_rows(rows)
+        report = verify_exhaustive(A)
         assert report.total_checked == math.comb(len(rows[0]), len(rows))
         assert report.failures == prefix_sweep(rows)
+        if A.rows > 1:
+            # verify_exhaustive sends most shapes with m >= 3 to the colex
+            # pass, so the sweep is called on its own as well
+            assert _sweep(A, _minor_bound(A)) == report.failures
         return report.failures
 
     @settings(max_examples=300, deadline=None)
@@ -464,6 +480,109 @@ class TestSweepMemory:
         # least any width takes
         d = A.cols
         assert A.rows * d * (d + 1) // 2 >= 4 * bound
+
+
+def moment_curve(d):
+    """4 x d with columns (1, x, x^2, x^3) mod 61 in centered residues,
+    x = 0..d-1, d <= 61, so that any four have a minor nonzero mod 61,
+    and column d - 1 replaced by the sum of columns 0, 1 and 2, so that
+    (0, 1, 2, d - 1) is the first of the minors that vanish."""
+    rows = [[centered_residue(x ** i, 61) for x in range(d)] for i in range(4)]
+    for r in rows:
+        r[d - 1] = r[0] + r[1] + r[2]
+    return rows
+
+
+class TestColexPass:
+    """The colex pass takes the columns in reverse, holds every t-minor,
+    t < m, packed by row subset in colex order of the column subsets, and
+    tests each column against every (m-1)-subset before it at once. Its
+    failures, the sweep's and the reference walk's must be the same list,
+    order included, and verify_exhaustive picks the pass from (m, d, nb)
+    alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_both_kernels_match_the_reference_walk(self, data):
+        m = data.draw(st.integers(2, 8))
+        # the reference walk's C(d, m - 1) prefixes keep d narrower at m >= 7
+        d = data.draw(st.integers(m, m + (15 if m <= 6 else 6)))
+        k = data.draw(st.sampled_from([1, 5, 2 ** 15, 10 ** 12]))
+        entry = st.one_of(st.sampled_from([-k, 0, k]), st.integers(-k, k))
+        cols = []
+        for kind in data.draw(st.lists(st.sampled_from(["new", "new", "copy", "zero", "negated"]),
+                                       min_size=d, max_size=d)):
+            if kind == "zero":
+                cols.append([0] * m)
+            elif kind == "new" or not cols:
+                cols.append(data.draw(st.lists(entry, min_size=m, max_size=m)))
+            else:
+                col = cols[data.draw(st.integers(0, len(cols) - 1))]
+                cols.append(col if kind == "copy" else [-x for x in col])
+        rows = [list(r) for r in zip(*cols)]
+        A = IntMatrix.from_rows(rows)
+        expected = prefix_sweep(rows)
+        assert _colex_pass(A, _minor_bound(A)) == expected
+        assert _sweep(A, _minor_bound(A)) == expected
+        assert verify_exhaustive(A).failures == expected
+
+    @pytest.mark.parametrize("m,d,nb,colex", [
+        # refute's 3 x 36 and 4 x 18, and the CI pins' 5 x 14, 6 x 9 and 7 x 11
+        (3, 36, 2, True), (4, 18, 2, True), (5, 14, 3, True), (6, 9, 7, True),
+        (7, 11, 3, True),
+        # refute's 2 x 160, a square matrix, and levels past COLEX_BYTES
+        (2, 160, 2, False), (7, 7, 3, False), (4, 300, 2, False),
+        # each limit's edge: m = 3 in, m = 2 out; d = m + 1 in, d = m out;
+        # the widest 4-row matrix at nb = 2 in, one column more out; and
+        # and 12 x 13 in at nb = 6, out at nb = 7
+        (3, 10, 1, True), (2, 10, 1, False), (7, 8, 3, True), (8, 8, 3, False),
+        (4, 292, 2, True), (4, 293, 2, False), (12, 13, 6, True), (12, 13, 7, False),
+    ])
+    def test_kernel_chosen_from_the_shape(self, m, d, nb, colex):
+        assert _kernel(m, d, nb) is (_colex_pass if colex else _sweep)
+
+    def test_level_bytes_at_the_edge(self):
+        # sum over t < m of C(m, t) C(d, t) nb: 4 x 292 fits in 2^25 bytes
+        # with 186,422 to spare, 4 x 293 passes it by 156,978
+        assert COLEX_BYTES == 2 ** 25
+        assert _level_bytes(4, 292, 2) == 2 * (1 + 4 * 292 + 6 * 42486 + 4 * 4106980)
+        assert _level_bytes(4, 292, 2) == 2 ** 25 - 186_422
+        assert _level_bytes(4, 293, 2) == 2 ** 25 + 156_978
+        assert _level_bytes(4, 300, 2) > 2 ** 25
+        assert _level_bytes(12, 13, 6) <= 2 ** 25 < _level_bytes(12, 13, 7)
+
+    @pytest.mark.parametrize("m,d,k", [(3, 36, 8), (4, 18, 5), (2, 160, 10), (7, 11, 3),
+                                       (7, 7, 3)])
+    def test_verify_exhaustive_runs_the_chosen_kernel(self, monkeypatch, m, d, k):
+        rng = random.Random(f"{m}x{d}")
+        A = IntMatrix.from_rows([[rng.randint(-k, k) for _ in range(d)] for _ in range(m)])
+        ran = []
+        for name in ("_colex_pass", "_sweep"):
+            monkeypatch.setattr(verify_mod, name,
+                                lambda A, bound, name=name: ran.append(name) or [])
+        verify_exhaustive(A)
+        assert ran == ["_colex_pass" if 3 <= m < d else "_sweep"]
+        assert field_bytes(_minor_bound(A)) == (2 if m < 7 else 3)
+
+    def test_peak_within_a_multiple_of_its_levels(self):
+        # the levels and, while one sum is replaced, its old copy, with the
+        # completion's bias, packed sum and bytes: measured 2.31 times the
+        # level bytes here, 14 failures. A list of every 3-subset of the
+        # columns, 34,220 tuples of 64 bytes and their 8-byte slots, would
+        # pass the bound by itself.
+        A = IntMatrix.from_rows(moment_curve(60))
+        bound = _minor_bound(A)
+        levels = _level_bytes(4, 60, field_bytes(bound))
+        tracemalloc.start()
+        try:
+            failures = _colex_pass(A, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures[0] == (0, 1, 2, 59)
+        assert failures == _sweep(A, bound)
+        assert peak <= 3 * levels + 32 * 4 * 60
+        assert math.comb(60, 3) * (64 + 8) > 3 * levels + 32 * 4 * 60
 
 
 class TestVerifySampled:
