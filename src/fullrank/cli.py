@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import attack as attack_mod
@@ -161,13 +162,33 @@ def cmd_cover_min(args) -> Outcome:
                    out_doc=normals)
 
 
+def _three_decimals(x: Fraction) -> str:
+    """x > 0 as f"{float(x):.3f}" writes it, in integer arithmetic and past
+    the float range (float(x) overflows from about 10^308 on): x rounded
+    half to even to 53 significant bits, as float() rounds it, and that
+    value to three decimals, half to even, as "%.3f" rounds a float."""
+    p, q = x.numerator, x.denominator
+    shift = 53 - p.bit_length() + q.bit_length()  # x 2^shift in (2^52, 2^54)
+    if p << max(shift, 0) >= q << max(-shift, 0) + 53:
+        shift -= 1
+    mantissa = _nearest(p << max(shift, 0), q << max(-shift, 0))
+    n = _nearest(mantissa * 1000 << max(-shift, 0), 1 << max(shift, 0))
+    return f"{n // 1000}.{n % 1000:03d}"
+
+
+def _nearest(a: int, b: int) -> int:
+    """a / b, b > 0, rounded half to even."""
+    quotient, rest = divmod(a, b)
+    return quotient + (2 * rest > b or 2 * rest == b and quotient & 1)
+
+
 @_all_digits()
 def cmd_bounds(args) -> Outcome:
     rep = construct_mod.bounds_report(args.m, args.k)
     lines = [f"m={rep.m} k={rep.k} regime={rep.regime}",
              f"upper bound on width d: {rep.upper_bound}",
              f"constructible width d: {rep.lower_bound}",
-             f"gap factor: {float(rep.gap_factor):.3f}"]
+             f"gap factor: {_three_decimals(rep.gap_factor)}"]
     if rep.small_k_caveat:
         lines.append("note: the upper bound is asymptotic and proves nothing "
                      "at entry bounds this small")
@@ -218,8 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "verify", cmd_verify,
                 "check maximal minors for degeneracy", [matrix_in],
-                budget="minors, or trials with --trials; an unproved sweep's "
-                       "m*2^(m-1) Laplace terms count too")
+                budget="minors, or trials with --trials; on a matrix not proved "
+                       "from its modulus, the m*2^(m-1) terms of the Laplace plan "
+                       "the exhaustive kernel steps by count too (it walks the "
+                       "fewest leading columns whose packed minors below fit in "
+                       "32 MiB, and packs the rest)")
     p.add_argument("--trials", type=int, default=None,
                    help="sampled mode: number of random minors (without "
                         "--trials every minor is checked)")

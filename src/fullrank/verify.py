@@ -10,101 +10,104 @@ determinant on distinct nodes, so it is nonzero mod p and hence over the
 integers. geometric_structure checks this in O(m*d) exact integer steps,
 inverting each distinct head once, and needs the modulus alone; both
 families and their column subsets qualify. When it proves A, the
-reports are what the sweep would return.
+reports are what the kernel would return.
 
-Otherwise one of two exact kernels lists the failures: the depth-first
-sweep below, or, for most shapes with m >= 3, the breadth-first colex
-pass after it.
+Otherwise one exact kernel lists the failures. It builds column sets
+one column at a time and carries every maximal minor of the columns
+taken so far; appending a column extends them by a Laplace expansion
+along the new column, every level taking its step from one Laplace
+plan. It walks the first g columns of each set depth first, in
+lexicographic order, a g-prefix holding its C(m, g) minors as integers.
+The columns after a prefix are searched with their minors packed into
+big integers, so that one big-integer sum tests many completions at
+once. A sampled trial shares nothing and is one linalg.det_exact on its
+columns.
 
-The exhaustive sweep builds column sets one column at a time
-and carries every maximal minor of the columns taken so far; appending a
-column extends them by a Laplace expansion along the new column. After
-m-1 columns they are the signed cofactors of an integer normal to the
-hyperplane the columns span, so a completing column gives a vanishing
-minor exactly when its dot product with that normal is 0. Work per
-extension grows like 2^m and pays because every prefix is shared by its
-completions. A sampled trial shares nothing and is one linalg.det_exact
-on its columns.
+Each packed field holds a minor, and by Hadamard's bound every t x t
+minor, t <= m, is at most isqrt((k^2 m)^m) in size, k the largest
+|entry|, which bounds every entry too. Under that bound each row is
+packed once by linalg.packed_rows, whose notes state the layout the
+collision scan shares: with Q_i the packed rows and H the repeated zero
+field, field j of H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, so
+a completion fails exactly where its field is the zero field. A byte
+search finds those matches, and as a match counts only on a field
+boundary they come in field order.
 
-The completions of a prefix are tested together, in one big-integer
-product. Each dot product n . col_j is a minor, so by Hadamard's bound
-|n . col_j| <= isqrt((k^2 m)^m), k the largest |entry|, which bounds
-every entry too. Under that bound each row is packed once by
-linalg.packed_rows, whose notes state the layout the collision scan
-shares: with Q_i the packed rows and H the repeated zero field, field j
-of H + sum_i n_i Q_i is exactly 2^(w-1) + n . col_j, so completion j
-fails exactly where that field is the zero field. A byte search from
-the first completing column finds those matches, and as a match counts
-only on a field boundary the failures come in column order, as one dot
-product per completion would list them.
+At g = m - 2 a prefix P, next column s, takes the whole top level at
+once: the rows Q_i from column s on, each packed row and H shifted
+right by s fields and subtracted, enter the plan as column m - 2, and
+P's minors combine them into m sums
+R_r, one per row (m-1)-subset, whose field j is the (m-1)-minor of P and
+col_(s+j) on those rows. The completion's one term list fixes the order
+and signs of the R_r, so the completion by column c tests
+H_s + sum_r A[r][c] R_r (H_s is H from column s on): its field j is
+2^(w-1) plus the minor of P, c and s + j, and searched from the field
+after c its matches are the failures in lexicographic order. At m = 2
+the one prefix is empty and its R_r are the packed rows themselves.
 
-Every level takes its step from one Laplace plan, and the packed rows
-enter it as a column. With top = max(m-3, 0), a prefix of t < top
-columns holds its C(m, t) minors. A prefix P of top columns, next column
-s, takes the step with its rows Q_i packed from s on: one packed sum per
-row (top+1)-subset, whose field j is the minor of P and col_j on those
-rows. P's child by column b takes the next step, with col_b, and holds m
-sums R, one per row (m-1)-subset; at m = 2, top = 0 = m-2, and P's own
-sums are the R. Every field of R is an (m-1)-minor, within the bound, so
-the biased fields of R + H_s lie in [1, 2^w) and
-((R + H_s) >> w(b+1-s)) - H_(b+1) is R from column b+1 on, exactly (H_s
-is H from column s on). The completion's one term list fixes the order
-and signs of the R once per node, as P folds its sums into a table whose
-row r, read against col_b, is the R of the completion's term for row r,
-with that term's sign, times the sign that moves the packed column
-last. The completion by column c tests H_(b+1) + sum_r A[r][c] R_r, the
-same integer as H + sum_i n_i Q_i for the normal n of P, b and c, which
-is never formed, so the test above and its failures are unchanged.
+At g < m - 2 the breadth-first colex pass searches the columns after
+P. It takes them in reverse, j -> d-1-j, and keeps, for each level t
+from g to m - 1 and each row t-subset, one integer packed like Q_i whose
+field p is the minor on those rows of P and of the column (t-g)-subset
+of colex rank p; the u-subsets of the first l columns hold the first
+C(l, u) ranks, and level g holds P's minors. Column c extends level
+t + 1 by one step of the plan, with level t as the minors and col_c as
+the column: C(c, t-g) fields, the subsets ending at c, added past the
+C(c, t+1-g) already there. Level m - 1 keeps its sums X_r in the order
+and with the signs of the completion's terms, so column c meets every
+(m-1-g)-subset before it in one sum, H + sum_r A[r][c] X_r over
+C(c, m-1-g) fields, and a field-aligned zero field is a failure whose
+subset is unranked from its field index. Columns are taken in reverse
+so that the failures, found in colex order, are in reverse
+lexicographic order, and one reverse gives P's list. The pass takes
+about d m 2^(m-1) Python-level steps, one per plan term and column,
+each on a longer integer, where a walk takes one or more per prefix;
+its set-up is made once for all prefixes.
 
-The sweep still takes one or more Python-level steps per (m-1)-prefix.
-The colex pass takes about d m 2^(m-1), one per plan term and column,
-each on a longer integer. It takes A's columns in reverse, j -> d-1-j,
-and keeps, for each level t < m and each row t-subset, one integer
-packed like Q_i whose field p is the minor on those rows and on the
-column t-subset of colex rank p; the t-subsets of the first l columns
-hold the first C(l, t) ranks. Column c extends level t + 1 by one step
-of the plan, with level t as the minors and col_c as the column: C(c, t)
-fields, the subsets ending at c, added past the C(c, t + 1) already
-there. Every t-minor, t <= m, is within Hadamard's bound, so every field
-stays below 2^(w-1) in size and the biased completion below reads each
-exactly. Level m - 1 keeps its sums X_r in the order and with the signs
-of the completion's terms, so column c meets every (m-1)-subset before
-it in one sum, H + sum_r A[r][c] X_r over C(c, m-1) fields, and a
-field-aligned zero field is a failure whose prefix is unranked from its
-field index. Columns are taken in reverse so that the failures, found in
-colex order, are A's in reverse lexicographic order, and one reverse
-gives the sweep's list.
+_prefix_length takes g = m - 2 on a square matrix, one minor, and
+otherwise the fewest g in 0..m-3 for which the levels after a g-prefix,
+nb sum_{t=g}^{m-1} C(m, t) C(d-g, t-g) bytes, are at most COLEX_BYTES,
+and m - 2 when none are; it needs (m, d, nb) alone. COLEX_BYTES, 2^25,
+is a memory cap, not a crossover: at 4 x 292 and nb = 2, the widest
+4-row shape with g = 0, the pass took 7.2 s against 12.7 s for the
+depth-first walk this kernel replaced, but its process peaked at 248 MB
+of RSS against 141 MB (the 1.27 million failures both list included).
+Each column walked divides the levels by about d, and each prefix
+builds its own. The two other choices were measured too: on square
+matrices, from 4 x 4 to 12 x 12, the full pass took 1.2 to 2.9 times
+the depth-first walk's time, which the walk to m - 2 matches, and at
+3 x 36 a colex pass after each 1-prefix took 3.9 ms against 1.4 ms
+for the whole top level.
 
-The levels hold at most nb sum_{t<m} C(m, t) C(d, t) bytes.
-verify_exhaustive runs the pass when 3 <= m < d and that is at most
-COLEX_BYTES, both computed from (m, d, nb) before any work. Called
-directly on seeded matrices (min of 5), the pass took this share of the
-sweep's time: 3 x 36 0.55, 3 x 300 0.73, 4 x 18 0.31, 5 x 12 0.24,
-6 x 24 0.12, 7 x 11 0.16, 8 x 12 0.12, 10 x 13 0.16, 8 x 19 0.04, and
-0.90 to 1.04 at d = m + 1 from 7 x 8 to 12 x 13. The sweep stays where
-the pass loses: at m = 2, where both take one packed sum per column but
-the pass rebuilds its level-1 sums each column (1.6 to 2 times the
-sweep's time at 2 x 160 and 2 x 600), and on square matrices, one
-minor, whose single path the sweep walks in fewer steps (the pass took
-1.2 to 2.9 times its time from 4 x 4 to 12 x 12). COLEX_BYTES, 2^25, is
-a memory cap, not a crossover: at 4 x 292 and nb = 2, the widest 4-row
-shape under it, the pass took 7.2 s against the sweep's 12.7 s, but its
-process peaked at 248 MB of RSS against 141 MB (the 1.27 million
-failures both list included), and at 3 x 2000, nb = 2, 21.2 s against
-23.4 s and 245 MB against 176 MB. Past it the levels grow as d^(m-1)
-and the sweep's memory stays O(m d).
+Called directly against that depth-first walk, which went to depth
+m - 3 and then carried packed sums, folded into an m x m table and
+contracted with each next column, this kernel took this share of its
+time (per call, the mean over 3 seeded matrices with entries in
+[-5, 5] and a repeated column of the least of 4 to 30 calls interleaved
+with the walk's, Python 3.11 on 2 CPUs): at m = 2, 2 x 20 1.06,
+2 x 160 1.01, 2 x 600 1.01; on square matrices 4 x 4 0.95, 6 x 6 0.95,
+8 x 8 0.97, 10 x 10 0.98, 12 x 12 1.01; past the cap, 4 x 293 at
+nb = 2 (g = 1) 7.4 against 11.9 s, with the same 1.86 million failures
+and 277 MB of peak RSS against 276; with COLEX_BYTES lowered until
+g = 1, 4 x 18 0.94, 4 x 60 0.58, 5 x 30 0.30, 6 x 24 0.18, 7 x 16 0.16,
+8 x 19 0.09. Lowered until g = m - 2 it took 3 x 36 1.19, 3 x 300 1.09,
+4 x 18 1.42, 4 x 60 1.25, 5 x 30 1.51, 6 x 24 1.49, 7 x 16 1.24 and
+8 x 19 1.21: each (m-2)-prefix takes its own last scalar step, where
+the walk shared its (m-3)-prefix's packed sums among its children. The
+rule takes g = m - 2 with d > m only when the levels after an
+(m-3)-prefix pass the cap, from d = 3,344 at m = 3 and nb = 2, or
+d = 662 at nb = 51, where the completions' long sums dominate: 3 x 700
+with entries near 10^40, nb = 51, took 29.0 against 33.2 s.
 
 The plan holds m 2^(m-1) terms, about 100 bytes each, and
-verify_exhaustive refuses, before either kernel, a plan of more terms
-than the budget: that, not A's size, bounds a large m's memory (a random
-18 x 19 matrix took 6 s and 245 MB). Besides it, the sweep reads A once,
-into one packed integer per row and one tuple per column. A node with
-children lists its columns for them to slice; the root's are zipped from
-A's rows, so at m = 2, whose root reads them in its completions, no list
-of column tuples is built. The prefixes in hand hold their minors or
-packed sums, and P its table. The colex pass holds its levels, one
-column, and the packed sum and bytes of one completion; it lists no
-subsets but its failures.
+verify_exhaustive refuses, before the kernel, a plan of more terms than
+the budget: that, not A's size, bounds a large m's memory (a random
+18 x 19 matrix took 6 s and 245 MB). Besides it, the kernel zips each
+prefix's columns from slices of A's rows, one column at a time, so no
+list of column tuples is built. At g = m - 2 it holds one packed
+integer per row, the prefix in hand's shifted rows and sums, and one
+completion's sum and bytes; at g < m - 2 the levels, one column and one
+completion. It lists no subsets but its failures.
 """
 
 import math
@@ -119,8 +122,8 @@ from .intmath import exact_ints
 from .linalg import (IntMatrix, combination_vector, det_exact, field_bytes, packed_rows,
                      zero_fields)
 
-# the colex pass takes 3 <= m < d while its levels hold at most
-# COLEX_BYTES; every other shape is swept (see the module notes)
+# the exhaustive kernel walks the fewest leading columns below which the
+# colex levels hold at most COLEX_BYTES (see the module notes)
 COLEX_BYTES = 1 << 25
 
 
@@ -230,13 +233,14 @@ def verify_exhaustive(A: IntMatrix,
     geometric_structure proves has no failures, and its report counts
     the C(d, m) minors proved, in O(m*d). Any other is refused when the
     Laplace plan, m 2^(m-1) terms, exceeds the budget (C(d, m) is 1 on a
-    square matrix and bounds nothing there), and else checked by the
-    kernel _kernel picks from (m, d, nb): the colex pass for 3 <= m < d
-    when its levels fit in COLEX_BYTES, the depth-first sweep otherwise
-    (see the module notes). Both share each prefix's
-    minors among all of its extensions and test the completions by
-    one column at once; at m = 1 a minor is an entry, and the failures
-    are the zero entries.
+    square matrix and bounds nothing there), and else checked by the one
+    exhaustive kernel: a depth-first walk of the fewest leading columns
+    whose colex levels fit in COLEX_BYTES, m - 2 on a square matrix, and
+    below each such prefix the colex pass, or at m - 2 one packed sum per
+    completing column (see the module notes). It shares each prefix's
+    minors among all of its extensions and tests the completions by one
+    column at once; at m = 1 a minor is an entry, and the failures are
+    the zero entries.
     """
     _check_shape(A)
     m, d = A.rows, A.cols
@@ -250,7 +254,7 @@ def verify_exhaustive(A: IntMatrix,
             (j,) for j, a in enumerate(A.entries) if not a])
     bound = _minor_bound(A)
     return VerificationReport(total_checked=total, mode="exhaustive",
-                              failures=_kernel(m, d, field_bytes(bound))(A, bound))
+                              failures=_failing_subsets(A, bound))
 
 
 def _minor_bound(A: IntMatrix) -> int:
@@ -260,142 +264,130 @@ def _minor_bound(A: IntMatrix) -> int:
     return math.isqrt((k * k * m) ** m)
 
 
-def _level_bytes(m: int, d: int, nb: int) -> int:
-    """The bytes the colex pass's levels 0..m-1 hold at most: C(m, t)
-    sums of C(d, t) fields of nb bytes at level t."""
-    return nb * sum(math.comb(m, t) * math.comb(d, t) for t in range(m))
+def _prefix_length(m: int, d: int, nb: int) -> int:
+    """g, the leading columns the exhaustive kernel walks depth first on m
+    rows, d columns and fields of nb bytes: m - 2 on a square matrix, else
+    the fewest g < m - 2 for which the colex levels over the d - g columns
+    after a g-prefix, nb sum_{g <= t < m} C(m, t) C(d - g, t - g) bytes,
+    hold at most COLEX_BYTES, and m - 2 when none does."""
+    if d > m:
+        for g in range(m - 2):
+            if nb * sum(math.comb(m, t) * math.comb(d - g, t - g)
+                        for t in range(g, m)) <= COLEX_BYTES:
+                return g
+    return m - 2
 
 
-def _kernel(m: int, d: int, nb: int):
-    """The exhaustive kernel for m rows, d columns and fields of nb bytes:
-    the colex pass for 3 <= m < d when _level_bytes is at most
-    COLEX_BYTES, else the sweep."""
-    if 3 <= m < d and _level_bytes(m, d, nb) <= COLEX_BYTES:
-        return _colex_pass
-    return _sweep
-
-
-def _sweep(A: IntMatrix, bound: int) -> list[tuple[int, ...]]:
-    """The failing m-subsets of A, m >= 2, in lexicographic order, by the
-    depth-first sweep over column prefixes, A packed under bound."""
-    m, d = A.rows, A.cols
-    nb, zero, biased, bias = packed_rows(A, bound)
-    plans = _laplace_plans(m)
-    top = max(m - 3, 0)
-    failures = []
-
-    def fold(ps, t, i, sign):
-        # sign times the packed sum on row subset i of level t, expanded
-        # along column t: a list over the rows r holding the signed sum on
-        # the subset without r (itself such a list above level top + 1),
-        # or 0 where r is off the subset
-        row = [0] * m
-        for s, r, k in plans[t][i]:
-            row[r] = sign * s * ps[k] if t - 1 == top else fold(ps, t - 1, k, sign * s)
-        return row
-
-    def walk(prefix, minors, columns):
-        # columns: A's columns from the next one on, up to d - 2
-        t = len(prefix)
-        start = prefix[-1] + 1 if prefix else 0
-        if t < top:
-            cols = list(columns)
-            for j, col in zip(range(start, d - m + t + 1), cols):
-                walk(prefix + (j,), [sum(sign * col[r] * minors[k] for sign, r, k in terms)
-                                     for terms in plans[t]], cols[j + 1 - start:])
-            return
-        # the packed rows from column start on enter as column t
-        shift = 8 * nb * start
-        hs = bias >> shift
-        qs = [(x >> shift) - hs for x in biased]
-        ps = [sum(sign * minors[k] * qs[r] for sign, r, k in terms) for terms in plans[t]]
-        # the sign moves the packed column last: a completion's fields are
-        # then 2^(w-1) + n . col_j, n the normal of its (m-1)-prefix
-        sweep(prefix, start, fold(ps, m - 1, 0, (-1) ** (m - 1 - t)), hs, columns)
-
-    def sweep(prefix, start, table, hs, columns):
-        t = len(prefix)
-        if t < m - 2:
-            # each child by column b contracts the table with col_b and
-            # moves its sums to column b + 1 through the bias
-            cols = list(columns)
-            for b, col in zip(range(start, d - m + t + 1), cols):
-                hb = bias >> 8 * nb * (b + 1)
-                cut = 8 * nb * (b + 1 - start)
-                sweep(prefix + (b,), b + 1,
-                      [(sum(map(mul, col, tr), hs) >> cut) - hb for tr in table], hb,
-                      cols[b + 1 - start:])
-            return
-        # the completions by c = start + i - 1: field j of
-        # hs + sum_r A[r][c] table[r] is 2^(w-1) + n . col_(start+j), n the
-        # normal of prefix + (c,), searched from field i on
-        size = (d - start) * nb
-        for i, u in enumerate(columns, 1):
-            raw = sum(map(mul, u, table), hs).to_bytes(size, "little")
-            pos = raw.find(zero, i * nb)
-            if pos >= 0:
-                failures.extend(prefix + (start + i - 1, start + c)
-                                for c in zero_fields(raw, pos, zero))
-
-    # the root's columns are zipped from A's rows, one at a time: at m = 2
-    # the root's completions read them and no list of column tuples is built
-    walk((), [1], zip(*[A.entries[i * d:(i + 1) * d - 1] for i in range(m)]))
-    return failures
-
-
-def _colex_pass(A: IntMatrix, bound: int) -> list[tuple[int, ...]]:
-    """The failing m-subsets of A, m >= 2, in lexicographic order, by the
-    breadth-first colex pass over A's columns in reverse (see the module
-    notes), in fields of field_bytes(bound) bytes."""
+def _failing_subsets(A: IntMatrix, bound: int) -> list[tuple[int, ...]]:
+    """The failing m-subsets of A, m >= 2, in lexicographic order, in
+    fields of field_bytes(bound) bytes: each g-prefix, g = _prefix_length,
+    walked depth first with its scalar minors, and the columns after it
+    searched by the colex pass, or at g = m - 2 by one packed sum per
+    completing column (see the module notes)."""
     m, d = A.rows, A.cols
     nb = field_bytes(bound)
     w = 8 * nb
     zero = (1 << w - 1).to_bytes(nb, "little")
+    g = _prefix_length(m, d, nb)
     plans = _laplace_plans(m)
-    # ranks[t][c] = C(c, t): level t holds C(c, t) fields before column c,
-    # and a t-subset of the columns before c has its colex rank below it
-    ranks = [[math.comb(c, t) for c in range(d)] for t in range(m)]
     # level m - 1 keeps row subset k of the completion's term (sign, r, k)
     # at place r, times sign, so that a completion is one sum over the rows
     place = {k: (r, sign) for sign, r, k in plans[m - 1][0]}
-    steps = [list(enumerate(level)) for level in plans[:m - 2]]
-    steps.append([(place[i][0], [(place[i][1] * sign, r, k) for sign, r, k in terms])
-                  for i, terms in enumerate(plans[m - 2])])
-    levels = [[1]] + [[0] * math.comb(m, t) for t in range(1, m)]
-    full = ranks[m - 1][d - 1]
-    bias = int.from_bytes(zero * full, "little")
-    # a match's prefix, unranked from the top: its largest column s is the
-    # largest with C(s, m - 1) <= p, and so on down to C(s, 1) = s
-    tables = ranks[m - 1:1:-1]
-    last = d - 1
-    found = []
-    for c, col in enumerate(zip(*[reversed(A.entries[i * d:(i + 1) * d]) for i in range(m)])):
-        n = ranks[m - 1][c]
-        if n:
-            # field p is 2^(w-1) plus the minor of column c and the
-            # (m-1)-subset of colex rank p before it
-            raw = sum(map(mul, col, levels[m - 1]), bias >> w * (full - n)).to_bytes(
-                n * nb, "little")
-            pos = raw.find(zero)
-            if pos >= 0:
-                for p in zero_fields(raw, pos, zero):
-                    failure = [last - c]
-                    for rank in tables:
-                        s = bisect_right(rank, p) - 1
-                        p -= rank[s]
-                        failure.append(last - s)
-                    failure.append(last - p)
-                    found.append(tuple(failure))
-        # the (t+1)-subsets ending at c extend level t + 1 while at least
-        # m - t - 1 columns follow c to complete them; t descends, so
-        # level t is read before column c extends it
-        for t in range(m - 2, max(c - d + m, 0) - 1, -1):
-            shift = w * ranks[t + 1][c]
-            lower, upper = levels[t], levels[t + 1]
-            for i, terms in steps[t]:
-                upper[i] += sum([sign * col[r] * lower[k] for sign, r, k in terms]) << shift
-    found.reverse()
-    return found
+    top = [(place[i][0], [(place[i][1] * sign, r, k) for sign, r, k in terms])
+           for i, terms in enumerate(plans[m - 2])]
+    failures = []
+
+    if g == m - 2:
+        biased, bias = packed_rows(A, bound)[2:]
+
+        def search(prefix, start, minors):
+            # the rows packed from column start on enter as column g: field
+            # j of the sum R_r is the (m-1)-minor of the prefix and column
+            # start + j on the rows of the completion's term for row r
+            shift = w * start
+            hs = bias >> shift
+            qs = [(x >> shift) - hs for x in biased]
+            sums = [0] * m
+            for p, terms in top:
+                sums[p] = sum([sign * minors[k] * qs[r] for sign, r, k in terms])
+            # field j of hs + sum_r A[r][c] R_r, c = start + i - 1, is
+            # 2^(w-1) plus the minor of prefix, c and start + j, searched
+            # from field i on
+            size = (d - start) * nb
+            for i, u in enumerate(zip(*[A.entries[r * d + start:(r + 1) * d - 1]
+                                        for r in range(m)]), 1):
+                raw = sum(map(mul, u, sums), hs).to_bytes(size, "little")
+                pos = raw.find(zero, i * nb)
+                if pos >= 0:
+                    failures.extend(prefix + (start + i - 1, start + c)
+                                    for c in zero_fields(raw, pos, zero))
+    else:
+        # ranks[t][c] = C(c, t): level g + t holds C(c, t) fields before
+        # column c, and a t-subset of the columns before c has its colex
+        # rank below it
+        ranks = [[math.comb(c, t) for c in range(d - g)] for t in range(m - g)]
+        full = ranks[-1][-1]
+        bias = int.from_bytes(zero * full, "little")
+        # a match's subset, unranked from the top: its largest column s is
+        # the largest with C(s, m - 1 - g) <= p, and so on down to C(s, 1) = s
+        tables = ranks[m - 1 - g:1:-1]
+        last = d - 1
+        # steps[u] and levels[u] are those of level g + u
+        steps = [list(enumerate(level)) for level in plans[g:m - 2]] + [top]
+
+        def search(prefix, start, minors):
+            # the colex pass over columns d - 1 down to start, level g
+            # holding the prefix's minors; slack columns are left over
+            # past the m - g that each completion takes
+            slack = d - start - m + g
+            levels = [minors] + [[0] * math.comb(m, t) for t in range(g + 1, m)]
+            found = []
+            for c, col in enumerate(zip(*[reversed(A.entries[i * d + start:(i + 1) * d])
+                                          for i in range(m)])):
+                n = ranks[-1][c]
+                if n:
+                    # field p is 2^(w-1) plus the minor of the prefix, column
+                    # c and the subset of colex rank p before it
+                    raw = sum(map(mul, col, levels[-1]), bias >> w * (full - n)).to_bytes(
+                        n * nb, "little")
+                    pos = raw.find(zero)
+                    if pos >= 0:
+                        for p in zero_fields(raw, pos, zero):
+                            failure = [*prefix, last - c]
+                            for rank in tables:
+                                s = bisect_right(rank, p) - 1
+                                p -= rank[s]
+                                failure.append(last - s)
+                            failure.append(last - p)
+                            found.append(tuple(failure))
+                # the (u+1)-subsets ending at c extend level g + u + 1 while
+                # at least m - g - u - 1 columns follow c to complete them;
+                # u descends, so level g + u is read before c extends it
+                for u in range(m - 2 - g, max(c - slack, 0) - 1, -1):
+                    shift = w * ranks[u + 1][c]
+                    lower, upper = levels[u], levels[u + 1]
+                    for i, terms in steps[u]:
+                        upper[i] += sum([sign * col[r] * lower[k] for sign, r, k in terms]) << shift
+            found.reverse()
+            failures.extend(found)
+
+    # the g-prefixes depth first, in lexicographic order, with their
+    # minors: a prefix's children go on the stack last first. A loop, not
+    # a recursive closure, so that a call leaves no reference cycle for
+    # the garbage collector to find
+    stack = [((), [1])]
+    while stack:
+        prefix, minors = stack.pop()
+        t = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if t == g:
+            search(prefix, start, minors)
+            continue
+        for j in range(d - m + t, start - 1, -1):
+            col = A.column(j)
+            stack.append((prefix + (j,), [sum([sign * col[r] * minors[k] for sign, r, k in terms])
+                                          for terms in plans[t]]))
+    return failures
 
 
 def verify_sampled(A: IntMatrix, trials: int, seed: int,

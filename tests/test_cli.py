@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fullrank import serialize
 from fullrank.attack import attack_params
-from fullrank.cli import _all_digits, build_parser, run
+from fullrank.cli import _all_digits, _three_decimals, build_parser, run
 from fullrank.construct import bounds_report, construct_scaled, construct_vandermonde
 from fullrank.cover import CoverCheck, cover_lower_bound
 from fullrank.intmath import primitive_vector
@@ -898,6 +898,42 @@ class TestBoundsCommand:
                                       "--json"])
         assert code == 0 and doc["regime"] == "large_m"
         assert doc["upper_bound"] == floor_sqrt_ln(k, 100 * k * 1000)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_gap_factor_past_the_float_range_exit_0(self, as_json):
+        # float(gap_factor) raised OverflowError, a traceback and exit 1,
+        # before --json was read
+        m = 10 ** 400
+        proc = subprocess.run(
+            [sys.executable, "-m", "fullrank", "bounds", "--m", str(m), "--k", "3"]
+            + ["--json"] * as_json, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rep = bounds_report(m, 3)
+        if as_json:
+            assert Fraction(json.loads(proc.stdout)["gap_factor"]) == rep.gap_factor
+        else:
+            gap = next(line for line in proc.stdout.splitlines()
+                       if line.startswith("gap factor: "))
+            whole, frac = gap.removeprefix("gap factor: ").split(".")
+            assert len(frac) == 3
+            # float's 53 significant bits, then three decimals
+            error = abs(Fraction(f"{whole}.{frac}") - rep.gap_factor)
+            assert error <= rep.gap_factor / 2 ** 53 + Fraction(1, 2000)
+
+    def test_gap_factor_text_is_the_floats(self):
+        # the three decimals are the bytes float formatting wrote, ties
+        # included: k = 79 gives factors that are exact ties at the third
+        # decimal, which float() rounds one way or the other
+        ties = 0
+        for m in range(2, 40):
+            for k in list(range(2, 120)) + [10 ** 9 + 7, 2 ** 61]:
+                gap = bounds_report(m, k).gap_factor
+                ties += (gap * 2000).denominator == 1 and (gap * 1000).denominator > 1
+                assert _three_decimals(gap) == f"{float(gap):.3f}"
+        assert ties
+        for x in [Fraction(1), Fraction(1, 2000), Fraction(2 ** 53 + 1), Fraction(10 ** 300, 7),
+                  Fraction(2 ** 60 - 1, 2 ** 60), Fraction(15, 8000), Fraction(25, 8000)]:
+            assert _three_decimals(x) == f"{float(x):.3f}"
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str digit limit")

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -31,12 +32,10 @@ from fullrank.verify import (
 from fullrank import verify as verify_mod
 from fullrank.verify import (
     COLEX_BYTES,
-    _colex_pass,
-    _kernel,
+    _failing_subsets,
     _laplace_plans,
-    _level_bytes,
     _minor_bound,
-    _sweep,
+    _prefix_length,
 )
 from oracles import (
     all_minors_nonzero,
@@ -58,6 +57,26 @@ def random_rows(rng, m, d):
 # m = 1 and, with entries this small, zero columns and rank-deficient
 # prefixes (zero hyperplane normals) all occur
 SMALL_SHAPES = [(m, d) for m in range(1, 5) for d in range(m, m + 5)]
+
+
+def level_bytes(m, d, nb, g):
+    """The bytes the colex levels hold over the d - g columns after a
+    g-prefix: C(m, t) sums of C(d - g, t - g) fields of nb bytes at each
+    level t from g to m - 1."""
+    return nb * sum(math.comb(m, t) * math.comb(d - g, t - g) for t in range(g, m))
+
+
+def kernel_at(A, g):
+    """The exhaustive kernel's failures on A, m >= 2, with COLEX_BYTES set
+    to the levels after a g-prefix, so that the rule takes g (m - 2 on a
+    square matrix, whatever the cap)."""
+    m, d = A.rows, A.cols
+    bound = _minor_bound(A)
+    nb = field_bytes(bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_mod, "COLEX_BYTES", level_bytes(m, d, nb, g))
+        assert _prefix_length(m, d, nb) == (g if d > m else m - 2)
+        return _failing_subsets(A, bound)
 
 
 class TestVerifyExhaustive:
@@ -155,10 +174,10 @@ def sylvester(m):
 
 
 class TestPackedSweep:
-    """The sweep tests a prefix's completions in one packed integer; its
-    failures, and those of verify_exhaustive's choice of kernel, must be
-    the reference walk's, one dot product per completion, order
-    included."""
+    """The exhaustive kernel tests the completions of a column subset in
+    one packed integer; its failures, at the prefix length
+    verify_exhaustive picks and at g = m - 2, must be the reference
+    walk's, one dot product per completion, order included."""
 
     @staticmethod
     def check(rows):
@@ -167,9 +186,10 @@ class TestPackedSweep:
         assert report.total_checked == math.comb(len(rows[0]), len(rows))
         assert report.failures == prefix_sweep(rows)
         if A.rows > 1:
-            # verify_exhaustive sends most shapes with m >= 3 to the colex
-            # pass, so the sweep is called on its own as well
-            assert _sweep(A, _minor_bound(A)) == report.failures
+            # the rule takes g = 0 on most shapes with d > m, so the
+            # kernel runs at g = m - 2, one packed sum per completing
+            # column, as well
+            assert kernel_at(A, A.rows - 2) == report.failures
         return report.failures
 
     @settings(max_examples=300, deadline=None)
@@ -255,13 +275,13 @@ def sweep_bytes(k, m):
 
 
 class TestPackedLevel:
-    """Each (m-2)-prefix holds m packed sums R_r, one per row of its
-    completing column, in the order and with the signs of the
+    """At g = m - 2 each (m-2)-prefix holds m packed sums R_r, one per row
+    of its completing column, in the order and with the signs of the
     completion's Laplace terms, and tests each completion by column c
-    with sum_r A[r][c] R_r. Compared with the reference walk, order
-    included, at every field width from 1 to 9 bytes: the width is the
-    smallest whole number of bytes that Hadamard's bound allows, never
-    rounded up."""
+    with sum_r A[r][c] R_r; at g < m - 2 the colex levels hold the same
+    fields. Compared with the reference walk, order included, at every
+    field width from 1 to 9 bytes: the width is the smallest whole
+    number of bytes that Hadamard's bound allows, never rounded up."""
 
     @pytest.mark.parametrize("k,raw", [
         (1, 1), (127, 2), (128, 3), (32767, 4), (32768, 5),
@@ -318,7 +338,7 @@ class TestPackedLevel:
         assert TestPackedSweep.check(rows) == [(0, 3)]
 
 
-def fold_k(m, raw):
+def widest_k(m, raw):
     """The largest k at which the sweep on m rows packs fields of raw
     bytes, or None when no k >= 1 does."""
     if sweep_bytes(1, m) > raw:
@@ -332,29 +352,27 @@ def fold_k(m, raw):
     return lo if sweep_bytes(lo, m) == raw else None
 
 
-FOLD_WIDTHS = list(range(1, 10)) + [42]
+WIDTHS = list(range(1, 10)) + [42]
 
 
 class TestFoldedLevel:
-    """One Laplace plan serves every level. Above depth max(m-3, 0) the
-    walk carries scalar minors; there the packed rows enter as the next
-    column, each child by column b takes the next step with col_b and
-    moves its m sums to column b + 1 through the bias, and the
-    completion's term list sets their order and signs, so the completion
-    by column c searches H + sum_r A[r][c] R_r. At m = 2 the root is that
-    depth and its completions read the sums of the packed step. Compared
-    with the reference walk, order included, from m = 2 to 7 and at field
-    widths of 1 to 9 bytes and of 42."""
+    """One Laplace plan serves every level: the walk's scalar minors above
+    depth g, the colex levels below it and, at g = m - 2, the packed
+    rows entering as column m - 2, whose m sums the completion's term
+    list orders and signs, so the completion by column c searches
+    H + sum_r A[r][c] R_r. Compared with the reference walk, order
+    included, from m = 2 to 7 and at field widths of 1 to 9 bytes and
+    of 42."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_plans_expand_every_level(self, m):
-        # random columns, and at depth max(m-3, 0) a stand-in for the
+        # random columns, and at depth max(m-2, 0) a stand-in for the
         # packed rows: rows of three 64-bit fields, as packed_rows lays
         # them out. Level by level the plans give perm_det on every row
         # subset, a term list's rows naming its subset; from the stand-in
         # on, field j is perm_det with the stand-in's column j there
         plans = _laplace_plans(m)
-        top, w = max(m - 3, 0), 64
+        top, w = max(m - 2, 0), 64
         half = sum(1 << (w - 1) << w * j for j in range(3))
         rng = random.Random(m)
         for _ in range(10 if m < 7 else 2):  # perm_det takes 8! steps at m = 8
@@ -394,12 +412,12 @@ class TestFoldedLevel:
             verify_exhaustive(A, budget=terms - 1)
         assert (exc.value.required, exc.value.budget) == (terms, terms - 1)
 
-    @pytest.mark.parametrize("raw", FOLD_WIDTHS)
+    @pytest.mark.parametrize("raw", WIDTHS)
     def test_every_field_width_and_depth(self, raw):
         # entries mostly +-k, the largest k at this width, with a copied,
         # a zero and a negated column, so every level lists failures
         for m in range(2, 8):
-            k = fold_k(m, raw)
+            k = widest_k(m, raw)
             if k is None:
                 continue
             assert sweep_bytes(k, m) == raw < sweep_bytes(k + 1, m)
@@ -431,7 +449,7 @@ class TestFoldedLevel:
     @given(st.data())
     def test_matches_reference_walk(self, data):
         m = data.draw(st.integers(2, 7))
-        k = data.draw(st.sampled_from([k for k in (fold_k(m, raw) for raw in FOLD_WIDTHS)
+        k = data.draw(st.sampled_from([k for k in (widest_k(m, raw) for raw in WIDTHS)
                                        if k is not None]))
         d = m + data.draw(st.integers(0, 5 if m < 6 else 2))
         entry = st.one_of(st.sampled_from([-k, k]), st.integers(-k, k), st.integers(-2, 2))
@@ -454,8 +472,8 @@ def one_row(d):
 
 
 class TestSweepMemory:
-    """The sweep holds O(m*d): one packed integer per row and the sums of
-    the prefix in hand. At m = 1 and m = 2 no list of column tuples is
+    """At g = m - 2 the kernel holds O(m*d): one packed integer per row and
+    the sums of the prefix in hand. At m = 1 and m = 2 no list of column tuples is
     built (that alone took about 64 bytes an entry at 1 x 200,000, and at
     2 x 4000 it passes this bound), and at no m a table of packed
     suffixes, one per starting column and O(d^2) in all."""
@@ -481,6 +499,28 @@ class TestSweepMemory:
         d = A.cols
         assert A.rows * d * (d + 1) // 2 >= 4 * bound
 
+    @pytest.mark.parametrize("m,d,g", [(2, 160, 0), (3, 36, 0), (4, 18, 0), (4, 18, 1),
+                                       (4, 18, 2), (7, 7, 5)])
+    def test_a_call_leaves_no_reference_cycle(self, monkeypatch, m, d, g):
+        # garbage in a reference cycle waits for the collector, whose
+        # full passes walk every object of the process; a recursive
+        # closure for the walk left about 130 such objects a call at
+        # 3 x 36, and the bench's slowest tenth of refute jobs took about
+        # a tenth longer
+        rng = random.Random(f"{m}x{d}")
+        A = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(d)] for _ in range(m)])
+        nb = field_bytes(_minor_bound(A))
+        monkeypatch.setattr(verify_mod, "COLEX_BYTES", level_bytes(m, d, nb, g))
+        assert _prefix_length(m, d, nb) == g
+        gc.collect()
+        gc.disable()
+        try:
+            verify_exhaustive(A)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
 
 def moment_curve(d):
     """4 x d with columns (1, x, x^2, x^3) mod 61 in centered residues,
@@ -494,12 +534,14 @@ def moment_curve(d):
 
 
 class TestColexPass:
-    """The colex pass takes the columns in reverse, holds every t-minor,
-    t < m, packed by row subset in colex order of the column subsets, and
-    tests each column against every (m-1)-subset before it at once. Its
-    failures, the sweep's and the reference walk's must be the same list,
-    order included, and verify_exhaustive picks the pass from (m, d, nb)
-    alone."""
+    """The kernel walks the g leading columns of each prefix depth first
+    with scalar minors. Below a g-prefix, g < m - 2, the colex pass takes
+    the columns after it in reverse, holds every t-minor, g <= t < m,
+    packed by row subset in colex order of the column subsets, and tests
+    each column against every (m-1-g)-subset before it at once; at
+    g = m - 2 each completing column tests one packed sum. The failures
+    at every g and the reference walk's must be the same list, order
+    included, and _prefix_length picks g from (m, d, nb) alone."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -522,8 +564,9 @@ class TestColexPass:
         rows = [list(r) for r in zip(*cols)]
         A = IntMatrix.from_rows(rows)
         expected = prefix_sweep(rows)
-        assert _colex_pass(A, _minor_bound(A)) == expected
-        assert _sweep(A, _minor_bound(A)) == expected
+        # every g from 0 to m - 2, each reached through COLEX_BYTES
+        for g in range(m - 1):
+            assert kernel_at(A, g) == expected
         assert verify_exhaustive(A).failures == expected
 
     @pytest.mark.parametrize("m,d,nb,colex", [
@@ -539,29 +582,48 @@ class TestColexPass:
         (4, 292, 2, True), (4, 293, 2, False), (12, 13, 6, True), (12, 13, 7, False),
     ])
     def test_kernel_chosen_from_the_shape(self, m, d, nb, colex):
-        assert _kernel(m, d, nb) is (_colex_pass if colex else _sweep)
+        # colex: the colex pass runs over every column of A, g = 0 < m - 2
+        g = _prefix_length(m, d, nb)
+        assert 0 <= g <= m - 2
+        assert (g == 0 < m - 2) is colex
+
+    @pytest.mark.parametrize("m,d,nb,g", [
+        # refute's 3 x 36, 4 x 18 and 2 x 160, and a square matrix
+        (3, 36, 2, 0), (4, 18, 2, 0), (2, 160, 2, 0), (7, 7, 3, 5),
+        # the widest 4-row matrix at nb = 2 with g = 0, and one column more;
+        # 12 x 13 at nb = 6 and at nb = 7
+        (4, 292, 2, 0), (4, 293, 2, 1), (12, 13, 6, 0), (12, 13, 7, 1),
+    ])
+    def test_prefix_length_pins(self, m, d, nb, g):
+        assert _prefix_length(m, d, nb) == g
 
     def test_level_bytes_at_the_edge(self):
         # sum over t < m of C(m, t) C(d, t) nb: 4 x 292 fits in 2^25 bytes
-        # with 186,422 to spare, 4 x 293 passes it by 156,978
+        # with 186,422 to spare, 4 x 293 passes it by 156,978 and takes
+        # g = 1, whose levels fit; each rule is the fewest g that fits
         assert COLEX_BYTES == 2 ** 25
-        assert _level_bytes(4, 292, 2) == 2 * (1 + 4 * 292 + 6 * 42486 + 4 * 4106980)
-        assert _level_bytes(4, 292, 2) == 2 ** 25 - 186_422
-        assert _level_bytes(4, 293, 2) == 2 ** 25 + 156_978
-        assert _level_bytes(4, 300, 2) > 2 ** 25
-        assert _level_bytes(12, 13, 6) <= 2 ** 25 < _level_bytes(12, 13, 7)
+        assert level_bytes(4, 292, 2, 0) == 2 * (1 + 4 * 292 + 6 * 42486 + 4 * 4106980)
+        assert level_bytes(4, 292, 2, 0) == 2 ** 25 - 186_422
+        assert level_bytes(4, 293, 2, 0) == 2 ** 25 + 156_978
+        assert level_bytes(4, 293, 2, 1) == 2 * (4 + 6 * 292 + 4 * 42486) <= 2 ** 25
+        assert level_bytes(4, 300, 2, 0) > 2 ** 25
+        assert level_bytes(12, 13, 6, 0) <= 2 ** 25 < level_bytes(12, 13, 7, 0)
+        assert level_bytes(12, 13, 7, 1) <= 2 ** 25
+        for m, d, nb in [(4, 292, 2), (4, 293, 2), (4, 300, 2), (12, 13, 6), (12, 13, 7)]:
+            fits = [g for g in range(m - 2) if level_bytes(m, d, nb, g) <= 2 ** 25]
+            assert _prefix_length(m, d, nb) == min(fits, default=m - 2)
 
     @pytest.mark.parametrize("m,d,k", [(3, 36, 8), (4, 18, 5), (2, 160, 10), (7, 11, 3),
                                        (7, 7, 3)])
     def test_verify_exhaustive_runs_the_chosen_kernel(self, monkeypatch, m, d, k):
         rng = random.Random(f"{m}x{d}")
-        A = IntMatrix.from_rows([[rng.randint(-k, k) for _ in range(d)] for _ in range(m)])
-        ran = []
-        for name in ("_colex_pass", "_sweep"):
-            monkeypatch.setattr(verify_mod, name,
-                                lambda A, bound, name=name: ran.append(name) or [])
-        verify_exhaustive(A)
-        assert ran == ["_colex_pass" if 3 <= m < d else "_sweep"]
+        rows = [[rng.randint(-k, k) for _ in range(d)] for _ in range(m)]
+        A = IntMatrix.from_rows(rows)
+        chosen = []
+        monkeypatch.setattr(verify_mod, "_prefix_length",
+                            lambda *shape: chosen.append(_prefix_length(*shape)) or chosen[-1])
+        assert verify_exhaustive(A).failures == prefix_sweep(rows)
+        assert chosen == [m - 2 if d == m else 0]
         assert field_bytes(_minor_bound(A)) == (2 if m < 7 else 3)
 
     def test_peak_within_a_multiple_of_its_levels(self):
@@ -570,19 +632,46 @@ class TestColexPass:
         # level bytes here, 14 failures. A list of every 3-subset of the
         # columns, 34,220 tuples of 64 bytes and their 8-byte slots, would
         # pass the bound by itself.
-        A = IntMatrix.from_rows(moment_curve(60))
+        rows = moment_curve(60)
+        A = IntMatrix.from_rows(rows)
         bound = _minor_bound(A)
-        levels = _level_bytes(4, 60, field_bytes(bound))
+        levels = level_bytes(4, 60, field_bytes(bound), 0)
+        assert _prefix_length(4, 60, field_bytes(bound)) == 0
         tracemalloc.start()
         try:
-            failures = _colex_pass(A, bound)
+            failures = _failing_subsets(A, bound)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert failures[0] == (0, 1, 2, 59)
-        assert failures == _sweep(A, bound)
+        assert failures == prefix_sweep(rows)
         assert peak <= 3 * levels + 32 * 4 * 60
         assert math.comb(60, 3) * (64 + 8) > 3 * levels + 32 * 4 * 60
+
+    def test_peak_at_one_leading_column(self):
+        # at g = 1 each prefix builds its levels afresh over the columns
+        # after it, so the peak is the first prefix's levels, the largest,
+        # with their old copies, the bias, one completion and the colex
+        # ranks, about 36 bytes an entry of A: measured 2.84 times the
+        # level bytes here. The g = 0 levels would pass the bound by
+        # themselves.
+        rows = moment_curve(60)
+        A = IntMatrix.from_rows(rows)
+        bound = _minor_bound(A)
+        nb = field_bytes(bound)
+        levels = level_bytes(4, 60, nb, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify_mod, "COLEX_BYTES", levels)
+            assert _prefix_length(4, 60, nb) == 1
+            tracemalloc.start()
+            try:
+                failures = _failing_subsets(A, bound)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert failures == prefix_sweep(rows)
+        assert peak <= 3 * levels + 64 * 4 * 60
+        assert level_bytes(4, 60, nb, 0) > 3 * levels + 64 * 4 * 60
 
 
 class TestVerifySampled:
