@@ -3,6 +3,10 @@
 Exit codes: 0 success/accept; 1 property violation (verification
 failures, a found degeneracy certificate, decode ambiguity, rejected
 cover); 2 invalid input, budget refusal, usage error or a failed write.
+run() keeps this contract for every caller, in process as well: each line
+it writes to stdout or stderr goes through one writer, _write, so a stdout
+that is closed or refuses the text is exit 2 with one "error:" line, and
+main() only exits with run's status.
 """
 
 import argparse
@@ -316,80 +320,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard(stream) -> None:
-    """Point stream's descriptor at /dev/null. A write that failed left
-    its text in the stream's buffer, and the flush at exit would fail
-    again and make Python exit 120; now it succeeds, writing nothing."""
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, stream.fileno())
-    os.close(null)
+def _write(stream, text: str) -> None:
+    """Write text to stream and flush it: every line the CLI writes goes
+    through here. A stream Python set to None (its descriptor was closed
+    at start-up) raises OSError; only stdout's reaches a user, as stderr's
+    is _error's, which has nowhere to show it. A failed write leaves
+    its text in the stream's buffer, where the flush at exit would fail
+    again and make Python exit 120, so the stream's descriptor is pointed
+    at /dev/null, where that flush writes nothing; then the write's own
+    error is raised, also from an in-memory stream, which has no
+    descriptor to point."""
+    if stream is None:
+        raise OSError("standard output is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(io.UnsupportedOperation):
+            fd = stream.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise
 
 
 def _error(message) -> None:
     """Write "error: message" to stderr. A stderr that cannot take it
-    loses the line, and the exit status stays 2: with fd 2 closed at
-    start-up sys.stderr is None (and print would write to stdout), and a
-    descriptor that refuses writes raises OSError here, its line left in
-    stderr's buffer (line-buffered, not unbuffered, without
-    PYTHONUNBUFFERED) for _discard to drop."""
-    if sys.stderr is None:
-        return
-    try:
-        print(f"error: {message}", file=sys.stderr)
-    except OSError:
-        _discard(sys.stderr)
+    (closed at start-up, or a descriptor that refuses writes) loses the
+    line, and the exit status stays 2."""
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, f"error: {message}\n")
 
 
 def run(argv) -> int:
     """Parse, dispatch, write the requested files and print; returns the
-    process exit status."""
-    parser = build_parser()
+    process exit status, 2 also when stdout cannot take the text."""
     try:
-        # argparse swallows a failed write of --help; it is written here instead
-        with contextlib.redirect_stdout(io.StringIO()) as shown:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors and --help
         try:
-            print(shown.getvalue(), end="", flush=True)
-        except OSError as err:
-            _error(err)
-            return 2
-        return int(exc.code or 0)
-    try:
-        res = args.func(args)
-        human, written = res.human, None
-        with _all_digits():
-            if res.out_doc is not None and args.out:
-                written = ser.save_json(args.out, res.out_doc)
-                human += f" -> {args.out}"
-            if not args.json:
-                text = human
-            elif res.out_doc is res.doc and written is not None:
-                text = written  # save_json's one rendering, printed as well
-            else:
-                text = json.dumps(res.doc)
-        if res.csv is not None:
-            ser.save_text(args.csv_out, res.csv)
-        # flushed here, so a failed write to stdout is an error like any other
-        print(text, flush=True)
+            # argparse swallows a failed write of --help, so it is captured
+            with contextlib.redirect_stdout(io.StringIO()) as shown:
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse handles usage errors and --help
+            code, text = int(exc.code or 0), shown.getvalue()
+        else:
+            res = args.func(args)
+            human, written = res.human, None
+            with _all_digits():
+                if res.out_doc is not None and args.out:
+                    written = ser.save_json(args.out, res.out_doc)
+                    human += f" -> {args.out}"
+                if not args.json:
+                    text = human
+                elif res.out_doc is res.doc and written is not None:
+                    text = written  # save_json's one rendering, printed as well
+                else:
+                    text = json.dumps(res.doc)
+            if res.csv is not None:
+                ser.save_text(args.csv_out, res.csv)
+            code, text = res.code, text + "\n"
+        if text:  # a usage error's lines went to stderr
+            _write(sys.stdout, text)
     except (OSError, ValueError) as exc:
         _error(exc)
         return 2
-    return res.code
+    return code
 
 
 def main() -> None:
-    code = run(sys.argv[1:])
-    if sys.stdout is None:  # started with fd 1 closed: print wrote nothing
-        if code != 2:
-            _error("standard output is closed")
-        sys.exit(2)
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        # unwritten text (run() already reported its own) stays buffered
-        _discard(sys.stdout)
-        if code != 2:
-            _error(exc)
-        code = 2
-    sys.exit(code)
+    sys.exit(run(sys.argv[1:]))

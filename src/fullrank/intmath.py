@@ -56,19 +56,37 @@ def exact_rationals(values, what: str) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below this bound Miller-Rabin to the first 13 primes as bases decides
+# every odd n (Sorenson and Webster); it is the limit of is_prime.
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; fine for the moduli this package works with."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Whether n is prime, exactly and in bounded time: division by the
+    primes up to 41 (and up to sqrt(n)), which alone decides every
+    n < 41^2 = 1681, then deterministic Miller-Rabin to the same primes as
+    bases. An n from PRIME_LIMIT on, past the proved base set, is a
+    ValueError."""
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n > 1
+        if n % p == 0:
             return False
-        f += 2
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below the fixed limit of {PRIME_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -1279,6 +1279,26 @@ class TestUsageErrors:
             doc = matrix_to_dict(*construct_vandermonde(2, 3))
             assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("argv", [["bounds", "--m", "2", "--k", "3"],
+                                      ["bounds", "--help"]], ids=["bounds", "help"])
+    def test_closed_stdout_in_process_exit_2(self, argv):
+        # run returned 0 here and left the exit 2 to main
+        err = io.StringIO()
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, err.getvalue()) == (2, "error: standard output is closed\n")
+
+    def test_closed_stdout_usage_error_in_process(self):
+        # a usage error writes nothing to stdout: argparse's lines alone
+        argv = ["bounds", "--m", "two", "--k", "3"]
+        usage, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(usage):
+            assert run(argv) == 2
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, err.getvalue()) == (2, usage.getvalue())
+        assert err.getvalue().startswith("usage: fullrank bounds")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("stderr", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])

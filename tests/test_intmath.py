@@ -8,6 +8,7 @@ import pytest
 from fullrank.attack import attack_params
 from fullrank.construct import bounds_report
 from fullrank.intmath import (
+    PRIME_LIMIT,
     exact_ints,
     exact_rationals,
     floor_ln,
@@ -114,6 +115,34 @@ class TestIroot:
 def test_is_prime_matches_trial_division():
     for n in range(-5, 200):
         assert is_prime(n) == trial_prime(n), n
+
+
+def test_is_prime_past_division():
+    # 41^2, where division by the primes up to 41 stops deciding
+    for n in range(1_681 - 200, 1_681 + 200):
+        assert is_prime(n) == trial_prime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    2_047, 1_373_653, 25_326_001, 3_215_031_751,
+    2_152_302_898_747, 3_474_749_660_383, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    2 ** 67 - 1, 1_000_003 * 1_000_033, (2 ** 31 - 1) * 1_000_003,
+])
+def test_is_prime_composites_below_the_limit(n):
+    # strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 8, 11 and 12
+    # primes, which the first 13 refute, 2^67 - 1 = 193707721 * 761838257287,
+    # and two more products
+    assert n < PRIME_LIMIT and not is_prime(n)
+
+
+def test_is_prime_limit():
+    assert PRIME_LIMIT == 3_317_044_064_679_887_385_961_981
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+    assert not is_prime(PRIME_LIMIT - 1)  # even, and decided below the limit
+    for n in (PRIME_LIMIT, 2 ** 89 - 1):  # the limit is itself composite
+        with pytest.raises(ValueError, match="fixed limit of 3317044064679887385961981"):
+            is_prime(n)
 
 
 def test_primitive_vector_first_nonzero_positive():
